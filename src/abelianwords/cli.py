@@ -3,7 +3,9 @@
 Subcommands: generate, profile, powers (brute | vdw | sturmian), verify.
 Recipes are given inline as JSON, as a path to a JSON file, or as a preset
 name; slopes likewise (presets ``golden`` and ``sqrt2``).  Outputs are
-byte-deterministic for a given configuration, including the worker count.
+byte-deterministic for a given configuration.  ``profile --jobs N`` is
+accepted for compatibility with existing command lines and ignored: the
+profile is one pass that threads would not speed up.
 
 Exit codes: 0 success/pass, 1 check failure or empty search, 2 usage
 error, 3 resource or precision exhaustion.
@@ -13,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import checks, complexity, powers, words
 from .contfrac import ContinuedFraction, InsufficientPrecisionError
@@ -96,44 +97,15 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _profile_rows(w, n_max: int, jobs: int):
-    """Per-n profile rows; the n-range may be sharded across threads, the
-    merge is by index so the output does not depend on the worker count."""
-    if jobs <= 1:
-        prof = complexity.profile(w, n_max)
-        return prof.rho_ab, prof.rho, prof.balance_running
-    bounds = [(i * n_max // jobs + 1, (i + 1) * n_max // jobs)
-              for i in range(jobs)]
-    bounds = [(lo, hi) for lo, hi in bounds if lo <= hi]
-
-    def work(span):
-        lo, hi = span
-        return (complexity.abelian_profile(w, hi, lo),
-                complexity.subword_profile(w, hi, lo),
-                complexity.balance_per_length(w, hi, lo))
-
-    rho_ab, rho, bal = [], [], []
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for a, s, b in pool.map(work, bounds):
-            rho_ab += a
-            rho += s
-            bal += b
-    running = []
-    best = 0
-    for b in bal:
-        best = max(best, b)
-        running.append(best)
-    return rho_ab, rho, running
-
-
 def cmd_profile(args) -> int:
     recipe = _load_recipe(args.recipe)
     prefix_len = args.prefix_len or 64 * args.nmax
     w = words.prefix_of(recipe, prefix_len)
-    rho_ab, rho, running = _profile_rows(w, args.nmax, args.jobs)
+    prof = complexity.profile(w, args.nmax)
     lines = ["n,rho_ab,rho,balance_running"]
-    for n in range(1, args.nmax + 1):
-        lines.append(f"{n},{rho_ab[n - 1]},{rho[n - 1]},{running[n - 1]}")
+    rows = zip(prof.rho_ab, prof.rho, prof.balance_running)
+    for n, (rho_ab, rho, running) in enumerate(rows, 1):
+        lines.append(f"{n},{rho_ab},{rho},{running}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -160,6 +132,9 @@ def cmd_powers(args) -> int:
     w = words.prefix_of(recipe, args.prefix_len)
     if args.mode == "brute":
         start = args.pos or 0  # 0-based start
+        if not 0 <= start < len(w):
+            raise UsageError(f"--pos {start} is outside the prefix "
+                             f"(0-based, length {len(w)})")
         ell = powers.min_abelian_period(w, start, args.k)
         if ell is None:
             _emit("no abelian power found within the prefix\n", args.out)
@@ -239,7 +214,8 @@ def build_parser():
     p.add_argument("--recipe", required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--prefix-len", type=int, dest="prefix_len")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored (the profile is one pass)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_profile)
 
@@ -268,16 +244,43 @@ def build_parser():
     return parser, by_name
 
 
+def _config_value(action, key, val):
+    """A config value converted and checked as argparse treats the flag's
+    text: strings go through the flag's type, other values must already
+    have it (a JSON bool is not an int)."""
+    want = action.type or str
+    if isinstance(val, str) and want is not str:
+        try:
+            val = want(val)
+        except ValueError as exc:
+            raise UsageError(f"config {key!r}: {exc}") from exc
+    if type(val) is not want:
+        raise UsageError(f"config {key!r}: expected {want.__name__}, "
+                         f"got {type(val).__name__}")
+    if action.choices is not None and val not in action.choices:
+        raise UsageError(f"config {key!r}: {val!r} is not one of "
+                         f"{', '.join(map(str, action.choices))}")
+    return val
+
+
 def _apply_config(subparser, args):
     """Fill flags still at their defaults from a JSON config file."""
     if not args.config:
         return args
-    with open(args.config, encoding="utf-8") as fh:
-        defaults = json.load(fh)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            defaults = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read config: {exc}") from exc
+    if not isinstance(defaults, dict):
+        raise UsageError("config must be a JSON object")
+    actions = {a.dest: a for a in subparser._actions}
     for key, val in defaults.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) == subparser.get_default(attr):
-            setattr(args, attr, val)
+        action = actions.get(key.replace("-", "_"))
+        if action is None or action.dest == "help":
+            continue
+        if getattr(args, action.dest) == subparser.get_default(action.dest):
+            setattr(args, action.dest, _config_value(action, key, val))
     return args
 
 

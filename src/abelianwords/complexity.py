@@ -98,17 +98,29 @@ def abelian_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
     symbols, p = _coerce(w)
     L = len(symbols)
     _require_range(n_max, L, n_min)
-    if p == 1:
-        return [1] * (n_max - n_min + 1)
     cum = _cum_counts(symbols, p)
-    out = []
-    for n in range(n_min, n_max + 1):
-        if p == 2:
-            d = cum[1, n:] - cum[1, :L - n + 1]
-            out.append(int(d.max() - d.min()) + 1)
-        else:
-            out.append(len(_distinct_codes(cum, n, L, p - 1)))
+    if p <= 2:
+        return (_spreads(cum[p - 1], n_min, n_max) + 1).tolist()
+    return [len(_distinct_codes(cum, n, L, p - 1))
+            for n in range(n_min, n_max + 1)]
+
+
+def _spreads(cum_row: np.ndarray, n_min: int, n_max: int) -> np.ndarray:
+    """max - min of one letter's count over the length-n windows,
+    n = n_min..n_max; ``cum_row`` is that letter's row of _cum_counts."""
+    L = len(cum_row) - 1
+    row = cum_row.astype(_count_dtype(L))
+    window = np.empty(L, dtype=row.dtype)
+    out = np.empty(n_max - n_min + 1, dtype=np.int64)
+    for i, n in enumerate(range(n_min, n_max + 1)):
+        d = np.subtract(row[n:], row[:L - n + 1], out=window[:L - n + 1])
+        out[i] = d.max() - d.min()
     return out
+
+
+def _count_dtype(L: int):
+    """The narrowest of int32/int64 holding every value 0..L+1."""
+    return np.int32 if L < 2**31 - 2 else np.int64
 
 
 def _distinct_codes(cum: np.ndarray, n: int, L: int, rows: int) -> np.ndarray:
@@ -143,34 +155,60 @@ def parikh_classes(w: Wordlike, n: int) -> set[ParikhVector]:
 def subword_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
     """Number of distinct length-n factors, n = n_min..n_max.
 
-    Builds rank tables for power-of-two window lengths by doubling (each
-    window is ranked by its two half-windows), then ranks an arbitrary
-    length n by two overlapping power-of-two windows that cover it.  Exact:
-    equal codes mean equal windows, no hashing involved.
+    One suffix sort serves every n.  Rank levels for window lengths 2^j,
+    j = 0..J with 2^J >= n_max, are built by doubling (each window is
+    ranked by its two half-windows, a past-the-end sentinel ranking below
+    every letter).  The positions are sorted once by their level-J rank,
+    and each adjacent pair's longest common prefix, capped at n_max, is
+    found by binary lifting over the same levels.  A sorted position with
+    LCP ``l`` to its predecessor and ``m`` symbols left begins a new
+    length-n factor exactly for n in (l, min(m, n_max)], so one difference
+    array gives every count.  Exact: equal ranks mean equal windows, no
+    hashing involved.
     """
-    symbols, p = _coerce(w)
+    symbols, _ = _coerce(w)
     L = len(symbols)
     _require_range(n_max, L, n_min)
-    arr = np.frombuffer(symbols, dtype=np.uint8).astype(np.int64)
-    mult = L + 1  # ranks are < L+1, so pairs pack into int64 collision-free
-    levels = [arr]
-    j_top = (n_max).bit_length() - 1
-    for j in range(1, j_top + 1):
-        half = 1 << (j - 1)
-        prev = levels[j - 1]
-        k = L - (1 << j) + 1
-        codes = prev[:k] * mult + prev[half:half + k]
-        _, inv = np.unique(codes, return_inverse=True)
-        levels.append(inv)
-    out = []
-    for n in range(n_min, n_max + 1):
-        j = n.bit_length() - 1
-        t = 1 << j
-        k = L - n + 1
+    levels = _rank_levels(symbols, (n_max - 1).bit_length())
+    order = np.argsort(levels[-1][:L], kind="stable")
+    a, b = order[:-1], order[1:]
+    lcp = np.zeros(L - 1, dtype=np.int64)
+    for j in range(len(levels) - 1, -1, -1):
         lev = levels[j]
-        codes = lev[:k] * mult + lev[n - t:n - t + k]
-        out.append(int(np.unique(codes).size))
-    return out
+        lcp += (lev[a + lcp] == lev[b + lcp]).astype(np.int64) << j
+    lo = np.concatenate(([0], np.minimum(lcp, n_max)))
+    hi = np.minimum(L - order, n_max)
+    starts = (np.bincount(lo + 1, minlength=n_max + 2)
+              - np.bincount(hi + 1, minlength=n_max + 2))
+    return np.cumsum(starts)[n_min:n_max + 1].tolist()
+
+
+def _rank_levels(symbols: bytes, top: int) -> list[np.ndarray]:
+    """Order-preserving ranks of every window of length 2^j, j = 0..top.
+
+    ``levels[j][i]`` ranks the window of length 2^j at position i, padded
+    past the end with a sentinel below every letter; index L holds the
+    sentinel rank 0 itself, and every real window ranks >= 1.  Two
+    windows get the same rank exactly when they are equal, and a padded
+    window equals no window at another position.
+    """
+    L = len(symbols)
+    dtype = _count_dtype(L)
+    lev = np.zeros(L + 1, dtype=dtype)
+    lev[:L] = np.frombuffer(symbols, dtype=np.uint8)
+    lev[:L] += 1
+    levels = [lev]
+    for j in range(1, top + 1):
+        half = 1 << (j - 1)
+        shifted = np.zeros(L, dtype=np.int64)
+        shifted[:L - half] = lev[half:L]
+        codes = lev[:L].astype(np.int64) * (int(lev.max()) + 1) + shifted
+        _, inv = np.unique(codes, return_inverse=True)
+        lev = np.zeros(L + 1, dtype=dtype)
+        lev[:L] = inv.reshape(-1)
+        lev[:L] += 1
+        levels.append(lev)
+    return levels
 
 
 def balance_per_length(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
@@ -179,14 +217,7 @@ def balance_per_length(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
     L = len(symbols)
     _require_range(n_max, L, n_min)
     cum = _cum_counts(symbols, p)
-    out = []
-    for n in range(n_min, n_max + 1):
-        c = 0
-        for a in range(p):
-            d = cum[a, n:] - cum[a, :L - n + 1]
-            c = max(c, int(d.max() - d.min()))
-        out.append(c)
-    return out
+    return np.max([_spreads(row, n_min, n_max) for row in cum], axis=0).tolist()
 
 
 def balance_bound(w: Wordlike, n_max: int) -> int:
@@ -220,11 +251,22 @@ class ComplexityProfile:
 
 def profile(w: Wordlike, n_max: int, include_subword: bool = True) -> ComplexityProfile:
     """Assemble the Abelian profile, optional subword profile, and running
-    balance of one prefix."""
-    symbols, _ = _coerce(w)
-    rho_ab = abelian_profile(w, n_max)
+    balance of one prefix.
+
+    A binary word's Abelian complexity at length n is its balance at n
+    plus one (both letters' counts sweep the same interval), so for
+    p <= 2 one spread per length gives both.
+    """
+    symbols, p = _coerce(w)
+    _require_range(n_max, len(symbols))
+    if p <= 2:
+        spread = _spreads(_cum_counts(symbols, p)[p - 1], 1, n_max)
+        rho_ab, per_length = (spread + 1).tolist(), spread
+    else:
+        rho_ab = abelian_profile(w, n_max)
+        per_length = balance_per_length(w, n_max)
     rho = subword_profile(w, n_max) if include_subword else None
-    running = np.maximum.accumulate(balance_per_length(w, n_max))
+    running = np.maximum.accumulate(per_length)
     return ComplexityProfile(
         n_max=n_max,
         prefix_len=len(symbols),

@@ -15,6 +15,7 @@ refining the sandwich decides any comparison that is not an exact
 algebraic identity.
 """
 
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -33,6 +34,10 @@ __all__ = [
     "floor_scaled",
     "frac_less_than",
 ]
+
+
+# Serializes growth of every ContinuedFraction's convergent cache.
+_CACHE_GROWTH = threading.Lock()
 
 
 class InsufficientPrecisionError(ArithmeticError):
@@ -59,8 +64,8 @@ class ContinuedFraction:
     ``preperiod`` holds the leading terms, ``period`` the repeating tail;
     an empty period means the expansion is just the finite ``preperiod``
     (a rational value, usable for experiments only).  Instances are
-    immutable and safe to share; the internal convergent cache only ever
-    grows and caching a prefix twice is harmless.
+    immutable and safe to share between threads: the internal convergent
+    cache only ever grows, and only under a lock.
     """
 
     preperiod: tuple[int, ...]
@@ -108,12 +113,16 @@ class ContinuedFraction:
         if n < 0:
             raise ValueError("convergent index must be >= 0")
         pq = self._pq
-        while len(pq) < n + 2:
-            j = len(pq) - 1  # next convergent index
-            a = self.term(j)
-            p = a * pq[-1][0] + pq[-2][0]
-            q = a * pq[-1][1] + pq[-2][1]
-            pq.append((p, q))
+        if len(pq) < n + 2:
+            # each entry is computed from the last two, so growth must not
+            # interleave; a reader needs no lock, as entries never change
+            with _CACHE_GROWTH:
+                while len(pq) < n + 2:
+                    j = len(pq) - 1  # next convergent index
+                    a = self.term(j)
+                    p = a * pq[-1][0] + pq[-2][0]
+                    q = a * pq[-1][1] + pq[-2][1]
+                    pq.append((p, q))
         p, q = pq[n + 1]
         return Convergent(n, p, q)
 

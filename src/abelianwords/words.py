@@ -124,9 +124,30 @@ CONSTANT3 = Morphism.from_strings({"0": "012", "1": "021"})
 
 @dataclass(frozen=True)
 class FixedPoint:
+    """The fixed point of ``morphism`` grown from ``seed``, optionally
+    mapped through ``post``.
+
+    Iterating needs an image for every letter an image contains, so the
+    morphism must map {0..p-1} into words over {0..p-1}; ``post`` may
+    map onto a larger alphabet but must cover this one.
+    """
+
     morphism: Morphism
     seed: int
     post: Union[Morphism, None] = None
+
+    def __post_init__(self):
+        p = self.morphism.alphabet_size
+        if self.morphism.image_alphabet_size > p:
+            raise ValueError(
+                f"morphism images use letter {self.morphism.image_alphabet_size - 1},"
+                f" which has no image (letters 0..{p - 1})")
+        if not 0 <= self.seed < p:
+            raise ValueError(f"seed {self.seed} is not a letter 0..{p - 1}")
+        if self.post is not None and self.post.alphabet_size < p:
+            raise ValueError(
+                f"post-morphism defines images for letters "
+                f"0..{self.post.alphabet_size - 1}, the word uses 0..{p - 1}")
 
 
 @dataclass(frozen=True)
@@ -220,14 +241,14 @@ def fixed_point(m: Morphism, seed: int, length: int,
     Iterates the morphism on the seed letter until the image is long
     enough, then truncates.
     """
+    recipe = FixedPoint(m, seed)
     if not m.is_prolongable(seed):
         raise ValueError(f"morphism is not prolongable on letter {seed}")
     _check_budget(length, budget)
     w = bytes([seed])
     while len(w) < length:
         w = m.apply_raw(w[:length])
-    p = max(m.alphabet_size, m.image_alphabet_size)
-    return WordPrefix(p, w[:length], FixedPoint(m, seed))
+    return WordPrefix(m.alphabet_size, w[:length], recipe)
 
 
 def apply_morphism(m: Morphism, w: WordPrefix) -> WordPrefix:

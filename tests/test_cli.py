@@ -46,6 +46,14 @@ class TestGenerate:
         assert code == 0
         assert path.read_bytes() == b"0110\n"
 
+    def test_morphism_without_image_is_usage_error(self, capsys):
+        recipe = ('{"kind": "fixed-point", "morphism": {"0": "02", "1": "1"},'
+                  ' "seed": "0"}')
+        code, out, err = run(capsys, "generate", "--recipe", recipe,
+                             "--len", "10")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_recipe_is_usage_error(self, capsys):
         code, _, err = run(capsys, "generate", "--recipe", "nonsense",
                            "--len", "4")
@@ -111,6 +119,13 @@ class TestPowers:
         pair = sturmian_period_pair(golden, 4)
         assert cert["period"] in (pair.ell1, pair.ell2)
         assert cert["start"] == 0 and cert["exponent"] == 4
+
+    @pytest.mark.parametrize("pos", ["100000", "4096", "-1"])
+    def test_brute_start_outside_prefix_is_usage_error(self, capsys, pos):
+        code, out, err = run(capsys, "powers", "brute", "--recipe", "tm",
+                             "--k", "2", "--pos", pos, "--prefix-len", "4096")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --pos") and err.count("\n") == 1
 
     def test_brute_not_found_is_failure_exit(self, capsys):
         code, out, _ = run(capsys, "powers", "brute", "--recipe",
@@ -184,6 +199,31 @@ class TestConfigFile:
         code, out, _ = run(capsys, "--config", str(cfg), "generate",
                            "--recipe", "tm", "--len", "4")
         assert code == 0 and out == "0110\n"  # explicit flags win
+
+    def test_config_text_converted_by_flag_type(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"prefix_len": "4096"}))
+        code, out, _ = run(capsys, "--config", str(cfg), "profile",
+                           "--recipe", "tm", "--nmax", "2")
+        assert code == 0 and out.splitlines()[1] == "1,2,2,1"
+
+    @pytest.mark.parametrize("body", [
+        {"prefix_len": "many"}, {"prefix_len": True}, {"prefix_len": [4096]},
+        {"out": 3}, {"variant": "other"}, [1, 2],
+    ])
+    def test_bad_config_is_usage_error(self, capsys, tmp_path, body):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(body))
+        command = (["verify", "rauzy"] if "variant" in body
+                   else ["profile", "--recipe", "tm", "--nmax", "2"])
+        code, out, err = run(capsys, "--config", str(cfg), *command)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_missing_config_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "--config", str(tmp_path / "none.json"),
+                           "generate", "--recipe", "tm", "--len", "4")
+        assert code == 2 and err.startswith("error: cannot read config")
 
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

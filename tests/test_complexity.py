@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,9 +38,34 @@ def recount_profile(w, n_max):
             for n in range(1, n_max + 1)]
 
 
-def brute_subword(w, n_max):
+def brute_subword(w, n_max, n_min=1):
     return [len({w.symbols[i:i + n] for i in range(len(w) - n + 1)})
-            for n in range(1, n_max + 1)]
+            for n in range(n_min, n_max + 1)]
+
+
+def doubling_subword(w, n_max, n_min=1):
+    """Reference: rank tables for power-of-two lengths by doubling, then one
+    fresh sort per n of the two overlapping power-of-two windows covering
+    each length-n window."""
+    symbols = w.symbols
+    L = len(symbols)
+    mult = L + 256  # ranks and letters are < L+256, so pairs pack exactly
+    levels = [np.frombuffer(symbols, dtype=np.uint8).astype(np.int64)]
+    for j in range(1, n_max.bit_length()):
+        half = 1 << (j - 1)
+        prev = levels[j - 1]
+        k = L - (1 << j) + 1
+        _, inv = np.unique(prev[:k] * mult + prev[half:half + k],
+                           return_inverse=True)
+        levels.append(inv.reshape(-1))
+    out = []
+    for n in range(n_min, n_max + 1):
+        j = n.bit_length() - 1
+        t = 1 << j
+        k = L - n + 1
+        lev = levels[j]
+        out.append(int(np.unique(lev[:k] * mult + lev[n - t:n - t + k]).size))
+    return out
 
 
 def random_word(rng, p, length):
@@ -158,6 +184,35 @@ class TestSubwordProfile:
             n_max = rng.randint(1, len(w))
             assert subword_profile(w, n_max) == brute_subword(w, n_max)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_both_references(self, data):
+        p = data.draw(st.integers(min_value=1, max_value=4))
+        symbols = data.draw(st.lists(st.integers(0, p - 1),
+                                     min_size=1, max_size=150))
+        w = WordPrefix(p, bytes(symbols))
+        n_max = data.draw(st.integers(1, len(w)))
+        n_min = data.draw(st.integers(1, n_max))
+        got = subword_profile(w, n_max, n_min)
+        assert got == doubling_subword(w, n_max, n_min)
+        assert got == brute_subword(w, n_max, n_min)
+
+    @pytest.mark.parametrize("symbols, n_max, n_min", [
+        (bytes(40), 40, 1),                       # p = 1, n_max = L
+        (bytes([1]), 1, 1),                       # L = 1
+        (bytes([0, 1, 1, 0, 1, 0, 0, 1]) * 5, 40, 1),   # n_max = L
+        (bytes([0, 1, 1, 0, 1, 0, 0, 1]) * 5, 32, 1),   # n_max = 2^5
+        (bytes([0, 1, 1, 0, 1, 0, 0, 1]) * 5, 33, 1),   # n_max = 2^5 + 1
+        (bytes([0, 0, 1, 2, 0, 2, 1, 1, 0, 2]) * 7, 17, 16),  # n_min > 1
+        (bytes([255, 0, 255, 255, 0]), 5, 2),     # largest letter, n_min > 1
+        (bytes([0, 5, 1, 0]), 2, 1),              # letter above L + 1
+    ])
+    def test_edges(self, symbols, n_max, n_min):
+        w = WordPrefix(max(symbols) + 1, symbols)
+        got = subword_profile(w, n_max, n_min)
+        assert got == doubling_subword(w, n_max, n_min)
+        assert got == brute_subword(w, n_max, n_min)
+
 
 class TestBalance:
     def test_fibonacci_is_balanced(self, fib4096):
@@ -223,6 +278,18 @@ class TestProfileBundle:
         assert prof.rho == (2, 4, 6, 10)
         assert prof.balance_running == (1, 2, 2, 2)
         assert prof.balance == 2
+
+    def test_matches_separate_kernels(self):
+        rng = random.Random(90)
+        for _ in range(40):
+            p = rng.randint(1, 4)
+            w = random_word(rng, p, rng.randint(2, 150))
+            n_max = rng.randint(1, len(w))
+            prof = profile(w, n_max)
+            assert list(prof.rho_ab) == abelian_profile(w, n_max)
+            assert list(prof.rho) == subword_profile(w, n_max)
+            running = np.maximum.accumulate(balance_per_length(w, n_max))
+            assert list(prof.balance_running) == running.tolist()
 
     def test_invariants(self, fib4096):
         prof = profile(fib4096, 16)

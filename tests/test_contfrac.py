@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -89,6 +91,41 @@ class TestConvergents:
             else:
                 assert compare_with_rational(cf, c.value) < 0
                 assert compare_with_rational(cf, c.value - gap) > 0
+
+
+class TestSharedCache:
+    def test_threads_extending_one_instance(self):
+        # extending the cache is check-then-append on a shared list; an
+        # extension interleaved with another appends an entry computed from
+        # the wrong neighbours and shifts every later convergent
+        depth = 4000
+        fresh = ContinuedFraction((2, 3), (1, 2))
+        expected = [fresh.convergent(n) for n in range(depth + 1)]
+        wrong = []
+
+        def grow_and_check(shared, barrier):
+            barrier.wait()
+            shared.convergent(depth)
+            wrong.extend(n for n in range(depth + 1)
+                         if shared.convergent(n) != expected[n])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                shared = ContinuedFraction((2, 3), (1, 2))
+                barrier = threading.Barrier(8)
+                threads = [threading.Thread(target=grow_and_check,
+                                            args=(shared, barrier))
+                           for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert wrong == []
 
 
 class TestFloorScaled:

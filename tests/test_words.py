@@ -39,6 +39,16 @@ class TestFixedPoint:
         with pytest.raises(BudgetError):
             fixed_point(THUE_MORSE, 0, 100, budget=64)
 
+    @pytest.mark.parametrize("images, seed, post, match", [
+        ({"0": "02", "1": "1"}, 0, None, "letter 2"),   # 2 has no image
+        ({"0": "01", "1": "10"}, 2, None, "seed"),
+        ({"0": "01", "1": "10"}, -1, None, "seed"),
+        ({"0": "01", "1": "12", "2": "0"}, 0, FIBONACCI, "post-morphism"),
+    ])
+    def test_recipe_validation(self, images, seed, post, match):
+        with pytest.raises(ValueError, match=match):
+            FixedPoint(Morphism.from_strings(images), seed, post)
+
     def test_fixed_point_property(self):
         for m, seed in ((THUE_MORSE, 0), (FIBONACCI, 0), (TRIPLE_RUNS, 0)):
             w = fixed_point(m, seed, 300)
