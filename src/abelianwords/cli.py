@@ -84,8 +84,12 @@ def _load_slope(spec: str) -> ContinuedFraction:
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(
+                f"cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -18,7 +18,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .words import WordPrefix
+from .words import WordPrefix, _max_letter
 
 __all__ = [
     "ComplexityProfile",
@@ -42,17 +42,14 @@ def _coerce(word: Wordlike, alphabet_size=None) -> tuple[bytes, int]:
     """Normalize a word argument to (symbols, alphabet_size)."""
     if isinstance(word, WordPrefix):
         symbols, p = word.symbols, word.alphabet_size
-    elif isinstance(word, (bytes, bytearray)):
-        symbols = bytes(word)
-        p = (max(symbols) + 1) if symbols else 1
-    elif isinstance(word, str):
-        symbols = bytes(int(c) for c in word)
-        p = (max(symbols) + 1) if symbols else 1
     else:
-        symbols = bytes(word)
-        p = (max(symbols) + 1) if symbols else 1
+        if isinstance(word, str):
+            symbols = bytes(int(c) for c in word)
+        else:
+            symbols = bytes(word)
+        p = max(_max_letter(symbols) + 1, 1)
     if alphabet_size is not None:
-        if symbols and max(symbols) >= alphabet_size:
+        if _max_letter(symbols) >= alphabet_size:
             raise ValueError("symbol out of range for requested alphabet")
         p = alphabet_size
     return symbols, p

@@ -6,6 +6,11 @@ recipe that produced it, and regenerating from the recipe gives the
 identical prefix.  All public indexing is 0-based; the characteristic
 word's classical 1-based positions are shifted internally, so public
 position j holds the letter the classical definition assigns to j+1.
+
+Generation does no per-symbol Python work: a morphism is applied by
+gathering rows of its image table with numpy, fixed points are iterated
+on arrays and turned into bytes once, and the other generators build
+their prefixes from whole-array operations.
 """
 
 import json
@@ -63,15 +68,26 @@ def _parse_digits(s: str) -> bytes:
     return s.encode("ascii").translate(_FROM_DIGITS)
 
 
+def _max_letter(symbols: bytes) -> int:
+    """Largest letter in ``symbols``, or -1 when there is none."""
+    return int(np.frombuffer(symbols, dtype=np.uint8).max()) if symbols else -1
+
+
 def _format_digits(symbols: bytes) -> str:
-    if symbols and max(symbols) > 9:
+    if _max_letter(symbols) > 9:
         raise ValueError("digit serialization supports alphabets up to size 10")
     return symbols.translate(_TO_DIGITS).decode("ascii")
 
 
 @dataclass(frozen=True)
 class Morphism:
-    """A non-erasing substitution letter -> word over {0..p-1}."""
+    """A non-erasing substitution letter -> word over {0..p-1}.
+
+    The images are also held as a read-only ``(p, longest image)`` table,
+    zero-padded, with a mask of the cells that belong to an image (None
+    when every image has the same length).  Both are built once, are not
+    dataclass fields and never change, so a morphism is safe to share.
+    """
 
     images: tuple[bytes, ...]
 
@@ -81,6 +97,15 @@ class Morphism:
         for a, img in enumerate(self.images):
             if not img:
                 raise ValueError(f"image of letter {a} is empty (erasing)")
+        table = np.zeros((len(self.images), max(map(len, self.images))),
+                         dtype=np.uint8)
+        mask = np.zeros(table.shape, dtype=bool)
+        for a, img in enumerate(self.images):
+            table[a, :len(img)] = np.frombuffer(img, dtype=np.uint8)
+            mask[a, :len(img)] = True
+        table.flags.writeable = mask.flags.writeable = False
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_mask", None if mask.all() else mask)
 
     @property
     def alphabet_size(self) -> int:
@@ -88,7 +113,7 @@ class Morphism:
 
     @property
     def image_alphabet_size(self) -> int:
-        return 1 + max(max(img) for img in self.images)
+        return 1 + int(self._table.max())
 
     def image(self, a: int) -> bytes:
         return self.images[a]
@@ -99,8 +124,16 @@ class Morphism:
         return len(img) >= 2 and img[0] == seed
 
     def apply_raw(self, symbols: bytes) -> bytes:
-        images = self.images
-        return b"".join([images[a] for a in symbols])
+        """Concatenation of the images of ``symbols``; a letter without an
+        image raises IndexError."""
+        return self._gather(np.frombuffer(symbols, dtype=np.uint8)).tobytes()
+
+    def _gather(self, arr: np.ndarray) -> np.ndarray:
+        # row a of the table is the image of a; the mask drops the padding
+        rows = np.take(self._table, arr, axis=0)
+        if self._mask is None:
+            return rows.reshape(-1)
+        return rows[np.take(self._mask, arr, axis=0)]
 
     @classmethod
     def from_strings(cls, mapping: dict) -> "Morphism":
@@ -202,7 +235,7 @@ class WordPrefix:
     def __post_init__(self):
         if self.alphabet_size < 1:
             raise ValueError("alphabet size must be >= 1")
-        if self.symbols and max(self.symbols) >= self.alphabet_size:
+        if _max_letter(self.symbols) >= self.alphabet_size:
             raise ValueError("symbol out of alphabet range")
 
     def __len__(self) -> int:
@@ -245,15 +278,15 @@ def fixed_point(m: Morphism, seed: int, length: int,
     if not m.is_prolongable(seed):
         raise ValueError(f"morphism is not prolongable on letter {seed}")
     _check_budget(length, budget)
-    w = bytes([seed])
+    w = np.array([seed], dtype=np.uint8)
     while len(w) < length:
-        w = m.apply_raw(w[:length])
-    return WordPrefix(m.alphabet_size, w[:length], recipe)
+        w = m._gather(w[:length])
+    return WordPrefix(m.alphabet_size, w[:length].tobytes(), recipe)
 
 
 def apply_morphism(m: Morphism, w: WordPrefix) -> WordPrefix:
     """Concatenation of the images of w's letters."""
-    if len(w) and max(w.symbols) >= m.alphabet_size:
+    if _max_letter(w.symbols) >= m.alphabet_size:
         raise ValueError("word contains letters outside the morphism's domain")
     return WordPrefix(m.image_alphabet_size, m.apply_raw(w.symbols))
 
@@ -269,11 +302,9 @@ def characteristic_prefix(alpha: ContinuedFraction, length: int,
     recipe = Characteristic(alpha)
     if length == 0:
         return WordPrefix(2, b"", recipe)
+    # floors may be an object array of exact ints; the differences are 0/1
     floors = floor_range(alpha, length + 1)
-    if floors.dtype == object:
-        sym = bytes(int(floors[n + 1] - floors[n]) for n in range(1, length + 1))
-    else:
-        sym = bytes(np.diff(floors)[1:].astype(np.uint8))
+    sym = np.diff(floors)[1:].astype(np.uint8).tobytes()
     return WordPrefix(2, sym, recipe)
 
 
@@ -281,15 +312,20 @@ def champernowne_prefix(length: int,
                         budget: int = DEFAULT_SYMBOL_BUDGET) -> WordPrefix:
     """Prefix of the concatenated binary expansions 0, 1, 10, 11, 100, ..."""
     _check_budget(length, budget)
-    parts = []
+    # one block per bit length b: the numbers 2^(b-1)..2^b-1 (and 0 for
+    # b = 1) written as rows of b bits, only as many as the prefix needs
+    blocks = []
     total = 0
-    i = 0
+    b = 1
     while total < length:
-        b = bin(i)[2:]
-        parts.append(b)
-        total += len(b)
-        i += 1
-    sym = "".join(parts)[:length].encode("ascii").translate(_FROM_DIGITS)
+        lo = 0 if b == 1 else 1 << (b - 1)
+        count = min((1 << b) - lo, -(-(length - total) // b))
+        nums = np.arange(lo, lo + count, dtype=np.int64)
+        shifts = np.arange(b - 1, -1, -1, dtype=np.int64)
+        blocks.append(((nums[:, None] >> shifts) & 1).astype(np.uint8).ravel())
+        total += count * b
+        b += 1
+    sym = np.concatenate(blocks)[:length].tobytes() if blocks else b""
     return WordPrefix(2, sym, Champernowne())
 
 
@@ -319,10 +355,10 @@ def hubert_transform(inner: WordPrefix) -> WordPrefix:
     """
     if inner.alphabet_size > 2:
         raise ValueError("inner word must be binary")
-    arr = inner.as_array()
-    is_zero = arr == 0
-    occ = np.cumsum(is_zero) - 1
-    out = np.where(is_zero, occ & 1, 2).astype(np.uint8)
+    is_zero = inner.as_array() == 0
+    # 0-based occurrence index of each 0; counting mod 256 keeps its parity
+    occ = np.cumsum(is_zero, dtype=np.uint8) - np.uint8(1)
+    out = np.where(is_zero, occ & np.uint8(1), np.uint8(2))
     return WordPrefix(3, out.tobytes())
 
 
@@ -354,14 +390,14 @@ def prefix_of(recipe: WordRecipe, length: int,
             raise ValueError("periodic pattern must be non-empty")
         reps = -(-length // len(recipe.pattern))
         sym = (recipe.pattern * reps)[:length]
-        return WordPrefix(max(recipe.pattern) + 1, sym, recipe)
+        return WordPrefix(_max_letter(recipe.pattern) + 1, sym, recipe)
     if isinstance(recipe, Explicit):
         if length > len(recipe.symbols):
             raise ValueError(
                 f"explicit recipe holds {len(recipe.symbols)} symbols, "
                 f"{length} requested")
         sym = recipe.symbols[:length]
-        p = recipe.alphabet_size or (max(recipe.symbols) + 1 if recipe.symbols else 1)
+        p = recipe.alphabet_size or max(_max_letter(recipe.symbols) + 1, 1)
         return WordPrefix(p, sym, recipe)
     if isinstance(recipe, Champernowne):
         return champernowne_prefix(length, budget)
@@ -372,8 +408,7 @@ def prefix_of(recipe: WordRecipe, length: int,
     if isinstance(recipe, LiteralPrepend):
         head = recipe.prefix[:length]
         tail = prefix_of(recipe.inner, length - len(head), budget)
-        p = max(tail.alphabet_size,
-                (max(recipe.prefix) + 1) if recipe.prefix else 1)
+        p = max(tail.alphabet_size, _max_letter(recipe.prefix) + 1)
         return WordPrefix(p, head + tail.symbols, recipe)
     raise TypeError(f"unknown recipe {recipe!r}")
 

@@ -46,6 +46,14 @@ class TestGenerate:
         assert code == 0
         assert path.read_bytes() == b"0110\n"
 
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "word.txt"
+        code, out, err = run(capsys, "generate", "--recipe", "tm", "--len",
+                             "4", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
+
     def test_morphism_without_image_is_usage_error(self, capsys):
         recipe = ('{"kind": "fixed-point", "morphism": {"0": "02", "1": "1"},'
                   ' "seed": "0"}')
@@ -86,6 +94,14 @@ class TestProfile:
         code, sharded, _ = run(capsys, "profile", "--recipe", "tm",
                                "--nmax", "17", "--jobs", jobs)
         assert code == 0 and sharded == base
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "profile.csv"
+        code, out, err = run(capsys, "profile", "--recipe", "tm", "--nmax",
+                             "4", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
 
     def test_explicit_prefix_len(self, capsys):
         code, out, _ = run(capsys, "profile", "--recipe", "tm", "--nmax", "2",
@@ -171,6 +187,15 @@ class TestVerify:
         lines = path.read_text().splitlines()
         assert lines[0] == "claim,range,verdict,witness"
         assert lines[1].startswith("thue-morse-profile,1..16,pass")
+
+    def test_unwritable_report_is_usage_error(self, capsys, tmp_path):
+        _, report, _ = run(capsys, "verify", "thue-morse", "--nmax", "16")
+        path = tmp_path / "missing" / "report.csv"
+        code, out, err = run(capsys, "verify", "thue-morse", "--nmax", "16",
+                             "--out", str(path))
+        assert code == 2 and out == report and out.startswith("PASS")
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
 
 
 class TestExitCodes:

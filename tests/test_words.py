@@ -1,6 +1,11 @@
-import pytest
+import random
 
-from abelianwords.contfrac import AffineThreshold, frac_less_than
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from abelianwords.contfrac import (AffineThreshold, ContinuedFraction,
+                                   floor_range, frac_less_than)
 from abelianwords.words import (CONSTANT3, FIBONACCI, THUE_MORSE, BudgetError,
                                 Champernowne, Characteristic, Explicit,
                                 FixedPoint, Hubert, LiteralPrepend,
@@ -19,6 +24,64 @@ COLLAPSE = Morphism.from_strings({"0": "0", "1": "1", "2": "0"})
 def word(digits, p=None):
     sym = bytes(int(c) for c in digits)
     return WordPrefix(p or (max(sym) + 1 if sym else 1), sym)
+
+
+# Reference implementations: the per-symbol loops the vectorized
+# generators replaced.
+
+def join_images(m, symbols):
+    return b"".join(m.images[a] for a in symbols)
+
+
+def iterate_fixed_point(m, seed, length):
+    w = bytes([seed])
+    while len(w) < length:
+        w = join_images(m, w)
+    return w[:length]
+
+
+def iterate_lengths(m, seed, length):
+    """Lengths of the iterates m^k(seed) up to the first >= length."""
+    w = bytes([seed])
+    out = [1]
+    while len(w) < length:
+        w = join_images(m, w)
+        out.append(len(w))
+    return out
+
+
+def bin_champernowne(length):
+    parts, total, i = [], 0, 0
+    while total < length:
+        parts.append(bin(i)[2:])
+        total += len(parts[-1])
+        i += 1
+    return bytes(int(c) for c in "".join(parts)[:length])
+
+
+def loop_hubert(symbols):
+    out, zeros = [], 0
+    for a in symbols:
+        if a == 0:
+            out.append(zeros & 1)
+            zeros += 1
+        else:
+            out.append(2)
+    return bytes(out)
+
+
+@st.composite
+def morphisms_and_words(draw):
+    p = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        lengths = [draw(st.integers(1, 4))] * p
+    else:
+        lengths = draw(st.lists(st.integers(1, 4), min_size=p, max_size=p))
+    letter = st.integers(0, p - 1)
+    images = tuple(bytes(draw(st.lists(letter, min_size=n, max_size=n)))
+                   for n in lengths)
+    symbols = bytes(draw(st.lists(letter, max_size=60)))
+    return Morphism(images), symbols
 
 
 class TestFixedPoint:
@@ -55,6 +118,14 @@ class TestFixedPoint:
             image = apply_morphism(m, w)
             assert image.symbols[:300] == w.symbols
 
+    @pytest.mark.parametrize("m", [THUE_MORSE, FIBONACCI, TRIPLE_RUNS],
+                             ids=["thue-morse", "fibonacci", "run-tripler"])
+    def test_matches_naive_iteration_at_boundaries(self, m):
+        for size in iterate_lengths(m, 0, 3000):
+            for length in (size - 1, size, size + 1):
+                assert fixed_point(m, 0, length).symbols == \
+                    iterate_fixed_point(m, 0, length)
+
 
 class TestApplyMorphism:
     def test_mu_of_01(self):
@@ -69,6 +140,26 @@ class TestApplyMorphism:
     def test_domain_check(self):
         with pytest.raises(ValueError, match="domain"):
             apply_morphism(THUE_MORSE, word("012"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(morphisms_and_words())
+    def test_apply_raw_matches_join(self, case):
+        m, symbols = case
+        assert m.apply_raw(symbols) == join_images(m, symbols)
+        for a in range(m.alphabet_size):
+            assert m.apply_raw(bytes([a])) == m.images[a]
+
+    @pytest.mark.parametrize("m", [THUE_MORSE, FIBONACCI])
+    def test_apply_raw_letter_outside_domain(self, m):
+        with pytest.raises(IndexError):
+            m.apply_raw(bytes([0, 2]))
+
+    def test_morphism_tables_are_not_fields(self):
+        m = Morphism.from_strings({"0": "01", "1": "10"})
+        assert m == THUE_MORSE and hash(m) == hash(THUE_MORSE)
+        assert repr(m) == "Morphism(images=(b'\\x00\\x01', b'\\x01\\x00'))"
+        with pytest.raises(ValueError):
+            m._table[0, 0] = 1
 
 
 class TestCharacteristic:
@@ -95,6 +186,19 @@ class TestCharacteristic:
         for n in range(1, 10001):
             assert (w.symbols[n - 1] == 0) == frac_less_than(cf, n, t)
 
+    @pytest.mark.parametrize("cf", [
+        ContinuedFraction((3, 10**19), (1,)),
+        ContinuedFraction((2, 1, 7, 10**20), (2, 3)),
+    ], ids=["huge-second-quotient", "huge-fourth-quotient"])
+    def test_exact_big_integer_branch(self, cf):
+        # convergents this large leave int64, so floor_range is exact ints
+        length = 3000
+        assert floor_range(cf, length + 1).dtype == object
+        w = characteristic_prefix(cf, length)
+        t = AffineThreshold(1, -1)
+        for n in range(1, length + 1):
+            assert (w.symbols[n - 1] == 0) == frac_less_than(cf, n, t)
+
     def test_complement_exchanges_letters(self, golden):
         w = characteristic_prefix(golden, 2000).as_array()
         v = characteristic_prefix(golden.complement(), 2000).as_array()
@@ -110,6 +214,11 @@ class TestChampernowne:
 
     def test_zero(self):
         assert champernowne_prefix(0).digits() == ""
+
+    def test_matches_bin_join_across_block_boundaries(self):
+        expected = bin_champernowne(2100)
+        for length in range(2101):
+            assert champernowne_prefix(length).symbols == expected[:length]
 
 
 class TestMaxComplexity:
@@ -136,6 +245,16 @@ class TestHubert:
 
     def test_degenerate_all_zero_inner(self):
         assert hubert_transform(word("0000", p=2)).digits() == "0101"
+
+    def test_matches_loop_past_256_zeros(self):
+        rng = random.Random(5)
+        inners = [bytes(600), bytes([1]) + bytes(300) + bytes([1, 1]) + bytes(400)]
+        for zero_share in (0.5, 0.9, 0.99):
+            inners.append(bytes(int(rng.random() >= zero_share)
+                                for _ in range(2000)))
+        for symbols in inners:
+            assert hubert_transform(WordPrefix(2, symbols)).symbols == \
+                loop_hubert(symbols)
 
     def test_zero_length(self, golden):
         assert hubert_ternary(golden, 0).digits() == ""
