@@ -15,10 +15,11 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from . import checks, complexity, powers, words
 from .contfrac import ContinuedFraction, InsufficientPrecisionError
-from .words import BudgetError, WordRecipe
+from .words import BudgetError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -48,9 +49,10 @@ class UsageError(ValueError):
     pass
 
 
-def _load_recipe(spec: str) -> WordRecipe:
-    if spec in RECIPE_PRESETS:
-        return words.recipe_from_dict(RECIPE_PRESETS[spec])
+def _load(kind: str, presets: dict, parse, spec: str):
+    """A preset name, inline JSON or a JSON file, parsed by ``parse``."""
+    if spec in presets:
+        return parse(presets[spec])
     if spec.lstrip().startswith("{"):
         text = spec
     elif os.path.exists(spec):
@@ -58,28 +60,15 @@ def _load_recipe(spec: str) -> WordRecipe:
             text = fh.read()
     else:
         raise UsageError(
-            f"recipe {spec!r} is not a preset, inline JSON, or readable file")
+            f"{kind} {spec!r} is not a preset, inline JSON, or readable file")
     try:
-        return words.recipe_from_json(text)
+        return parse(json.loads(text))
     except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"bad recipe: {exc}") from exc
+        raise UsageError(f"bad {kind}: {exc}") from exc
 
 
-def _load_slope(spec: str) -> ContinuedFraction:
-    if spec in SLOPE_PRESETS:
-        return ContinuedFraction.from_dict(SLOPE_PRESETS[spec])
-    if spec.lstrip().startswith("{"):
-        text = spec
-    elif os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        raise UsageError(
-            f"slope {spec!r} is not a preset, inline JSON, or readable file")
-    try:
-        return ContinuedFraction.from_dict(json.loads(text))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"bad slope: {exc}") from exc
+_load_recipe = partial(_load, "recipe", RECIPE_PRESETS, words.recipe_from_dict)
+_load_slope = partial(_load, "slope", SLOPE_PRESETS, ContinuedFraction.from_dict)
 
 
 def _emit(text: str, out_path):

@@ -7,9 +7,9 @@ word shows up.  Profiles are reported for lengths n = 1..n_max; the empty
 length would contribute the constant 1 and is omitted, matching the usual
 convention.
 
-Window counting is vectorized: per-letter prefix sums give every window's
-Parikh vector as a difference of two slices, so distinct-vector counts per
-length cost one pass over the prefix.
+Abelian complexity, balance and Parikh classes all read one window pass:
+prefix sums built once per word give each length-n window's letter counts,
+and each letter's minimum and radix (max - min + 1) over those windows.
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .words import WordPrefix, _max_letter
+from .words import WordPrefix, _max_letter, _parse_digits
 
 __all__ = [
     "ComplexityProfile",
@@ -37,16 +37,17 @@ ParikhVector = tuple[int, ...]
 
 Wordlike = Union[WordPrefix, bytes, bytearray, str, Iterable[int]]
 
+# class codes are counted with bincount while the code space is at most
+# this many times the window count, and sorted (np.unique) beyond it
+_BINCOUNT_SPACE = 4
+
 
 def _coerce(word: Wordlike, alphabet_size=None) -> tuple[bytes, int]:
     """Normalize a word argument to (symbols, alphabet_size)."""
     if isinstance(word, WordPrefix):
         symbols, p = word.symbols, word.alphabet_size
     else:
-        if isinstance(word, str):
-            symbols = bytes(int(c) for c in word)
-        else:
-            symbols = bytes(word)
+        symbols = _parse_digits(word) if isinstance(word, str) else bytes(word)
         p = max(_max_letter(symbols) + 1, 1)
     if alphabet_size is not None:
         if _max_letter(symbols) >= alphabet_size:
@@ -69,84 +70,91 @@ def abelian_equivalent(u: Wordlike, v: Wordlike, alphabet_size=None) -> bool:
     return parikh(su, p) == parikh(sv, p)
 
 
-def _cum_counts(symbols: bytes, p: int) -> np.ndarray:
-    """cum[a, i] = occurrences of letter a in symbols[:i]; shape (p, L+1)."""
-    arr = np.frombuffer(symbols, dtype=np.uint8)
-    cum = np.zeros((p, len(symbols) + 1), dtype=np.int64)
-    for a in range(p):
-        np.cumsum(arr == a, out=cum[a, 1:])
-    return cum
-
-
 def _require_range(n_max: int, length: int, n_min: int = 1):
     if not 1 <= n_min <= n_max <= length:
         raise ValueError(
             f"window lengths must satisfy 1 <= {n_min} <= {n_max} <= {length}")
 
 
-def abelian_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
-    """Number of distinct Parikh vectors among length-n windows, n = n_min..n_max.
+def _window_stats(w: Wordlike, n_max: int, n_min: int = 1):
+    """The window pass over ``w``: ``(symbols, p, stats)``.
 
-    Sliding a window one step changes each letter count by at most one, so
-    for a binary word the counts of a letter sweep a full integer interval
-    and the distinct-vector count is max - min + 1.  Larger alphabets
-    deduplicate the (encoded) count tuples per length.
+    ``stats`` yields ``(counts, lo, radix)`` for n = n_min..n_max: the
+    tracked letters' counts in each length-n window (one reused buffer),
+    their minima and their radices.  A binary word's two counts sum to n
+    and share one radix, so for p <= 2 only the last letter is tracked.
+    The sums wrap in the narrowest unsigned dtype holding n_max + 1, which
+    leaves every window's count, a difference of two sums, exact.
     """
     symbols, p = _coerce(w)
     L = len(symbols)
     _require_range(n_max, L, n_min)
-    cum = _cum_counts(symbols, p)
-    if p <= 2:
-        return (_spreads(cum[p - 1], n_min, n_max) + 1).tolist()
-    return [len(_distinct_codes(cum, n, L, p - 1))
-            for n in range(n_min, n_max + 1)]
+    arr = np.frombuffer(symbols, dtype=np.uint8)
+    letters = range(p) if p > 2 else [p - 1]
+    cum = np.zeros((len(letters), L + 1), dtype=np.min_scalar_type(n_max + 1))
+    for row, a in zip(cum, letters):
+        np.cumsum(arr == a, dtype=cum.dtype, out=row[1:])
+    buf = np.empty((len(letters), L), dtype=cum.dtype)
+
+    def stats():
+        for n in range(n_min, n_max + 1):
+            k = L - n + 1
+            counts = np.subtract(cum[:, n:], cum[:, :k], out=buf[:, :k])
+            lo = counts.min(axis=1)
+            yield counts, lo, counts.max(axis=1) - lo + 1
+    return symbols, p, stats()
 
 
-def _spreads(cum_row: np.ndarray, n_min: int, n_max: int) -> np.ndarray:
-    """max - min of one letter's count over the length-n windows,
-    n = n_min..n_max; ``cum_row`` is that letter's row of _cum_counts."""
-    L = len(cum_row) - 1
-    row = cum_row.astype(_count_dtype(L))
-    window = np.empty(L, dtype=row.dtype)
-    out = np.empty(n_max - n_min + 1, dtype=np.int64)
-    for i, n in enumerate(range(n_min, n_max + 1)):
-        d = np.subtract(row[n:], row[:L - n + 1], out=window[:L - n + 1])
-        out[i] = d.max() - d.min()
-    return out
+def _class_codes(counts, lo, radix) -> tuple[np.ndarray, int]:
+    """Per-window int64 codes, equal exactly when the Parikh vectors are,
+    and the size of their code space: the counts, offset by their minima,
+    in mixed radix.  Of several rows the last (n minus the rest) is left
+    out; the code is compacted to dense ranks before it would pass int64."""
+    code = (counts[0] - lo[0]).astype(np.int64)
+    space = int(radix[0])
+    for a in range(1, max(len(counts) - 1, 1)):
+        r = int(radix[a])
+        if space * r > 2**63:
+            ranks, code = np.unique(code, return_inverse=True)
+            space = len(ranks)
+        code = code * r + (counts[a] - lo[a])
+        space *= r
+    return code, space
 
 
-def _count_dtype(L: int):
-    """The narrowest of int32/int64 holding every value 0..L+1."""
-    return np.int32 if L < 2**31 - 2 else np.int64
+def _class_count(counts, lo, radix) -> int:
+    """Distinct Parikh vectors among the windows of one step of the pass."""
+    if len(counts) == 1:
+        return int(radix[0])
+    code, space = _class_codes(counts, lo, radix)
+    if space <= _BINCOUNT_SPACE * code.size:
+        return int(np.count_nonzero(np.bincount(code)))
+    return len(np.unique(code))
 
 
-def _distinct_codes(cum: np.ndarray, n: int, L: int, rows: int) -> np.ndarray:
-    """Distinct encodings of the first ``rows`` counts over length-n windows."""
-    base = n + 1
-    if base ** rows >= 2**63:
-        raise OverflowError("alphabet too large for packed window encoding")
-    code = cum[0, n:] - cum[0, :L - n + 1]
-    for a in range(1, rows):
-        code = code * base + (cum[a, n:] - cum[a, :L - n + 1])
-    return np.unique(code)
+def abelian_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
+    """Number of distinct Parikh vectors among length-n windows, n = n_min..n_max.
+
+    Read off the window pass.  A count moves by at most one per slide, so
+    a single tracked count (p <= 2) takes every value in its range and the
+    class count is its radix.  For p >= 3 the class codes are counted with
+    ``np.bincount`` while their space is a small multiple of the window
+    count, and with ``np.unique`` beyond it.
+    """
+    _, _, stats = _window_stats(w, n_max, n_min)
+    return [_class_count(*step) for step in stats]
 
 
 def parikh_classes(w: Wordlike, n: int) -> set[ParikhVector]:
-    """The exact set of Parikh vectors of the length-n windows."""
-    symbols, p = _coerce(w)
-    L = len(symbols)
-    _require_range(n, L)
-    cum = _cum_counts(symbols, p)
-    codes = _distinct_codes(cum, n, L, p)
-    base = n + 1
-    classes = set()
-    for code in codes.tolist():
-        vec = []
-        for _ in range(p):
-            vec.append(code % base)
-            code //= base
-        classes.add(tuple(reversed(vec)))
-    return classes
+    """The exact set of Parikh vectors of the length-n windows, each read
+    off the first window of its class."""
+    _, p, stats = _window_stats(w, n, n)
+    counts, lo, radix = next(stats)
+    _, first = np.unique(_class_codes(counts, lo, radix)[0], return_index=True)
+    vectors = counts[:, first]
+    if p == 2:  # only letter 1 is tracked
+        vectors = np.vstack([n - vectors, vectors])
+    return set(map(tuple, vectors.T.tolist()))
 
 
 def subword_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
@@ -190,7 +198,7 @@ def _rank_levels(symbols: bytes, top: int) -> list[np.ndarray]:
     window equals no window at another position.
     """
     L = len(symbols)
-    dtype = _count_dtype(L)
+    dtype = np.int32 if L < 2**31 - 2 else np.int64  # holds 0..L+1
     lev = np.zeros(L + 1, dtype=dtype)
     lev[:L] = np.frombuffer(symbols, dtype=np.uint8)
     lev[:L] += 1
@@ -210,11 +218,8 @@ def _rank_levels(symbols: bytes, top: int) -> list[np.ndarray]:
 
 def balance_per_length(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
     """For each n, the largest per-letter count spread over length-n windows."""
-    symbols, p = _coerce(w)
-    L = len(symbols)
-    _require_range(n_max, L, n_min)
-    cum = _cum_counts(symbols, p)
-    return np.max([_spreads(row, n_min, n_max) for row in cum], axis=0).tolist()
+    _, _, stats = _window_stats(w, n_max, n_min)
+    return [int(radix.max()) - 1 for _, _, radix in stats]
 
 
 def balance_bound(w: Wordlike, n_max: int) -> int:
@@ -248,21 +253,13 @@ class ComplexityProfile:
 
 def profile(w: Wordlike, n_max: int, include_subword: bool = True) -> ComplexityProfile:
     """Assemble the Abelian profile, optional subword profile, and running
-    balance of one prefix.
-
-    A binary word's Abelian complexity at length n is its balance at n
-    plus one (both letters' counts sweep the same interval), so for
-    p <= 2 one spread per length gives both.
+    balance of one prefix; one window pass gives both rho_ab and balance.
     """
-    symbols, p = _coerce(w)
-    _require_range(n_max, len(symbols))
-    if p <= 2:
-        spread = _spreads(_cum_counts(symbols, p)[p - 1], 1, n_max)
-        rho_ab, per_length = (spread + 1).tolist(), spread
-    else:
-        rho_ab = abelian_profile(w, n_max)
-        per_length = balance_per_length(w, n_max)
-    rho = subword_profile(w, n_max) if include_subword else None
+    symbols, _, stats = _window_stats(w, n_max)
+    rho_ab, per_length = zip(*[(_class_count(counts, lo, radix),
+                                int(radix.max()) - 1)
+                               for counts, lo, radix in stats])
+    rho = subword_profile(symbols, n_max) if include_subword else None
     running = np.maximum.accumulate(per_length)
     return ComplexityProfile(
         n_max=n_max,

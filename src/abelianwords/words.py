@@ -63,7 +63,8 @@ class BudgetError(RuntimeError):
 
 
 def _parse_digits(s: str) -> bytes:
-    if not all(c.isdigit() for c in s):
+    # strip leaves a non-empty string exactly when some character is not 0-9
+    if not isinstance(s, str) or s.strip("0123456789"):
         raise ValueError(f"symbols must be digit strings, got {s!r}")
     return s.encode("ascii").translate(_FROM_DIGITS)
 

@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+PERIODIC10 = '{"kind": "periodic", "pattern": "0123456789"}'
+GOLDEN_JSON = '{"preperiod": [2], "period": [1]}'
+
 from abelianwords.cli import main
 
 
@@ -103,6 +106,15 @@ class TestProfile:
         assert err.startswith(f"error: cannot write {path}: ")
         assert err.count("\n") == 1
 
+    def test_ten_letter_period_closed_form(self, capsys):
+        # ten distinct letters per period: one Parikh class at multiples of
+        # 10, otherwise ten; ten factors of every length; 1-balanced
+        code, out, err = run(capsys, "profile", "--recipe", PERIODIC10,
+                             "--nmax", "200")
+        assert code == 0 and err == ""
+        rows = [f"{n},{1 if n % 10 == 0 else 10},10,1" for n in range(1, 201)]
+        assert out == "n,rho_ab,rho,balance_running\n" + "\n".join(rows) + "\n"
+
     def test_explicit_prefix_len(self, capsys):
         code, out, _ = run(capsys, "profile", "--recipe", "tm", "--nmax", "2",
                            "--prefix-len", "4096")
@@ -149,6 +161,28 @@ class TestPowers:
                            "--k", "5", "--prefix-len", "4")
         assert code == 1 and "no abelian power" in out
 
+    def test_sturmian_inline_json_slope(self, capsys):
+        args = ["powers", "sturmian", "--pos", "3", "--k", "3"]
+        _, preset, _ = run(capsys, *args, "--slope", "golden")
+        code, out, _ = run(capsys, *args, "--slope", GOLDEN_JSON)
+        assert code == 0 and out == preset
+
+    def test_sturmian_slope_file(self, capsys, tmp_path):
+        path = tmp_path / "slope.json"
+        path.write_text(GOLDEN_JSON)
+        args = ["powers", "sturmian", "--pos", "3", "--k", "3"]
+        _, preset, _ = run(capsys, *args, "--slope", "golden")
+        code, out, _ = run(capsys, *args, "--slope", str(path))
+        assert code == 0 and out == preset
+
+    @pytest.mark.parametrize("slope", ['{"preperiod": [2], "period": [1]',
+                                       '{"preperiod": [2], "period": [0]}'])
+    def test_malformed_slope_is_usage_error(self, capsys, slope):
+        code, out, err = run(capsys, "powers", "sturmian", "--k", "2",
+                             "--slope", slope)
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad slope: ") and err.count("\n") == 1
+
     def test_sturmian_needs_slope(self, capsys):
         code, _, err = run(capsys, "powers", "sturmian", "--k", "2")
         assert code == 2 and "slope" in err
@@ -174,6 +208,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "periodicity", "--recipe",
                            "periodic01", "--p", "2")
         assert code == 0
+
+    def test_periodicity_ten_letters(self, capsys):
+        code, out, _ = run(capsys, "verify", "periodicity", "--recipe",
+                           PERIODIC10, "--p", "150")
+        assert code == 0 and out == "PASS claim=periodicity range=p=150\n"
 
     def test_unknown_claim(self, capsys):
         code, _, err = run(capsys, "verify", "no-such-claim")

@@ -94,6 +94,16 @@ class TestParikh:
         assert not abelian_equivalent("01", "11")
         assert abelian_equivalent("", "")
 
+    def test_long_digit_string_matches_bytes(self):
+        digits = "0120" * 250000 + "3"
+        assert parikh(digits) == parikh(bytes(int(c) for c in digits))
+        assert parikh(digits) == (500000, 250000, 250000, 1)
+
+    @pytest.mark.parametrize("text", ["01a0", " 01", "0-1", "\u0663"])
+    def test_non_digit_string_raises(self, text):
+        with pytest.raises(ValueError):
+            parikh(text)
+
 
 class TestAbelianProfile:
     def test_thue_morse_small(self, tm4096):
@@ -160,6 +170,66 @@ class TestParikhClasses:
     def test_whole_word_window(self):
         w = WordPrefix(2, bytes([0, 1, 1, 0]))
         assert parikh_classes(w, 4) == {parikh(w)}
+
+
+def brute_spreads(w, n_max):
+    """Reference: each letter's max - min count over every window, per n."""
+    symbols, p = w.symbols, w.alphabet_size
+    out = []
+    for n in range(1, n_max + 1):
+        counts = [[symbols[i:i + n].count(a) for a in range(p)]
+                  for i in range(len(symbols) - n + 1)]
+        out.append([max(c[a] for c in counts) - min(c[a] for c in counts)
+                    for a in range(p)])
+    return out
+
+
+class TestWindowPassLargeAlphabets:
+    """The window pass against recounts, at alphabet sizes where the class
+    code needs more than int64 and is compacted to dense ranks."""
+
+    def check(self, w, n_max):
+        ab = abelian_profile(w, n_max)
+        assert ab == recount_profile(w, n_max)
+        spreads = brute_spreads(w, n_max)
+        assert balance_per_length(w, n_max) == [max(s) for s in spreads]
+        prof = profile(w, n_max)
+        assert list(prof.rho_ab) == ab
+        assert list(prof.rho) == brute_subword(w, n_max)
+        running = np.maximum.accumulate([max(s) for s in spreads]).tolist()
+        assert list(prof.balance_running) == running
+        for n in {1, n_max // 2 or 1, n_max}:
+            expected = {tuple(w.symbols[i:i + n].count(a)
+                              for a in range(w.alphabet_size))
+                        for i in range(len(w) - n + 1)}
+            assert parikh_classes(w, n) == expected
+
+    def test_random_words_up_to_40_letters(self):
+        rng = random.Random(40)
+        for _ in range(25):
+            p = rng.choice([3, 5, 10, 17, 30, 40])
+            w = random_word(rng, p, rng.randint(2, 90))
+            self.check(w, rng.randint(1, len(w)))
+
+    def test_code_space_beyond_int64(self):
+        # letter counts over 40 letters at n = 100 span far more than
+        # 2^63 mixed-radix codes, so the encoder has to compact
+        rng = random.Random(41)
+        w = random_word(rng, 40, 300)
+        n = 100
+        windows = [w.symbols[i:i + n] for i in range(len(w) - n + 1)]
+        classes = {tuple(win.count(a) for a in range(40)) for win in windows}
+        radices = [max(c[a] for c in classes) - min(c[a] for c in classes) + 1
+                   for a in range(40)]
+        assert np.prod(radices[:-1], dtype=object) > 2**63
+        assert abelian_profile(w, n, n) == [len(classes)]
+        assert parikh_classes(w, n) == classes
+
+    def test_thirty_letter_periodic_word(self):
+        w = prefix_of(Periodic(bytes(range(30))), 600)
+        assert abelian_profile(w, 20) == [30] * 20
+        assert abelian_profile(w, 90, 60) == [
+            1 if n % 30 == 0 else 30 for n in range(60, 91)]
 
 
 class TestSubwordProfile:
