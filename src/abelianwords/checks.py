@@ -118,7 +118,7 @@ def periodicity_via_parikh(w: WordPrefix, p: int) -> CheckReport:
         raise ValueError(f"need at least {p + 1} symbols to test period {p}")
     arr = w.as_array()
     mism = np.flatnonzero(arr[:-p] != arr[p:])
-    parikh_verdict = abelian_profile(w, p)[p - 1] == 1
+    parikh_verdict = abelian_profile(w, p, p) == [1]
     direct_verdict = mism.size == 0
     if parikh_verdict != direct_verdict:
         raise AssertionError("Parikh and direct periodicity tests disagree")

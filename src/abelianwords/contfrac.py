@@ -12,7 +12,11 @@ Every comparison here is decided by integer interval refinement against
 the convergents p_n/q_n, never by floating point: even-indexed convergents
 under-approximate alpha and odd-indexed ones over-approximate it, so
 refining the sandwich decides any comparison that is not an exact
-algebraic identity.
+algebraic identity.  One integer kernel, ``_sign``, decides the sign of
+c*alpha + e for integers c and e; every rational comparison clears its
+denominators once and calls it.  The kernel and the floor functions read
+(p_n, q_n) pairs straight from each instance's grow-only cache, so a
+warm comparison builds no ``Convergent`` and no ``Fraction``.
 """
 
 import threading
@@ -186,6 +190,40 @@ def convergents(cf: ContinuedFraction, count: int) -> list[Convergent]:
     return out
 
 
+def _pq_at(cf: ContinuedFraction, n: int) -> tuple[int, int]:
+    """(p_n, q_n) read straight from the cache, grown through convergent()."""
+    pq = cf._pq
+    if len(pq) < n + 2:
+        cf.convergent(n)
+    return pq[n + 1]
+
+
+def _sign(cf: ContinuedFraction, c: int, e: int) -> int:
+    """Exact sign of c*alpha + e for integers c and e.
+
+    For c != 0 this walks the sandwich p_{2m}/q_{2m} < alpha <
+    p_{2m+1}/q_{2m+1}: with c > 0, c*p/q + e at an even convergent is a
+    lower bound and at an odd one an upper bound, so the sign is decided
+    as soon as either bound has it (c < 0 is the mirror image).  Each
+    bound is requested only when the previous one did not decide, so a
+    finite stream runs out exactly where comparing alpha with the
+    rational -e/c would.
+    """
+    if c == 0:
+        return (e > 0) - (e < 0)
+    t = 1 if c > 0 else -1
+    c, e = c * t, e * t
+    n = 0
+    while True:
+        p, q = _pq_at(cf, n)
+        if c * p + e * q >= 0:
+            return t  # alpha >= p_n/q_n >= -e/c
+        p, q = _pq_at(cf, n + 1)
+        if c * p + e * q <= 0:
+            return -t  # alpha <= p_{n+1}/q_{n+1} <= -e/c
+        n += 2
+
+
 def floor_scaled(cf: ContinuedFraction, n: int) -> int:
     """Exact floor(n * alpha) for n >= 0.
 
@@ -199,13 +237,12 @@ def floor_scaled(cf: ContinuedFraction, n: int) -> int:
         return 0
     m = 0
     while True:
-        lo = cf.convergent(2 * m)
-        hi = cf.convergent(2 * m + 1)
-        f_lo = (n * lo.p) // lo.q
-        f_hi = (n * hi.p) // hi.q
-        if f_lo == f_hi:
+        p_lo, q_lo = _pq_at(cf, m)
+        p_hi, q_hi = _pq_at(cf, m + 1)
+        f_lo = (n * p_lo) // q_lo
+        if f_lo == (n * p_hi) // q_hi:
             return f_lo
-        m += 1
+        m += 2
 
 
 def floor_range(cf: ContinuedFraction, n_max: int) -> np.ndarray:
@@ -220,59 +257,46 @@ def floor_range(cf: ContinuedFraction, n_max: int) -> np.ndarray:
     if n_max == 0:
         return np.zeros(1, dtype=np.int64)
     m = 1
-    while cf.convergent(m).q <= n_max + 1:
+    while _pq_at(cf, m)[1] <= n_max + 1:
         m += 1
-    c = cf.convergent(m)
-    if n_max * c.p < 2**62:
+    p, q = _pq_at(cf, m)
+    if n_max * p < 2**62:
         ns = np.arange(n_max + 1, dtype=np.int64)
-        return (ns * c.p) // c.q
+        return (ns * p) // q
     # huge partial quotients can push q far beyond n_max; fall back to ints
-    return np.array([(n * c.p) // c.q for n in range(n_max + 1)], dtype=object)
+    return np.array([(n * p) // q for n in range(n_max + 1)], dtype=object)
 
 
 def compare_with_rational(cf: ContinuedFraction, r: Fraction) -> int:
     """Sign of alpha - r for rational r; never 0 since alpha is irrational."""
-    num, den = r.numerator, r.denominator
-    m = 0
-    while True:
-        lo = cf.convergent(2 * m)
-        if lo.p * den >= num * lo.q:
-            return 1  # alpha > p_{2m}/q_{2m} >= r
-        hi = cf.convergent(2 * m + 1)
-        if hi.p * den <= num * hi.q:
-            return -1  # alpha < p_{2m+1}/q_{2m+1} <= r
-        m += 1
+    return _sign(cf, r.denominator, -r.numerator)
 
 
 def affine_sign(cf: ContinuedFraction, coeff, const) -> int:
     """Sign of coeff*alpha + const with rational coeff, const, exactly."""
     coeff = Fraction(coeff)
     const = Fraction(const)
-    if coeff == 0:
-        return (const > 0) - (const < 0)
-    s = compare_with_rational(cf, -const / coeff)
-    return s if coeff > 0 else -s
+    # multiply through by both (positive) denominators
+    return _sign(cf, coeff.numerator * const.denominator,
+                 const.numerator * coeff.denominator)
 
 
 def frac_less_than(cf: ContinuedFraction, i: int, t: AffineThreshold) -> bool:
     """Exact test of {i*alpha} < u + v*alpha.
 
-    Rewrites the question as (i - v)*alpha < u + floor(i*alpha).  When both
-    sides collapse ({i*alpha} equals u + v*alpha algebraically) there is
-    nothing to refine towards, so that identity case is rejected; the
-    caller must exclude it.
+    Rewrites the question as (i - v)*alpha - (u + floor(i*alpha)) < 0 and
+    clears the denominators of u and v.  When both sides collapse
+    ({i*alpha} equals u + v*alpha algebraically) there is nothing to refine
+    towards, so that identity case is rejected; the caller must exclude it.
     """
     if i < 1:
         raise ValueError("i must be >= 1")
     f = floor_scaled(cf, i)
-    w = Fraction(i) - t.v
-    s = t.u + f
-    if w == 0:
-        if s == 0:
-            raise ValueError(
-                "comparison is an exact identity ({i*alpha} = u + v*alpha); "
-                "the identity case must be excluded by the caller")
-        return s > 0
-    if w > 0:
-        return compare_with_rational(cf, s / w) < 0
-    return compare_with_rational(cf, s / w) > 0
+    bu, bv = t.u.denominator, t.v.denominator
+    c = bu * (i * bv - t.v.numerator)
+    e = -bv * (t.u.numerator + f * bu)
+    if c == 0 and e == 0:
+        raise ValueError(
+            "comparison is an exact identity ({i*alpha} = u + v*alpha); "
+            "the identity case must be excluded by the caller")
+    return _sign(cf, c, e) < 0

@@ -11,17 +11,23 @@ before it leaves this module:
 * the exact locator for characteristic words, which classifies the
   fractional part {i*alpha} and reads the Abelian period off a convergent
   denominator, so each position gets one of just two possible periods.
+
+The locator works on integers only: delta = u + v*alpha is written once
+as (U + V*alpha)/D, every threshold test becomes the sign of c*alpha + e
+for integers c, e (``contfrac._sign``), and the period pair is computed
+once per (slope, k, delta) and memoized.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
-from .complexity import ParikhVector, parikh
-from .contfrac import (AffineThreshold, ContinuedFraction, affine_sign,
-                       floor_scaled, frac_less_than)
+from .complexity import ParikhVector
+from .contfrac import (AffineThreshold, ContinuedFraction, _sign,
+                       floor_scaled)
 from .words import WordPrefix, characteristic_prefix
 
 __all__ = [
@@ -77,6 +83,12 @@ class CongoWeights:
     N: int
 
 
+def _block_parikh(w: WordPrefix, lo: int, ell: int) -> ParikhVector:
+    """Parikh vector of w[lo:lo + ell], counted in place."""
+    return tuple(w.symbols.count(a, lo, lo + ell)
+                 for a in range(w.alphabet_size))
+
+
 def verify_abelian_power(w: WordPrefix, start: int, ell: int, k: int) -> bool:
     """True iff the k length-ell blocks from ``start`` share one Parikh vector."""
     if ell < 1 or k < 1 or start < 0:
@@ -84,13 +96,9 @@ def verify_abelian_power(w: WordPrefix, start: int, ell: int, k: int) -> bool:
     if start + k * ell > len(w):
         raise ValueError(
             f"occurrence [{start}, {start + k * ell}) exceeds prefix length {len(w)}")
-    p = w.alphabet_size
-    first = parikh(w.symbols[start:start + ell], p)
-    for j in range(1, k):
-        lo = start + j * ell
-        if parikh(w.symbols[lo:lo + ell], p) != first:
-            return False
-    return True
+    first = _block_parikh(w, start, ell)
+    return all(_block_parikh(w, start + j * ell, ell) == first
+               for j in range(1, k))
 
 
 def min_abelian_period(w: WordPrefix, start: int, k: int,
@@ -161,8 +169,7 @@ def vdw_power_search(w: WordPrefix, k: int, weights: CongoWeights
                 raise WeightsTooSmallError(
                     f"nu-progression at (t0={t0}, s={s}) has non-equivalent "
                     f"blocks: M={weights.M} is below the word's balance constant")
-            return AbelianPowerOccurrence(
-                t0, s, k, parikh(w.symbols[t0:t0 + s], w.alphabet_size))
+            return AbelianPowerOccurrence(t0, s, k, _block_parikh(w, t0, s))
     return None
 
 
@@ -176,11 +183,17 @@ class PeriodPair:
     n_even: int
 
 
-def _check_delta(alpha: ContinuedFraction, delta: AffineThreshold):
-    # 0 < delta < alpha, with delta = u + v*alpha
-    if affine_sign(alpha, delta.v, delta.u) <= 0:
+def _integer_form(delta: AffineThreshold) -> tuple[int, int, int]:
+    """(U, V, D) with delta = (U + V*alpha)/D and D > 0."""
+    bu, bv = delta.u.denominator, delta.v.denominator
+    return delta.u.numerator * bv, delta.v.numerator * bu, bu * bv
+
+
+def _check_delta(alpha: ContinuedFraction, U: int, V: int, D: int):
+    # 0 < delta < alpha, with delta = (U + V*alpha)/D
+    if _sign(alpha, V, U) <= 0:
         raise ValueError("delta must be positive")
-    if affine_sign(alpha, delta.v - 1, delta.u) >= 0:
+    if _sign(alpha, V - D, U) >= 0:
         raise ValueError("delta must be < alpha")
 
 
@@ -191,32 +204,42 @@ def sturmian_period_pair(alpha: ContinuedFraction, k: int,
 
     Requires 0 < alpha < 1/2; complement the slope first otherwise.  The
     threshold ``delta`` denotes u + v*alpha and must satisfy
-    0 < delta < alpha, so all decisions stay exact.
+    0 < delta < alpha, so all decisions stay exact.  The result is
+    memoized per (alpha, k, delta); all three are immutable values.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if affine_sign(alpha, 1, Fraction(-1, 2)) >= 0:
+    return _period_pair(alpha, k, delta)
+
+
+@lru_cache(maxsize=1024)
+def _period_pair(alpha: ContinuedFraction, k: int,
+                 delta: AffineThreshold) -> PeriodPair:
+    if _sign(alpha, 2, -1) >= 0:
         raise ValueError("slope must be < 1/2; complement it first")
-    _check_delta(alpha, delta)
-    # min(delta, alpha - delta) as a rational-affine pair (mu, mv)
-    if affine_sign(alpha, 2 * delta.v - 1, 2 * delta.u) < 0:
-        mu, mv = delta.u, delta.v
+    U, V, D = _integer_form(delta)
+    _check_delta(alpha, U, V, D)
+    # D * min(delta, alpha - delta) = mu + mv*alpha
+    if _sign(alpha, 2 * V - D, 2 * U) < 0:
+        mu, mv = U, V
     else:
-        mu, mv = -delta.u, 1 - delta.v
+        mu, mv = -U, D - V
     n = 0
     while True:
         q_next = alpha.convergent(n + 1).q
-        if affine_sign(alpha, q_next * mv, q_next * mu - k) > 0:
+        if _sign(alpha, q_next * mv, q_next * mu - k * D) > 0:
             return PeriodPair(alpha.convergent(n).q, q_next, n)
         n += 2
 
 
-def _frac_lt(alpha: ContinuedFraction, i: int, u, v) -> bool:
-    """{i*alpha} < u + v*alpha, treating an exact identity as 'not less'."""
-    u, v = Fraction(u), Fraction(v)
-    if i == v and u + floor_scaled(alpha, i) == 0:
-        return False
-    return frac_less_than(alpha, i, AffineThreshold(u, v))
+def _frac_lt(alpha: ContinuedFraction, i: int, f: int,
+             tu: int, tv: int, d: int) -> bool:
+    """{i*alpha} < (tu + tv*alpha)/d, given f = floor(i*alpha) and d > 0.
+
+    An exact identity (both sides equal algebraically) counts as 'not less'.
+    """
+    c, e = d * i - tv, -(d * f + tu)
+    return not (c == 0 and e == 0) and _sign(alpha, c, e) < 0
 
 
 def sturmian_power_at(alpha: ContinuedFraction, i: int, k: int,
@@ -234,15 +257,16 @@ def sturmian_power_at(alpha: ContinuedFraction, i: int, k: int,
     """
     if i < 1 or k < 1:
         raise ValueError("need i >= 1 and k >= 1")
-    work = alpha if affine_sign(alpha, 1, Fraction(-1, 2)) < 0 else alpha.complement()
+    work = alpha if _sign(alpha, 2, -1) < 0 else alpha.complement()
     pair = sturmian_period_pair(work, k, delta)
-    du, dv = delta.u, delta.v
-    # interval boundaries: alpha - delta, alpha, 1 - delta
-    if _frac_lt(work, i, -du, 1 - dv):
+    U, V, D = _integer_form(delta)
+    f = floor_scaled(work, i)
+    # interval boundaries, times D: alpha - delta, alpha, 1 - delta
+    if _frac_lt(work, i, f, -U, D - V, D):
         case1 = True
-    elif _frac_lt(work, i, 0, 1):
+    elif _frac_lt(work, i, f, 0, D, D):
         case1 = False
-    elif _frac_lt(work, i, 1 - du, -dv):
+    elif _frac_lt(work, i, f, D - U, -V, D):
         case1 = True
     else:
         case1 = False
@@ -260,5 +284,4 @@ def sturmian_power_at(alpha: ContinuedFraction, i: int, k: int,
         raise AssertionError(
             f"constructed occurrence failed verification at i={i}, k={k}, "
             f"ell={ell}; exact-arithmetic invariant broken")
-    return AbelianPowerOccurrence(
-        i - 1, ell, k, parikh(word.symbols[i - 1:i - 1 + ell], 2))
+    return AbelianPowerOccurrence(i - 1, ell, k, _block_parikh(word, i - 1, ell))

@@ -92,6 +92,28 @@ class TestPeriodicity:
         with pytest.raises(ValueError, match="symbols"):
             periodicity_via_parikh(word("01"), 2)
 
+    def test_long_word_large_period_verdict_and_witness(self):
+        # period-10 word of 16000 symbols, p = 2000: a pass, and a fail
+        # once one letter is changed; the witness is recomputed here from
+        # the direct definition with plain Python counts
+        pattern = bytes(range(10))
+        w = prefix_of(Periodic(pattern), 16000)
+        assert periodicity_via_parikh(w, 2000).passed
+        symbols = bytearray(w.symbols)
+        symbols[12345] = (symbols[12345] + 1) % 10
+        bad = WordPrefix(10, bytes(symbols))
+        report = periodicity_via_parikh(bad, 2000)
+        assert not report.passed
+        i = next(j for j in range(16000 - 2000)
+                 if symbols[j] != symbols[j + 2000])
+        assert i == 12345 - 2000
+        a, b = bytes(symbols[i:i + 2000]), bytes(symbols[i + 1:i + 2001])
+        assert report.witness == {
+            "position": i, "window_a": a, "window_b": b,
+            "parikh_a": tuple(a.count(c) for c in range(10)),
+            "parikh_b": tuple(b.count(c) for c in range(10))}
+        assert report.witness["parikh_a"] != report.witness["parikh_b"]
+
 
 class TestSpecialFactors:
     def test_thue_morse_k3(self):

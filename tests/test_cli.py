@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 PERIODIC10 = '{"kind": "periodic", "pattern": "0123456789"}'
 GOLDEN_JSON = '{"preperiod": [2], "period": [1]}'
 
+import abelianwords
 from abelianwords.cli import main
 
 
@@ -186,6 +191,20 @@ class TestPowers:
     def test_sturmian_needs_slope(self, capsys):
         code, _, err = run(capsys, "powers", "sturmian", "--k", "2")
         assert code == 2 and "slope" in err
+
+
+class TestModuleEntry:
+    def test_python_dash_m_matches_main(self, capsys):
+        args = ["powers", "sturmian", "--slope", "golden", "--k", "4"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(abelianwords.__file__).parent.parent),
+            env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "abelianwords", *args],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        code, out, _ = run(capsys, *args)
+        assert (proc.returncode, proc.stdout) == (0, out) and code == 0
 
 
 class TestVerify:

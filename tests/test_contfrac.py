@@ -4,6 +4,8 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelianwords.contfrac import (AffineThreshold, ContinuedFraction,
                                    InsufficientPrecisionError, affine_sign,
@@ -33,6 +35,167 @@ def fixed_point_floor_oracle(cf, ns, bits=256):
         assert margin < frac < (1 << bits) - margin, "oracle too shallow"
         out.append(v >> bits)
     return out
+
+
+# -- Fraction oracles ------------------------------------------------------
+# The comparisons as they were written before the integer sign kernel: each
+# builds Convergent objects and Fractions.  The kernel must agree with them
+# on every result and raise InsufficientPrecisionError exactly where they do.
+
+def oracle_compare_with_rational(cf, r):
+    num, den = r.numerator, r.denominator
+    m = 0
+    while True:
+        lo = cf.convergent(2 * m)
+        if lo.p * den >= num * lo.q:
+            return 1
+        hi = cf.convergent(2 * m + 1)
+        if hi.p * den <= num * hi.q:
+            return -1
+        m += 1
+
+
+def oracle_affine_sign(cf, coeff, const):
+    coeff = Fraction(coeff)
+    const = Fraction(const)
+    if coeff == 0:
+        return (const > 0) - (const < 0)
+    s = oracle_compare_with_rational(cf, -const / coeff)
+    return s if coeff > 0 else -s
+
+
+def oracle_floor_scaled(cf, n):
+    if n == 0:
+        return 0
+    m = 0
+    while True:
+        lo = cf.convergent(2 * m)
+        hi = cf.convergent(2 * m + 1)
+        f_lo = (n * lo.p) // lo.q
+        f_hi = (n * hi.p) // hi.q
+        if f_lo == f_hi:
+            return f_lo
+        m += 1
+
+
+def oracle_frac_less_than(cf, i, t):
+    f = oracle_floor_scaled(cf, i)
+    w = Fraction(i) - t.v
+    s = t.u + f
+    if w == 0:
+        if s == 0:
+            raise ValueError("identity")
+        return s > 0
+    if w > 0:
+        return oracle_compare_with_rational(cf, s / w) < 0
+    return oracle_compare_with_rational(cf, s / w) > 0
+
+
+def outcome(fn, *args):
+    """A call's result, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except (InsufficientPrecisionError, ValueError) as exc:
+        return type(exc)
+
+
+TERMS = st.integers(min_value=1, max_value=50)
+
+
+@st.composite
+def expansions(draw, finite=False):
+    """[0; pre, per, per, ...] with terms 1..50, sometimes carrying one
+    partial quotient 10**12; ``finite`` leaves the period empty."""
+    pre = draw(st.lists(TERMS, min_size=int(finite), max_size=5))
+    if draw(st.booleans()):
+        pre.insert(draw(st.integers(0, len(pre))), 10**12)
+    per = [] if finite else draw(st.lists(TERMS, min_size=1, max_size=3))
+    return ContinuedFraction(tuple(pre), tuple(per))
+
+
+any_expansion = st.one_of(expansions(), expansions(finite=True))
+
+
+def draw_rational(data, cf):
+    """A rational with a large numerator and denominator: either anywhere
+    in a wide range, or a convergent of cf scaled by K and nudged by at
+    most 3/(qK), which forces deep refinement on both sides of alpha."""
+    if data.draw(st.booleans()):
+        return Fraction(data.draw(st.integers(-10**30, 10**30)),
+                        data.draw(st.integers(1, 10**30)))
+    available = 40 if cf.period else len(cf.preperiod)
+    c = cf.convergent(data.draw(st.integers(0, available)))
+    K = data.draw(st.integers(1, 10**20))
+    return Fraction(c.p * K + data.draw(st.integers(-3, 3)), c.q * K)
+
+
+class TestIntegerKernelAgainstFractionOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(any_expansion, st.data())
+    def test_compare_with_rational(self, cf, data):
+        r = draw_rational(data, cf)
+        assert outcome(compare_with_rational, cf, r) == \
+            outcome(oracle_compare_with_rational, cf, r)
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_expansion, st.data())
+    def test_affine_sign(self, cf, data):
+        coeff = data.draw(st.one_of(st.just(Fraction(0)),
+                                    st.fractions(max_denominator=10**12)))
+        const = -coeff * draw_rational(data, cf)
+        if data.draw(st.booleans()):
+            const += Fraction(data.draw(st.integers(-10, 10)), 10**25)
+        assert outcome(affine_sign, cf, coeff, const) == \
+            outcome(oracle_affine_sign, cf, coeff, const)
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_expansion, st.integers(0, 10**6))
+    def test_floor_scaled(self, cf, n):
+        assert outcome(floor_scaled, cf, n) == outcome(oracle_floor_scaled, cf, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(expansions(), st.integers(1, 400))
+    def test_floor_range(self, cf, n_max):
+        assert floor_range(cf, n_max).tolist() == \
+            [oracle_floor_scaled(cf, n) for n in range(n_max + 1)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_expansion, st.integers(1, 10**6), st.data())
+    def test_frac_less_than(self, cf, i, data):
+        if data.draw(st.booleans()):
+            # near {i*alpha}: v = i - c for small c, u = -floor(i*alpha) + r;
+            # c = 0 with r = 0 is the identity case both must reject
+            f = outcome(oracle_floor_scaled, cf, i)
+            f = 0 if isinstance(f, type) else f
+            v = i - data.draw(st.integers(-2, 2))
+            u = -f + data.draw(st.sampled_from(
+                [Fraction(0), Fraction(1, 10**18), Fraction(-1, 10**18)]))
+        else:
+            u = data.draw(st.fractions(-3, 3, max_denominator=10**15))
+            v = data.draw(st.fractions(-3, 3, max_denominator=10**15))
+        t = AffineThreshold(u, v)
+        assert outcome(frac_less_than, cf, i, t) == \
+            outcome(oracle_frac_less_than, cf, i, t)
+
+    def test_finite_stream_runs_out_where_the_oracle_does(self):
+        # [0; 2, 3] = 3/7 has convergents 0/1, 1/2, 3/7 and no fourth: a
+        # rational just below 3/7 is decided by the even bound 3/7 before
+        # the missing odd one is requested, one just above needs it
+        cf = ContinuedFraction((2, 3))
+        eps = Fraction(1, 10**20)
+        cases = [(compare_with_rational, oracle_compare_with_rational,
+                  (Fraction(3, 7) - eps,)),
+                 (compare_with_rational, oracle_compare_with_rational,
+                  (Fraction(3, 7) + eps,)),
+                 (affine_sign, oracle_affine_sign, (-7, 3)),
+                 (affine_sign, oracle_affine_sign, (7, -3)),
+                 (floor_scaled, oracle_floor_scaled, (7,)),
+                 (frac_less_than, oracle_frac_less_than,
+                  (3, AffineThreshold(Fraction(2, 7), 0)))]
+        got = [outcome(fn, cf, *args) for fn, _, args in cases]
+        assert got == [outcome(oracle, cf, *args) for _, oracle, args in cases]
+        assert got == [1, InsufficientPrecisionError, -1, 1,
+                       InsufficientPrecisionError, InsufficientPrecisionError]
 
 
 class TestConvergents:

@@ -1,19 +1,75 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_contfrac import (oracle_affine_sign, oracle_floor_scaled,
+                           oracle_frac_less_than)
 
-from abelianwords.complexity import abelian_equivalent, balance_bound
+from abelianwords.complexity import abelian_equivalent, balance_bound, parikh
 from abelianwords.contfrac import AffineThreshold, ContinuedFraction
-from abelianwords.powers import (WeightsTooSmallError,
-                                 congo_weights, min_abelian_period,
-                                 sturmian_period_pair, sturmian_power_at,
-                                 vdw_power_search, verify_abelian_power)
+from abelianwords.powers import (AbelianPowerOccurrence, PeriodPair,
+                                 WeightsTooSmallError, congo_weights,
+                                 min_abelian_period, sturmian_period_pair,
+                                 sturmian_power_at, vdw_power_search,
+                                 verify_abelian_power)
 from abelianwords.words import (THUE_MORSE, WordPrefix, characteristic_prefix,
                                 fixed_point)
+
+HALF_ALPHA = AffineThreshold(0, Fraction(1, 2))
+
+
+# -- Fraction oracle -------------------------------------------------------
+# The Sturmian locator as it was written before the integer kernel: every
+# threshold is an AffineThreshold of Fractions, decided by the Fraction
+# oracles of test_contfrac, and blocks are counted by slicing.
+
+def oracle_period_pair(alpha, k, delta):
+    assert oracle_affine_sign(alpha, 1, Fraction(-1, 2)) < 0
+    assert oracle_affine_sign(alpha, delta.v, delta.u) > 0
+    assert oracle_affine_sign(alpha, delta.v - 1, delta.u) < 0
+    if oracle_affine_sign(alpha, 2 * delta.v - 1, 2 * delta.u) < 0:
+        mu, mv = delta.u, delta.v
+    else:
+        mu, mv = -delta.u, 1 - delta.v
+    n = 0
+    while True:
+        q_next = alpha.convergent(n + 1).q
+        if oracle_affine_sign(alpha, q_next * mv, q_next * mu - k) > 0:
+            return PeriodPair(alpha.convergent(n).q, q_next, n)
+        n += 2
+
+
+def oracle_frac_lt(alpha, i, u, v):
+    u, v = Fraction(u), Fraction(v)
+    if i == v and u + oracle_floor_scaled(alpha, i) == 0:
+        return False
+    return oracle_frac_less_than(alpha, i, AffineThreshold(u, v))
+
+
+def oracle_power_at(alpha, i, k, delta=HALF_ALPHA):
+    below_half = oracle_affine_sign(alpha, 1, Fraction(-1, 2)) < 0
+    work = alpha if below_half else alpha.complement()
+    pair = oracle_period_pair(work, k, delta)
+    du, dv = delta.u, delta.v
+    if oracle_frac_lt(work, i, -du, 1 - dv):
+        case1 = True
+    elif oracle_frac_lt(work, i, 0, 1):
+        case1 = False
+    elif oracle_frac_lt(work, i, 1 - du, -dv):
+        case1 = True
+    else:
+        case1 = False
+    ell = pair.ell1 if case1 else pair.ell2
+    word = characteristic_prefix(alpha, i - 1 + k * ell)
+    blocks = [parikh(word.symbols[i - 1 + j * ell:i - 1 + (j + 1) * ell], 2)
+              for j in range(k)]
+    assert len(set(blocks)) == 1
+    return AbelianPowerOccurrence(i - 1, ell, k, blocks[0])
 
 
 class TestVerify:
@@ -201,6 +257,71 @@ class TestSturmianPowerAt:
         w = characteristic_prefix(golden, occ.start + occ.period * 2)
         block = w.symbols[occ.start:occ.start + occ.period]
         assert occ.block_parikh == (block.count(0), block.count(1))
+
+
+class TestSturmianAgainstFractionOracle:
+    SLOPES = {"golden": ContinuedFraction((2,), (1,)),
+              "sqrt2": ContinuedFraction((), (2,)),
+              "golden-complement": ContinuedFraction((1, 1), (1,)),
+              "sqrt2-complement": ContinuedFraction((1, 1), (2,))}
+    DELTAS = {"alpha/2": HALF_ALPHA,
+              "1/3": AffineThreshold(Fraction(1, 3), 0),
+              "3alpha/4-1/10": AffineThreshold(Fraction(-1, 10),
+                                               Fraction(3, 4))}
+    POSITIONS = sorted(set(range(1, 13)) | {4999, 5000} | set(
+        random.Random(2016).sample(range(13, 5000), 40)))
+
+    @pytest.mark.parametrize("delta", DELTAS, ids=list(DELTAS))
+    @pytest.mark.parametrize("slope", SLOPES, ids=list(SLOPES))
+    def test_certificates_identical(self, slope, delta):
+        alpha, d = self.SLOPES[slope], self.DELTAS[delta]
+        for k in range(1, 9):
+            for i in self.POSITIONS:
+                assert sturmian_power_at(alpha, i, k, d, check_internal=True) \
+                    == oracle_power_at(alpha, i, k, d), (i, k)
+
+    def test_period_pair_is_computed_once_per_slope(self, golden):
+        first = sturmian_period_pair(golden, 5)
+        assert sturmian_period_pair(ContinuedFraction((2,), (1,)), 5) is first
+        assert first == oracle_period_pair(golden, 5, HALF_ALPHA)
+
+
+class TestSturmianSharedSlope:
+    def test_threads_sharing_fresh_slopes_match_serial(self):
+        # Each round draws a slope no other test uses.  The serial results
+        # come from the same slope with one period unrolled into the
+        # preperiod: an equal value under a different cache key, so the
+        # threads grow the shared convergent cache and compute the period
+        # pair themselves, concurrently.
+        jobs = [(i, k) for k in range(1, 9) for i in (1, 2, 3, 50, 777, 4000)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for a in range(11, 17):
+                serial = ContinuedFraction((a, 3, 1, 4), (3, 1, 4))
+                expected = [sturmian_power_at(serial, i, k) for i, k in jobs]
+                shared = ContinuedFraction((a,), (3, 1, 4))
+                barrier = threading.Barrier(8)
+                results = [None] * 8
+
+                def run(slot, order):
+                    barrier.wait()
+                    got = {job: sturmian_power_at(shared, *job)
+                           for job in order}
+                    results[slot] = [got[job] for job in jobs]
+
+                threads = [threading.Thread(
+                    target=run,
+                    args=(slot, random.Random(slot).sample(jobs, len(jobs))))
+                    for slot in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert results == [expected] * 8
+        finally:
+            sys.setswitchinterval(old)
 
 
 class TestRLemmaChain:
