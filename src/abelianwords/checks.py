@@ -81,27 +81,19 @@ def mu_preimage_decompose(w: WordPrefix) -> list[MuDecomposition]:
     """
     if w.alphabet_size > 2:
         raise ValueError("word must be binary")
-    s = w.symbols
+    arr = w.as_array()
     out = []
     for offset in (0, 1):
-        if offset > len(s):
+        if offset > len(arr):
             break
-        core = bytearray()
-        ok = True
-        i = offset
-        while i + 1 < len(s):
-            a, b = s[i], s[i + 1]
-            if a == b:
-                ok = False
-                break
-            core.append(a)
-            i += 2
-        if ok:
+        pairs = (len(arr) - offset) // 2
+        firsts = arr[offset::2][:pairs]
+        if (firsts != arr[offset + 1::2][:pairs]).all():
             out.append(MuDecomposition(
                 offset=offset,
-                prepended=s[0] if offset == 1 else None,
-                core=bytes(core),
-                dangling_dropped=i < len(s)))
+                prepended=w.symbols[0] if offset == 1 else None,
+                core=firsts.tobytes(),
+                dangling_dropped=(len(arr) - offset) % 2 == 1))
     return out
 
 

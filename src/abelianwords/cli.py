@@ -116,8 +116,8 @@ def cmd_powers(args) -> int:
         slope = _load_slope(args.slope)
         pos = 1 if args.pos is None else args.pos  # 1-based position
         occ = powers.sturmian_power_at(slope, pos, args.k)
-        _emit(_certificate(occ, {"kind": "characteristic",
-                                 "slope": slope.to_dict()}), args.out)
+        recipe = words.recipe_to_dict(words.Characteristic(slope))
+        _emit(_certificate(occ, recipe), args.out)
         return EXIT_OK
     if not args.recipe:
         raise UsageError(f"{args.mode} mode needs --recipe")

@@ -155,7 +155,18 @@ class ContinuedFraction:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ContinuedFraction":
-        return cls(tuple(d.get("preperiod", ())), tuple(d.get("period", ())))
+        """Parse the wire form: a JSON object whose optional ``preperiod``
+        and ``period`` are lists of JSON integers."""
+        if not isinstance(d, dict):
+            raise ValueError(f"slope must be a JSON object, got {d!r}")
+        parts = [d.get(key, []) for key in ("preperiod", "period")]
+        for terms in parts:
+            # a JSON true parses to a bool, which isinstance counts as an int
+            if not (isinstance(terms, list)
+                    and all(type(a) is int for a in terms)):
+                raise ValueError(
+                    f"slope terms must be lists of JSON integers, got {terms!r}")
+        return cls(*map(tuple, parts))
 
 
 @dataclass(frozen=True)

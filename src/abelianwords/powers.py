@@ -232,6 +232,13 @@ def _period_pair(alpha: ContinuedFraction, k: int,
         n += 2
 
 
+@lru_cache(maxsize=1024)
+def _complement(alpha: ContinuedFraction) -> ContinuedFraction:
+    """``alpha.complement()``, one instance per slope, so that its
+    convergent cache stays warm across calls."""
+    return alpha.complement()
+
+
 def _frac_lt(alpha: ContinuedFraction, i: int, f: int,
              tu: int, tv: int, d: int) -> bool:
     """{i*alpha} < (tu + tv*alpha)/d, given f = floor(i*alpha) and d > 0.
@@ -257,7 +264,7 @@ def sturmian_power_at(alpha: ContinuedFraction, i: int, k: int,
     """
     if i < 1 or k < 1:
         raise ValueError("need i >= 1 and k >= 1")
-    work = alpha if _sign(alpha, 2, -1) < 0 else alpha.complement()
+    work = alpha if _sign(alpha, 2, -1) < 0 else _complement(alpha)
     pair = sturmian_period_pair(work, k, delta)
     U, V, D = _integer_form(delta)
     f = floor_scaled(work, i)
@@ -272,14 +279,14 @@ def sturmian_power_at(alpha: ContinuedFraction, i: int, k: int,
         case1 = False
     ell = pair.ell1 if case1 else pair.ell2
     length = i - 1 + k * ell
+    word = characteristic_prefix(alpha, length)
     if check_internal:
-        cw = characteristic_prefix(work, length)
+        cw = word if work is alpha else characteristic_prefix(work, length)
         marks = {cw.symbols[i + j * ell - 2] for j in range(1, k + 1)}
         if len(marks) > 1:
             raise AssertionError(
                 "block-end letters along the progression disagree; "
                 "the case classification is inconsistent")
-    word = characteristic_prefix(alpha, length)
     if not verify_abelian_power(word, i - 1, ell, k):
         raise AssertionError(
             f"constructed occurrence failed verification at i={i}, k={k}, "

@@ -7,6 +7,9 @@ identical prefix.  All public indexing is 0-based; the characteristic
 word's classical 1-based positions are shifted internally, so public
 position j holds the letter the classical definition assigns to j+1.
 
+Each recipe kind is one row of the table ``_KINDS``: its wire name,
+serializer, parser and generator.
+
 Generation does no per-symbol Python work: a morphism is applied by
 gathering rows of its image table with numpy, fixed points are iterated
 on arrays and turned into bytes once, and the other generators build
@@ -14,6 +17,7 @@ their prefixes from whole-array operations.
 """
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Union
 
@@ -67,6 +71,29 @@ def _parse_digits(s: str) -> bytes:
     if not isinstance(s, str) or s.strip("0123456789"):
         raise ValueError(f"symbols must be digit strings, got {s!r}")
     return s.encode("ascii").translate(_FROM_DIGITS)
+
+
+def _wire_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _parse_letter(value) -> int:
+    """A letter on the wire: a digit string or a JSON integer (not a bool)."""
+    digits = isinstance(value, str) and value and not value.strip("0123456789")
+    if not digits and type(value) is not int:
+        raise ValueError(
+            f"a letter must be a digit string or a JSON integer, got {value!r}")
+    return int(value)
+
+
+def _positive_int(d: dict, key: str) -> int:
+    # a JSON true parses to a bool, which isinstance counts as an int
+    if type(d[key]) is not int or d[key] < 1:
+        raise ValueError(
+            f"{key} must be a positive JSON integer, got {d[key]!r}")
+    return d[key]
 
 
 def _max_letter(symbols: bytes) -> int:
@@ -138,7 +165,9 @@ class Morphism:
 
     @classmethod
     def from_strings(cls, mapping: dict) -> "Morphism":
-        by_letter = {int(k): _parse_digits(v) for k, v in mapping.items()}
+        """Parse the wire form: a JSON object from letters to digit strings."""
+        by_letter = {_parse_letter(k): _parse_digits(v)
+                     for k, v in _wire_object(mapping, "morphism").items()}
         p = max(by_letter) + 1
         if sorted(by_letter) != list(range(p)):
             raise ValueError("morphism must define an image for every letter 0..p-1")
@@ -371,104 +400,121 @@ def hubert_ternary(inner: ContinuedFraction, length: int,
     return WordPrefix(3, w.symbols, Hubert(inner))
 
 
+# ---------------------------------------------------------------------------
+# recipe kinds.  On the wire symbols are digit strings (p <= 10); the
+# parsers, Morphism.from_strings and ContinuedFraction.from_dict are where
+# wire types are checked.
+
+def _fixed_point_prefix(r: FixedPoint, length: int, budget: int) -> WordPrefix:
+    if r.post is None:
+        return fixed_point(r.morphism, r.seed, length, budget)
+    lens = np.array([len(img) for img in r.post.images])
+    inner = fixed_point(r.morphism, r.seed, -(-length // int(lens.min())),
+                        budget).as_array()
+    if r.post._mask is not None:
+        # keep the inner letters up to the first whose image reaches length;
+        # the running image lengths are summed in place, in a dtype that
+        # holds their total
+        ends = lens.astype(np.min_scalar_type(len(inner) * lens.max()))[inner]
+        inner = inner[:np.searchsorted(np.cumsum(ends, out=ends), length) + 1]
+    image = r.post._gather(inner)[:length].tobytes()
+    return WordPrefix(r.post.image_alphabet_size, image, r)
+
+
+def _periodic_prefix(r: Periodic, length: int, budget: int) -> WordPrefix:
+    if not r.pattern:
+        raise ValueError("periodic pattern must be non-empty")
+    sym = (r.pattern * -(-length // len(r.pattern)))[:length]
+    return WordPrefix(_max_letter(r.pattern) + 1, sym, r)
+
+
+def _explicit_prefix(r: Explicit, length: int, budget: int) -> WordPrefix:
+    if length > len(r.symbols):
+        raise ValueError(f"explicit recipe holds {len(r.symbols)} symbols, "
+                         f"{length} requested")
+    p = (max(_max_letter(r.symbols) + 1, 1) if r.alphabet_size is None
+         else r.alphabet_size)
+    return WordPrefix(p, r.symbols[:length], r)
+
+
+def _prepend_prefix(r: LiteralPrepend, length: int, budget: int) -> WordPrefix:
+    head = r.prefix[:length]
+    tail = prefix_of(r.inner, length - len(head), budget)
+    p = max(tail.alphabet_size, _max_letter(r.prefix) + 1)
+    return WordPrefix(p, head + tail.symbols, r)
+
+
+# One row per kind: its class, its wire name, ``dump`` (the wire fields
+# after ``kind``, in wire order, an absent optional field as None),
+# ``parse`` (from a wire dict) and ``generate`` (recipe, length, budget).
+_Kind = namedtuple("_Kind", "cls name dump parse generate")
+_KINDS = (
+    _Kind(FixedPoint, "fixed-point",
+          lambda r: {"morphism": r.morphism.to_strings(), "seed": str(r.seed),
+                     "post": r.post.to_strings() if r.post else None},
+          lambda d: FixedPoint(
+              Morphism.from_strings(d["morphism"]), _parse_letter(d["seed"]),
+              Morphism.from_strings(d["post"]) if "post" in d else None),
+          _fixed_point_prefix),
+    _Kind(Characteristic, "characteristic",
+          lambda r: {"slope": r.slope.to_dict()},
+          lambda d: Characteristic(ContinuedFraction.from_dict(d["slope"])),
+          lambda r, n, budget: characteristic_prefix(r.slope, n, budget)),
+    _Kind(Periodic, "periodic", lambda r: {"pattern": _format_digits(r.pattern)},
+          lambda d: Periodic(_parse_digits(d["pattern"])), _periodic_prefix),
+    _Kind(Explicit, "explicit",
+          lambda r: {"symbols": _format_digits(r.symbols),
+                     "alphabet_size": r.alphabet_size},
+          lambda d: Explicit(_parse_digits(d["symbols"]),
+                             _positive_int(d, "alphabet_size")
+                             if "alphabet_size" in d else None),
+          _explicit_prefix),
+    _Kind(Champernowne, "champernowne",
+          lambda r: {}, lambda d: Champernowne(),
+          lambda r, n, budget: champernowne_prefix(n, budget)),
+    _Kind(MaxComplexity, "max-complexity",
+          lambda r: {}, lambda d: MaxComplexity(),
+          lambda r, n, budget: max_complexity_prefix(n, budget)),
+    _Kind(Hubert, "hubert", lambda r: {"slope": r.slope.to_dict()},
+          lambda d: Hubert(ContinuedFraction.from_dict(d["slope"])),
+          lambda r, n, budget: hubert_ternary(r.slope, n, budget)),
+    _Kind(LiteralPrepend, "literal-prepend",
+          lambda r: {"prefix": _format_digits(r.prefix),
+                     "inner": recipe_to_dict(r.inner)},
+          lambda d: LiteralPrepend(_parse_digits(d["prefix"]),
+                                   recipe_from_dict(d["inner"])),
+          _prepend_prefix),
+)
+_BY_CLASS = {k.cls: k for k in _KINDS}
+_BY_NAME = {k.name: k for k in _KINDS}
+
+
+def _kind_of(recipe: WordRecipe) -> _Kind:
+    kind = _BY_CLASS.get(type(recipe))
+    if kind is None:
+        raise TypeError(f"unknown recipe {recipe!r}")
+    return kind
+
+
 def prefix_of(recipe: WordRecipe, length: int,
               budget: int = DEFAULT_SYMBOL_BUDGET) -> WordPrefix:
     """Generate the length-``length`` prefix described by ``recipe``."""
     _check_budget(length, budget)
-    if isinstance(recipe, FixedPoint):
-        if recipe.post is None:
-            return fixed_point(recipe.morphism, recipe.seed, length, budget)
-        shortest = min(len(img) for img in recipe.post.images)
-        inner_len = -(-length // shortest)
-        inner = fixed_point(recipe.morphism, recipe.seed, inner_len, budget)
-        image = recipe.post.apply_raw(inner.symbols)[:length]
-        p = max(recipe.post.image_alphabet_size, 1)
-        return WordPrefix(p, image, recipe)
-    if isinstance(recipe, Characteristic):
-        return characteristic_prefix(recipe.slope, length, budget)
-    if isinstance(recipe, Periodic):
-        if not recipe.pattern:
-            raise ValueError("periodic pattern must be non-empty")
-        reps = -(-length // len(recipe.pattern))
-        sym = (recipe.pattern * reps)[:length]
-        return WordPrefix(_max_letter(recipe.pattern) + 1, sym, recipe)
-    if isinstance(recipe, Explicit):
-        if length > len(recipe.symbols):
-            raise ValueError(
-                f"explicit recipe holds {len(recipe.symbols)} symbols, "
-                f"{length} requested")
-        sym = recipe.symbols[:length]
-        p = recipe.alphabet_size or max(_max_letter(recipe.symbols) + 1, 1)
-        return WordPrefix(p, sym, recipe)
-    if isinstance(recipe, Champernowne):
-        return champernowne_prefix(length, budget)
-    if isinstance(recipe, MaxComplexity):
-        return max_complexity_prefix(length, budget)
-    if isinstance(recipe, Hubert):
-        return hubert_ternary(recipe.slope, length, budget)
-    if isinstance(recipe, LiteralPrepend):
-        head = recipe.prefix[:length]
-        tail = prefix_of(recipe.inner, length - len(head), budget)
-        p = max(tail.alphabet_size, _max_letter(recipe.prefix) + 1)
-        return WordPrefix(p, head + tail.symbols, recipe)
-    raise TypeError(f"unknown recipe {recipe!r}")
+    return _kind_of(recipe).generate(recipe, length, budget)
 
-
-# ---------------------------------------------------------------------------
-# wire schema: tagged union, symbols as digit strings (p <= 10)
 
 def recipe_to_dict(recipe: WordRecipe) -> dict:
-    if isinstance(recipe, FixedPoint):
-        d = {"kind": "fixed-point",
-             "morphism": recipe.morphism.to_strings(),
-             "seed": str(recipe.seed)}
-        if recipe.post is not None:
-            d["post"] = recipe.post.to_strings()
-        return d
-    if isinstance(recipe, Characteristic):
-        return {"kind": "characteristic", "slope": recipe.slope.to_dict()}
-    if isinstance(recipe, Periodic):
-        return {"kind": "periodic", "pattern": _format_digits(recipe.pattern)}
-    if isinstance(recipe, Explicit):
-        d = {"kind": "explicit", "symbols": _format_digits(recipe.symbols)}
-        if recipe.alphabet_size is not None:
-            d["alphabet_size"] = recipe.alphabet_size
-        return d
-    if isinstance(recipe, Champernowne):
-        return {"kind": "champernowne"}
-    if isinstance(recipe, MaxComplexity):
-        return {"kind": "max-complexity"}
-    if isinstance(recipe, Hubert):
-        return {"kind": "hubert", "slope": recipe.slope.to_dict()}
-    if isinstance(recipe, LiteralPrepend):
-        return {"kind": "literal-prepend",
-                "prefix": _format_digits(recipe.prefix),
-                "inner": recipe_to_dict(recipe.inner)}
-    raise TypeError(f"unknown recipe {recipe!r}")
+    kind = _kind_of(recipe)
+    fields = kind.dump(recipe).items()
+    return {"kind": kind.name, **{k: v for k, v in fields if v is not None}}
 
 
 def recipe_from_dict(d: dict) -> WordRecipe:
-    kind = d.get("kind")
-    if kind == "fixed-point":
-        post = Morphism.from_strings(d["post"]) if "post" in d else None
-        return FixedPoint(Morphism.from_strings(d["morphism"]),
-                          int(d["seed"]), post)
-    if kind == "characteristic":
-        return Characteristic(ContinuedFraction.from_dict(d["slope"]))
-    if kind == "periodic":
-        return Periodic(_parse_digits(d["pattern"]))
-    if kind == "explicit":
-        return Explicit(_parse_digits(d["symbols"]), d.get("alphabet_size"))
-    if kind == "champernowne":
-        return Champernowne()
-    if kind == "max-complexity":
-        return MaxComplexity()
-    if kind == "hubert":
-        return Hubert(ContinuedFraction.from_dict(d["slope"]))
-    if kind == "literal-prepend":
-        return LiteralPrepend(_parse_digits(d["prefix"]),
-                              recipe_from_dict(d["inner"]))
-    raise ValueError(f"unknown recipe kind {kind!r}")
+    """Parse a wire recipe; a wrong type raises ValueError."""
+    kind = _wire_object(d, "recipe").get("kind")
+    if not isinstance(kind, str) or kind not in _BY_NAME:
+        raise ValueError(f"unknown recipe kind {kind!r}")
+    return _BY_NAME[kind].parse(d)
 
 
 def recipe_from_json(text: str) -> WordRecipe:

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from abelianwords.checks import (CheckReport, mu_preimage_decompose,
+from abelianwords.checks import (CheckReport, MuDecomposition,
+                                 mu_preimage_decompose,
                                  periodicity_via_parikh,
                                  rauzy_constant3_check,
                                  special_factor_witnesses, tm_profile_check)
@@ -41,6 +44,40 @@ class TestTmProfileCheck:
         assert tm_profile_check(tm4096, 256, margin=16).passed
 
 
+def loop_decompose(w):
+    """Reference for mu_preimage_decompose: the per-symbol loop its strided
+    comparison replaced."""
+    s = w.symbols
+    out = []
+    for offset in (0, 1):
+        if offset > len(s):
+            break
+        core = bytearray()
+        ok = True
+        i = offset
+        while i + 1 < len(s):
+            a, b = s[i], s[i + 1]
+            if a == b:
+                ok = False
+                break
+            core.append(a)
+            i += 2
+        if ok:
+            out.append(MuDecomposition(
+                offset=offset,
+                prepended=s[0] if offset == 1 else None,
+                core=bytes(core),
+                dangling_dropped=i < len(s)))
+    return out
+
+
+BINARY = st.lists(st.integers(0, 1), max_size=64).map(bytes)
+# a letter or none, then an image under mu, cut to at most 64 letters
+MU_IMAGES = st.tuples(BINARY.map(lambda b: b[:1]), BINARY,
+                      st.integers(0, 64)).map(
+    lambda t: (t[0] + THUE_MORSE.apply_raw(t[1]))[:t[2]])
+
+
 class TestMuPreimage:
     def test_0110(self):
         (d,) = mu_preimage_decompose(word("0110"))
@@ -67,6 +104,15 @@ class TestMuPreimage:
     def test_round_trip(self, tm4096):
         (d,) = mu_preimage_decompose(tm4096)
         assert THUE_MORSE.apply_raw(d.core) == tm4096.symbols
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(BINARY, MU_IMAGES))
+    @example(b"")
+    @example(b"\x01")
+    @example(b"\x00\x01\x00")
+    def test_matches_loop(self, symbols):
+        w = WordPrefix(2, symbols)
+        assert mu_preimage_decompose(w) == loop_decompose(w)
 
 
 class TestPeriodicity:

@@ -10,7 +10,8 @@ PERIODIC10 = '{"kind": "periodic", "pattern": "0123456789"}'
 GOLDEN_JSON = '{"preperiod": [2], "period": [1]}'
 
 import abelianwords
-from abelianwords.cli import main
+from abelianwords.cli import RECIPE_PRESETS, main
+from abelianwords.words import recipe_from_dict, recipe_to_dict
 
 
 def run(capsys, *args):
@@ -69,6 +70,12 @@ class TestGenerate:
                              "--len", "10")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_presets_round_trip_byte_for_byte(self):
+        # certificates embed recipe_to_dict, so key order matters too
+        for d in RECIPE_PRESETS.values():
+            assert json.dumps(recipe_to_dict(recipe_from_dict(d))) == \
+                json.dumps(d)
 
     def test_bad_recipe_is_usage_error(self, capsys):
         code, _, err = run(capsys, "generate", "--recipe", "nonsense",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from test_contfrac import (oracle_affine_sign, oracle_floor_scaled,
                            oracle_frac_less_than)
 
+from abelianwords import powers
 from abelianwords.complexity import abelian_equivalent, balance_bound, parikh
 from abelianwords.contfrac import AffineThreshold, ContinuedFraction
 from abelianwords.powers import (AbelianPowerOccurrence, PeriodPair,
@@ -251,6 +252,37 @@ class TestSturmianPowerAt:
         for i in (1, 5, 9):
             occ = sturmian_power_at(comp, i, 3, check_internal=True)
             assert verify_abelian_power(w, occ.start, occ.period, 3)
+
+    def test_internal_check_below_half_builds_one_prefix(self, golden,
+                                                          monkeypatch):
+        calls = []
+
+        def counting(alpha, length, *args):
+            calls.append(alpha)
+            return characteristic_prefix(alpha, length, *args)
+
+        monkeypatch.setattr(powers, "characteristic_prefix", counting)
+        for i in range(1, 41):
+            sturmian_power_at(golden, i, 3, check_internal=True)
+        assert calls == [golden] * 40
+
+    def test_complement_is_built_once_per_slope(self, monkeypatch):
+        made = []
+        complement = ContinuedFraction.complement
+
+        def counting(alpha):
+            made.append(alpha)
+            return complement(alpha)
+
+        monkeypatch.setattr(ContinuedFraction, "complement", counting)
+        powers._complement.cache_clear()
+        slopes = [ContinuedFraction((1, 1), (1,)), ContinuedFraction((1, 1), (1,)),
+                  ContinuedFraction((1, 4), (2, 3))]
+        for alpha in slopes:
+            for i in range(1, 201):
+                for k in (2, 5):
+                    sturmian_power_at(alpha, i, k)
+        assert made == [slopes[0], slopes[2]]
 
     def test_block_parikh_is_of_first_block(self, golden):
         occ = sturmian_power_at(golden, 4, 2)

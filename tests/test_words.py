@@ -1,16 +1,19 @@
+import json
 import random
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abelianwords import words
 from abelianwords.contfrac import (AffineThreshold, ContinuedFraction,
                                    floor_range, frac_less_than)
 from abelianwords.words import (CONSTANT3, FIBONACCI, THUE_MORSE, BudgetError,
                                 Champernowne, Characteristic, Explicit,
                                 FixedPoint, Hubert, LiteralPrepend,
                                 MaxComplexity, Morphism, Periodic, WordPrefix,
-                                apply_morphism, champernowne_prefix,
+                                WordRecipe, apply_morphism, champernowne_prefix,
                                 characteristic_prefix, fixed_point,
                                 hubert_ternary, hubert_transform,
                                 max_complexity_prefix, prefix_of,
@@ -19,6 +22,26 @@ from abelianwords.words import (CONSTANT3, FIBONACCI, THUE_MORSE, BudgetError,
 
 TRIPLE_RUNS = Morphism.from_strings({"0": "012", "1": "111", "2": "222"})
 COLLAPSE = Morphism.from_strings({"0": "0", "1": "1", "2": "0"})
+GOLDEN = ContinuedFraction((2,), (1,))
+
+# Every kind, some twice; the round-trip and prefix-coherence tests read
+# this list, and test_covers_every_kind keeps it complete.
+RECIPES = [
+    FixedPoint(THUE_MORSE, 0),
+    FixedPoint(THUE_MORSE, 1),
+    FixedPoint(FIBONACCI, 0, post=CONSTANT3),
+    FixedPoint(FIBONACCI, 0, post=Morphism.from_strings({"0": "0",
+                                                         "1": "1111"})),
+    Characteristic(GOLDEN),
+    Periodic(bytes([0, 1, 1])),
+    Explicit(bytes([0, 1, 1, 0]) * 100, 3),
+    Explicit(bytes([0, 2]) * 200),
+    Champernowne(),
+    MaxComplexity(),
+    Hubert(GOLDEN),
+    LiteralPrepend(bytes([2]), Characteristic(GOLDEN)),
+    LiteralPrepend(bytes([1, 2]), LiteralPrepend(bytes([0]), Hubert(GOLDEN))),
+]
 
 
 def word(digits, p=None):
@@ -82,6 +105,20 @@ def morphisms_and_words(draw):
                    for n in lengths)
     symbols = bytes(draw(st.lists(letter, max_size=60)))
     return Morphism(images), symbols
+
+
+@st.composite
+def fixed_points_with_post(draw):
+    """A prolongable fixed point over p <= 3 letters and a post-morphism
+    with image lengths 1..4."""
+    p = draw(st.integers(1, 3))
+
+    def image(letters):
+        return bytes(draw(st.lists(st.integers(0, letters - 1),
+                                   min_size=1, max_size=4)))
+    images = [bytes([0]) + image(p)] + [image(p) for _ in range(1, p)]
+    post = [image(4) for _ in range(p)]
+    return FixedPoint(Morphism(tuple(images)), 0, Morphism(tuple(post)))
 
 
 class TestFixedPoint:
@@ -284,42 +321,72 @@ class TestPrefixOf:
         w = prefix_of(FixedPoint(FIBONACCI, 0, post=CONSTANT3), 12)
         assert w.digits() == "012021012012"  # images of 0,1,0,0 = fib prefix
 
-    def test_prefix_coherence(self, golden):
-        recipes = [
-            FixedPoint(THUE_MORSE, 0),
-            FixedPoint(FIBONACCI, 0, post=CONSTANT3),
-            Characteristic(golden),
-            Periodic(bytes([0, 1, 1])),
-            Champernowne(),
-            MaxComplexity(),
-            Hubert(golden),
-            LiteralPrepend(bytes([2]), Characteristic(golden)),
-        ]
-        for r in recipes:
+    @settings(max_examples=100, deadline=None)
+    @given(fixed_points_with_post(), st.integers(0, 3000))
+    def test_post_morphism_matches_truncated_image(self, recipe, length):
+        inner = fixed_point(recipe.morphism, 0, length)
+        w = prefix_of(recipe, length)
+        assert w.symbols == recipe.post.apply_raw(inner.symbols)[:length]
+        assert w.alphabet_size == recipe.post.image_alphabet_size
+
+    def test_prefix_coherence(self):
+        for r in RECIPES:
             long = prefix_of(r, 400)
             for m in (0, 1, 57, 399):
-                assert prefix_of(r, m).symbols == long.symbols[:m]
+                assert prefix_of(r, m).symbols == long.symbols[:m], r
 
     def test_determinism(self, golden):
         r = Hubert(golden)
         assert prefix_of(r, 333) == prefix_of(r, 333)
 
 
+TM_WIRE = {"kind": "fixed-point", "morphism": {"0": "01", "1": "10"},
+           "seed": "0"}
+
+
 class TestRecipeSchema:
-    def test_round_trips(self, golden):
-        recipes = [
-            FixedPoint(THUE_MORSE, 0),
-            FixedPoint(FIBONACCI, 1, post=CONSTANT3),
-            Characteristic(golden),
-            Periodic(bytes([0, 1])),
-            Explicit(bytes([0, 1, 1, 0]), 3),
-            Champernowne(),
-            MaxComplexity(),
-            Hubert(golden),
-            LiteralPrepend(bytes([2]), Characteristic(golden)),
-        ]
-        for r in recipes:
-            assert recipe_from_dict(recipe_to_dict(r)) == r
+    def test_covers_every_kind(self):
+        classes = [kind.cls for kind in words._KINDS]
+        assert len(set(classes)) == len(classes) == len(words._BY_NAME)
+        assert set(classes) == set(get_args(WordRecipe))
+        assert {type(r) for r in RECIPES} == set(classes)
+
+    def test_round_trips(self):
+        for r in RECIPES:
+            text = json.dumps(recipe_to_dict(r))
+            assert recipe_from_dict(json.loads(text)) == r
+            assert recipe_from_json(text) == r
+
+    def test_seed_may_be_a_json_integer(self):
+        d = {"kind": "fixed-point", "morphism": {"0": "01", "1": "10"},
+             "seed": 1}
+        assert recipe_from_dict(d) == FixedPoint(THUE_MORSE, 1)
+
+    @pytest.mark.parametrize("d", [
+        [1], "x", None, {"kind": ["fixed-point"]},
+        dict(TM_WIRE, morphism=["01", "10"]),
+        dict(TM_WIRE, morphism={"0": "01", " 1": "10"}),
+        dict(TM_WIRE, morphism={"0": "01", "1": 10}),
+        dict(TM_WIRE, post=[]),
+        dict(TM_WIRE, seed=1.7), dict(TM_WIRE, seed=True),
+        dict(TM_WIRE, seed="1.0"), dict(TM_WIRE, seed=None),
+        dict(TM_WIRE, seed=1e400),
+        {"kind": "characteristic", "slope": [2, 1]},
+        {"kind": "characteristic", "slope": {"preperiod": [2.9]}},
+        {"kind": "characteristic", "slope": {"preperiod": [1e400]}},
+        {"kind": "hubert", "slope": {"preperiod": "21"}},
+        {"kind": "hubert", "slope": {"period": [True]}},
+        {"kind": "periodic", "pattern": ["0"]},
+        {"kind": "explicit", "symbols": 110},
+        {"kind": "explicit", "symbols": "0110", "alphabet_size": 0},
+        {"kind": "explicit", "symbols": "0110", "alphabet_size": 2.0},
+        {"kind": "explicit", "symbols": "0110", "alphabet_size": "3"},
+        {"kind": "explicit", "symbols": "0110", "alphabet_size": None},
+        {"kind": "literal-prepend", "prefix": "2", "inner": "x"},
+    ])
+    def test_wrong_wire_type_is_value_error(self, d):
+        with pytest.raises(ValueError):
+            recipe_from_dict(d)
 
     def test_wire_format(self):
         r = recipe_from_json(
