@@ -44,6 +44,18 @@ __all__ = [
 _CACHE_GROWTH = threading.Lock()
 
 
+def _wire_object(value, what: str) -> dict:
+    """``value`` read from JSON, which must be an object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _is_json_int(value) -> bool:
+    # a JSON true parses to a bool, which isinstance counts as an int
+    return type(value) is int
+
+
 class InsufficientPrecisionError(ArithmeticError):
     """Raised when a finite term stream runs out before a question is decided."""
 
@@ -157,13 +169,10 @@ class ContinuedFraction:
     def from_dict(cls, d: dict) -> "ContinuedFraction":
         """Parse the wire form: a JSON object whose optional ``preperiod``
         and ``period`` are lists of JSON integers."""
-        if not isinstance(d, dict):
-            raise ValueError(f"slope must be a JSON object, got {d!r}")
-        parts = [d.get(key, []) for key in ("preperiod", "period")]
+        parts = [_wire_object(d, "slope").get(key, [])
+                 for key in ("preperiod", "period")]
         for terms in parts:
-            # a JSON true parses to a bool, which isinstance counts as an int
-            if not (isinstance(terms, list)
-                    and all(type(a) is int for a in terms)):
+            if not (isinstance(terms, list) and all(map(_is_json_int, terms))):
                 raise ValueError(
                     f"slope terms must be lists of JSON integers, got {terms!r}")
         return cls(*map(tuple, parts))

@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .contfrac import ContinuedFraction, floor_range
+from .contfrac import ContinuedFraction, _is_json_int, _wire_object, floor_range
 
 __all__ = [
     "BudgetError",
@@ -73,24 +73,17 @@ def _parse_digits(s: str) -> bytes:
     return s.encode("ascii").translate(_FROM_DIGITS)
 
 
-def _wire_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object, got {value!r}")
-    return value
-
-
 def _parse_letter(value) -> int:
     """A letter on the wire: a digit string or a JSON integer (not a bool)."""
     digits = isinstance(value, str) and value and not value.strip("0123456789")
-    if not digits and type(value) is not int:
+    if not digits and not _is_json_int(value):
         raise ValueError(
             f"a letter must be a digit string or a JSON integer, got {value!r}")
     return int(value)
 
 
 def _positive_int(d: dict, key: str) -> int:
-    # a JSON true parses to a bool, which isinstance counts as an int
-    if type(d[key]) is not int or d[key] < 1:
+    if not _is_json_int(d[key]) or d[key] < 1:
         raise ValueError(
             f"{key} must be a positive JSON integer, got {d[key]!r}")
     return d[key]
@@ -168,10 +161,12 @@ class Morphism:
         """Parse the wire form: a JSON object from letters to digit strings."""
         by_letter = {_parse_letter(k): _parse_digits(v)
                      for k, v in _wire_object(mapping, "morphism").items()}
-        p = max(by_letter) + 1
-        if sorted(by_letter) != list(range(p)):
-            raise ValueError("morphism must define an image for every letter 0..p-1")
-        return cls(tuple(by_letter[a] for a in range(p)))
+        # two keys for one letter ("0" and "00") leave fewer letters than keys
+        if (len(by_letter) != len(mapping)
+                or sorted(by_letter) != list(range(len(by_letter)))):
+            raise ValueError(
+                "morphism must define one image for every letter 0..p-1")
+        return cls(tuple(by_letter[a] for a in range(len(by_letter))))
 
     def to_strings(self) -> dict:
         return {str(a): _format_digits(img) for a, img in enumerate(self.images)}
@@ -408,16 +403,9 @@ def hubert_ternary(inner: ContinuedFraction, length: int,
 def _fixed_point_prefix(r: FixedPoint, length: int, budget: int) -> WordPrefix:
     if r.post is None:
         return fixed_point(r.morphism, r.seed, length, budget)
-    lens = np.array([len(img) for img in r.post.images])
-    inner = fixed_point(r.morphism, r.seed, -(-length // int(lens.min())),
-                        budget).as_array()
-    if r.post._mask is not None:
-        # keep the inner letters up to the first whose image reaches length;
-        # the running image lengths are summed in place, in a dtype that
-        # holds their total
-        ends = lens.astype(np.min_scalar_type(len(inner) * lens.max()))[inner]
-        inner = inner[:np.searchsorted(np.cumsum(ends, out=ends), length) + 1]
-    image = r.post._gather(inner)[:length].tobytes()
+    shortest = min(map(len, r.post.images))
+    inner = fixed_point(r.morphism, r.seed, -(-length // shortest), budget)
+    image = r.post._gather(inner.as_array())[:length].tobytes()
     return WordPrefix(r.post.image_alphabet_size, image, r)
 
 

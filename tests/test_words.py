@@ -367,11 +367,13 @@ class TestRecipeSchema:
         dict(TM_WIRE, morphism=["01", "10"]),
         dict(TM_WIRE, morphism={"0": "01", " 1": "10"}),
         dict(TM_WIRE, morphism={"0": "01", "1": 10}),
+        dict(TM_WIRE, morphism={"0": "0", "1": "10", "00": "01"}),
+        dict(TM_WIRE, morphism={"0": "01", "99999999999999": "10"}),
         dict(TM_WIRE, post=[]),
         dict(TM_WIRE, seed=1.7), dict(TM_WIRE, seed=True),
         dict(TM_WIRE, seed="1.0"), dict(TM_WIRE, seed=None),
         dict(TM_WIRE, seed=1e400),
-        {"kind": "characteristic", "slope": [2, 1]},
+        {"kind": "characteristic", "slope": [1, 2]},
         {"kind": "characteristic", "slope": {"preperiod": [2.9]}},
         {"kind": "characteristic", "slope": {"preperiod": [1e400]}},
         {"kind": "hubert", "slope": {"preperiod": "21"}},
@@ -380,6 +382,7 @@ class TestRecipeSchema:
         {"kind": "explicit", "symbols": 110},
         {"kind": "explicit", "symbols": "0110", "alphabet_size": 0},
         {"kind": "explicit", "symbols": "0110", "alphabet_size": 2.0},
+        {"kind": "explicit", "symbols": "0110", "alphabet_size": 2.5},
         {"kind": "explicit", "symbols": "0110", "alphabet_size": "3"},
         {"kind": "explicit", "symbols": "0110", "alphabet_size": None},
         {"kind": "literal-prepend", "prefix": "2", "inner": "x"},
