@@ -53,18 +53,24 @@ def _load(kind: str, presets: dict, parse, spec: str):
     """A preset name, inline JSON or a JSON file, parsed by ``parse``."""
     if spec in presets:
         return parse(presets[spec])
-    if spec.lstrip().startswith("{"):
-        text = spec
-    elif os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
+    inline = spec.lstrip().startswith("{")
+    if not inline and not os.path.exists(spec):
         raise UsageError(
             f"{kind} {spec!r} is not a preset, inline JSON, or readable file")
     try:
+        if inline:
+            text = spec
+        else:
+            with open(spec, encoding="utf-8") as fh:
+                text = fh.read()
         return parse(json.loads(text))
+    except OSError as exc:
+        raise UsageError(
+            f"cannot read {kind} file {spec!r}: {exc.strerror or exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"bad {kind}: {exc}") from exc
+    except RecursionError as exc:  # json.loads on too deep a nesting
+        raise UsageError(f"bad {kind}: nested too deeply") from exc
 
 
 _load_recipe = partial(_load, "recipe", RECIPE_PRESETS, words.recipe_from_dict)

@@ -40,8 +40,9 @@ __all__ = [
 ]
 
 
-# Serializes growth of every ContinuedFraction's convergent cache.
-_CACHE_GROWTH = threading.Lock()
+# Serializes growth of both caches of every ContinuedFraction.  Re-entrant,
+# because growing the characteristic-word cache grows convergents.
+_CACHE_GROWTH = threading.RLock()
 
 
 def _wire_object(value, what: str) -> dict:
@@ -80,8 +81,10 @@ class ContinuedFraction:
     ``preperiod`` holds the leading terms, ``period`` the repeating tail;
     an empty period means the expansion is just the finite ``preperiod``
     (a rational value, usable for experiments only).  Instances are
-    immutable and safe to share between threads: the internal convergent
-    cache only ever grows, and only under a lock.
+    immutable and safe to share between threads: the two internal caches,
+    the convergents and a prefix of the characteristic word (kept by
+    :func:`abelianwords.words.characteristic_prefix`), only ever grow,
+    and only under a lock.
     """
 
     preperiod: tuple[int, ...]
@@ -90,6 +93,9 @@ class ContinuedFraction:
     # recurrence anchors p_{-1}/q_{-1} = 1/0 and p_0/q_0 = 0/1.
     _pq: list = field(default_factory=lambda: [(1, 0), (0, 1)],
                       init=False, repr=False, compare=False)
+    # _word[0] holds a prefix of the characteristic word of this slope
+    _word: list = field(default_factory=lambda: [b""],
+                        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pre = tuple(int(a) for a in self.preperiod)
@@ -280,10 +286,10 @@ def floor_range(cf: ContinuedFraction, n_max: int) -> np.ndarray:
     while _pq_at(cf, m)[1] <= n_max + 1:
         m += 1
     p, q = _pq_at(cf, m)
-    if n_max * p < 2**62:
+    if n_max * p < 2**62 and q < 2**62:
         ns = np.arange(n_max + 1, dtype=np.int64)
         return (ns * p) // q
-    # huge partial quotients can push q far beyond n_max; fall back to ints
+    # huge partial quotients can push p or q out of int64; fall back to ints
     return np.array([(n * p) // q for n in range(n_max + 1)], dtype=object)
 
 

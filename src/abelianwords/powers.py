@@ -21,6 +21,7 @@ once per (slope, k, delta) and memoized.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Union
 
 import numpy as np
@@ -151,10 +152,18 @@ def vdw_power_search(w: WordPrefix, k: int, weights: CongoWeights
     L = len(w)
     if L < k:
         return None
-    table = np.asarray(weights.alphas, dtype=np.int64)
-    nu = np.zeros(L + 1, dtype=np.int64)
-    np.cumsum(table[w.as_array()], out=nu[1:])
-    nu %= weights.N
+    if weights.N * L < 2**63:  # every running sum fits in int64
+        table = np.asarray(weights.alphas, dtype=np.int64)
+        nu = np.zeros(L + 1, dtype=np.int64)
+        np.cumsum(table[w.as_array()], out=nu[1:])
+        nu %= weights.N
+    else:
+        # exact sums in Python ints; the scan only tests nu values for
+        # equality, so each distinct value is renamed to a small int
+        sums = accumulate(map(weights.alphas.__getitem__, w.symbols), initial=0)
+        names = {}
+        nu = np.fromiter((names.setdefault(t % weights.N, len(names))
+                          for t in sums), dtype=np.int64, count=L + 1)
     for s in range(1, L // k + 1):
         width = L - k * s + 1
         ok = nu[:width] == nu[s:s + width]

@@ -10,10 +10,20 @@ position j holds the letter the classical definition assigns to j+1.
 Each recipe kind is one row of the table ``_KINDS``: its wire name,
 serializer, parser and generator.
 
-Generation does no per-symbol Python work: a morphism is applied by
-gathering rows of its image table with numpy, fixed points are iterated
-on arrays and turned into bytes once, and the other generators build
-their prefixes from whole-array operations.
+Generation does no per-symbol Python work.  A morphism is applied by
+gathering rows of its image table with numpy.  Both word families of the
+paper are limits of recurrences in which each word extends the last, and
+their generators append only the new part:
+
+* a fixed point fills one buffer, appending to w_n = m(w_(n-1)) the image
+  of the letters w_n added to w_(n-1);
+* a characteristic word is the limit of the standard words
+  s_n = s_(n-1)^(a_n) s_(n-2), built by bytes repetition.  Each slope
+  keeps one grow-only prefix of its characteristic word beside its
+  grow-only convergent cache (both on the ``ContinuedFraction``, grown
+  under one lock), and every characteristic prefix is a slice of it.
+
+The other generators build their prefixes from whole-array operations.
 """
 
 import json
@@ -23,7 +33,8 @@ from typing import Union
 
 import numpy as np
 
-from .contfrac import ContinuedFraction, _is_json_int, _wire_object, floor_range
+from .contfrac import (_CACHE_GROWTH, ContinuedFraction, _is_json_int, _pq_at,
+                       _wire_object)
 
 __all__ = [
     "BudgetError",
@@ -296,17 +307,26 @@ def fixed_point(m: Morphism, seed: int, length: int,
                 budget: int = DEFAULT_SYMBOL_BUDGET) -> WordPrefix:
     """Length-``length`` prefix of the fixed point of ``m`` starting at ``seed``.
 
-    Iterates the morphism on the seed letter until the image is long
-    enough, then truncates.
+    The iterates w_0 = seed, w_(n+1) = m(w_n) each extend the last, and
+    m(w_n) = w_n m(w_n[|w_(n-1)|:]).  So one buffer is filled by mapping
+    only the letters the previous round added, and of those only as many
+    as the length still needs.
     """
     recipe = FixedPoint(m, seed)
     if not m.is_prolongable(seed):
         raise ValueError(f"morphism is not prolongable on letter {seed}")
     _check_budget(length, budget)
-    w = np.array([seed], dtype=np.uint8)
-    while len(w) < length:
-        w = m._gather(w[:length])
-    return WordPrefix(m.alphabet_size, w[:length].tobytes(), recipe)
+    w = np.empty(length, dtype=np.uint8)
+    first = np.frombuffer(m.images[seed], dtype=np.uint8)[:length]
+    w[:len(first)] = first
+    old, end = 1, len(first)  # w[:old] is w_(n-1), w[:end] is w_n
+    shortest = min(map(len, m.images))
+    while end < length:
+        take = min(end - old, -(-(length - end) // shortest))
+        image = m._gather(w[old:old + take])[:length - end]
+        w[end:end + len(image)] = image
+        old, end = end, end + len(image)
+    return WordPrefix(m.alphabet_size, w.tobytes(), recipe)
 
 
 def apply_morphism(m: Morphism, w: WordPrefix) -> WordPrefix:
@@ -322,15 +342,58 @@ def characteristic_prefix(alpha: ContinuedFraction, length: int,
 
     Position j (0-based) holds floor((j+2)*alpha) - floor((j+1)*alpha),
     i.e. the letter the classical 1-based definition assigns to j+1.
+    The prefix is a slice of the slope's grow-only cache, which at least
+    doubles whenever it grows.  A finite expansion serves only lengths
+    below q - 2 for its last convergent denominator q, and beyond that
+    raises :class:`InsufficientPrecisionError`.
     """
     _check_budget(length, budget)
     recipe = Characteristic(alpha)
     if length == 0:
         return WordPrefix(2, b"", recipe)
-    # floors may be an object array of exact ints; the differences are 0/1
-    floors = floor_range(alpha, length + 1)
-    sym = np.diff(floors)[1:].astype(np.uint8).tobytes()
-    return WordPrefix(2, sym, recipe)
+    need = length + 3  # some q_n > length + 2, the finite-expansion rule
+    word = alpha._word[0]
+    if len(word) < need:
+        with _CACHE_GROWTH:
+            word = alpha._word[0]
+            if len(word) < need:
+                # a finite expansion grows no further than asked, so it
+                # asks for no term the length does not need
+                want = max(need, 2 * len(word)) if alpha.is_unbounded else need
+                word = alpha._word[0] = _grow_characteristic(alpha, word, want)
+    return WordPrefix(2, word[:length], recipe)
+
+
+def _grow_characteristic(alpha: ContinuedFraction, word: bytes,
+                         want: int) -> bytes:
+    """Extend ``word``, a prefix of the characteristic word of ``alpha``,
+    to at least ``want`` symbols.
+
+    With s_(-1) = 1, s_0 = 0, s_1 = s_0^(a_1 - 1) s_(-1) and
+    s_(i+1) = s_i^(a_(i+1)) s_(i-1), the word begins with every s_i
+    (i >= 1), which has length q_i.  ``word`` always ends on a whole copy
+    of some s_i inside s_(i+1), so its length is a multiple of q_i below
+    q_(i+1), which finds i.  For i >= 1, s_i is the length-q_i prefix of
+    ``word``, and so is s_(i-1) for i >= 2; s_0 and s_(-1) are literals.
+    A repeat count is capped at what ``want`` still needs, so a huge
+    partial quotient costs nothing.
+    """
+    out = bytearray(word)
+    while len(out) < want:
+        n, i = len(out), 0
+        while n and _pq_at(alpha, i + 1)[1] <= n:
+            i += 1
+        if i == 0:
+            unit, reps, tail = b"\0", alpha.term(1) - 1, b"\1"
+        else:
+            unit, reps = out[:_pq_at(alpha, i)[1]], alpha.term(i + 1)
+            tail = out[:_pq_at(alpha, i - 1)[1]] if i > 1 else b"\0"
+        done = n // len(unit)
+        upto = min(reps, -(-want // len(unit)))
+        out += unit * (upto - done)
+        if upto == reps:
+            out += tail
+    return bytes(out)
 
 
 def champernowne_prefix(length: int,
@@ -345,13 +408,20 @@ def champernowne_prefix(length: int,
     while total < length:
         lo = 0 if b == 1 else 1 << (b - 1)
         count = min((1 << b) - lo, -(-(length - total) // b))
-        nums = np.arange(lo, lo + count, dtype=np.int64)
-        shifts = np.arange(b - 1, -1, -1, dtype=np.int64)
-        blocks.append(((nums[:, None] >> shifts) & 1).astype(np.uint8).ravel())
+        blocks.append((lo, count, b))
         total += count * b
         b += 1
-    sym = np.concatenate(blocks)[:length].tobytes() if blocks else b""
-    return WordPrefix(2, sym, Champernowne())
+    # filled one bit column at a time, so no temporary is wider than a
+    # column of one block
+    out = np.empty(total, dtype=np.uint8)
+    start = 0
+    for lo, count, b in blocks:
+        rows = out[start:start + count * b].reshape(count, b)
+        nums = np.arange(lo, lo + count, dtype=np.int64)
+        for j in range(b):
+            rows[:, j] = (nums >> (b - 1 - j)) & 1
+        start += count * b
+    return WordPrefix(2, out[:length].tobytes(), Champernowne())
 
 
 def max_complexity_prefix(length: int,
@@ -425,16 +495,31 @@ def _explicit_prefix(r: Explicit, length: int, budget: int) -> WordPrefix:
     return WordPrefix(p, r.symbols[:length], r)
 
 
+def _unnest(recipe: WordRecipe) -> tuple[list, WordRecipe]:
+    """The literal-prepend levels around ``recipe``, outermost first, and
+    the recipe they wrap.  Nested levels are walked in a loop, never by
+    recursion, so any nesting depth is served."""
+    levels = []
+    while type(recipe) is LiteralPrepend:
+        levels.append(recipe)
+        recipe = recipe.inner
+    return levels, recipe
+
+
 def _prepend_prefix(r: LiteralPrepend, length: int, budget: int) -> WordPrefix:
-    head = r.prefix[:length]
-    tail = prefix_of(r.inner, length - len(head), budget)
-    p = max(tail.alphabet_size, _max_letter(r.prefix) + 1)
-    return WordPrefix(p, head + tail.symbols, r)
+    levels, inner = _unnest(r)
+    head = b"".join(level.prefix for level in levels)
+    tail = prefix_of(inner, length - min(length, len(head)), budget)
+    p = max(tail.alphabet_size, _max_letter(head) + 1)
+    return WordPrefix(p, head[:length] + tail.symbols, r)
 
 
 # One row per kind: its class, its wire name, ``dump`` (the wire fields
 # after ``kind``, in wire order, an absent optional field as None),
 # ``parse`` (from a wire dict) and ``generate`` (recipe, length, budget).
+# ``dump`` and ``parse`` handle one level: a literal-prepend's ``inner`` is
+# dumped and parsed by recipe_to_dict and recipe_from_dict, which loop
+# over the nested levels.
 _Kind = namedtuple("_Kind", "cls name dump parse generate")
 _KINDS = (
     _Kind(FixedPoint, "fixed-point",
@@ -467,10 +552,8 @@ _KINDS = (
           lambda d: Hubert(ContinuedFraction.from_dict(d["slope"])),
           lambda r, n, budget: hubert_ternary(r.slope, n, budget)),
     _Kind(LiteralPrepend, "literal-prepend",
-          lambda r: {"prefix": _format_digits(r.prefix),
-                     "inner": recipe_to_dict(r.inner)},
-          lambda d: LiteralPrepend(_parse_digits(d["prefix"]),
-                                   recipe_from_dict(d["inner"])),
+          lambda r: {"prefix": _format_digits(r.prefix), "inner": r.inner},
+          lambda d: LiteralPrepend(_parse_digits(d["prefix"]), d["inner"]),
           _prepend_prefix),
 )
 _BY_CLASS = {k.cls: k for k in _KINDS}
@@ -491,18 +574,38 @@ def prefix_of(recipe: WordRecipe, length: int,
     return _kind_of(recipe).generate(recipe, length, budget)
 
 
-def recipe_to_dict(recipe: WordRecipe) -> dict:
+def _dump(recipe: WordRecipe) -> dict:
     kind = _kind_of(recipe)
     fields = kind.dump(recipe).items()
     return {"kind": kind.name, **{k: v for k, v in fields if v is not None}}
 
 
-def recipe_from_dict(d: dict) -> WordRecipe:
-    """Parse a wire recipe; a wrong type raises ValueError."""
+def recipe_to_dict(recipe: WordRecipe) -> dict:
+    levels, inner = _unnest(recipe)
+    d = _dump(inner)
+    for level in reversed(levels):
+        d = {**_dump(level), "inner": d}
+    return d
+
+
+def _wire_kind(d) -> _Kind:
     kind = _wire_object(d, "recipe").get("kind")
     if not isinstance(kind, str) or kind not in _BY_NAME:
         raise ValueError(f"unknown recipe kind {kind!r}")
-    return _BY_NAME[kind].parse(d)
+    return _BY_NAME[kind]
+
+
+def recipe_from_dict(d: dict) -> WordRecipe:
+    """Parse a wire recipe; a wrong type raises ValueError.  Nested
+    literal-prepend levels are walked in a loop, never by recursion."""
+    levels = []
+    while (kind := _wire_kind(d)).cls is LiteralPrepend:
+        levels.append(d)
+        d = d["inner"]
+    recipe = kind.parse(d)
+    for level in reversed(levels):
+        recipe = _BY_CLASS[LiteralPrepend].parse({**level, "inner": recipe})
+    return recipe
 
 
 def recipe_from_json(text: str) -> WordRecipe:

@@ -77,6 +77,36 @@ class TestGenerate:
             assert json.dumps(recipe_to_dict(recipe_from_dict(d))) == \
                 json.dumps(d)
 
+    @pytest.mark.parametrize("flags", [["generate", "--len", "3", "--recipe"],
+                                       ["powers", "sturmian", "--k", "2",
+                                        "--slope"]])
+    def test_unreadable_path_is_usage_error(self, capsys, tmp_path, flags):
+        # an existing path that cannot be read as a file: a directory
+        code, out, err = run(capsys, *flags, str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
+    def test_deeply_nested_recipe_file(self, capsys, tmp_path):
+        d = {"kind": "periodic", "pattern": "01"}
+        for _ in range(700):
+            d = {"kind": "literal-prepend", "prefix": "2", "inner": d}
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(d))
+        code, out, err = run(capsys, "generate", "--recipe", str(path),
+                             "--len", "703")
+        assert code == 0 and out == "2" * 700 + "010\n" and err == ""
+
+    def test_too_deep_for_json_is_usage_error(self, capsys, tmp_path):
+        depth = 100000
+        path = tmp_path / "deeper.json"
+        path.write_text('{"kind": "literal-prepend", "prefix": "2", "inner": '
+                        * depth + '{"kind": "periodic", "pattern": "01"}'
+                        + "}" * depth)
+        code, out, err = run(capsys, "generate", "--recipe", str(path),
+                             "--len", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad recipe") and err.count("\n") == 1
+
     def test_bad_recipe_is_usage_error(self, capsys):
         code, _, err = run(capsys, "generate", "--recipe", "nonsense",
                            "--len", "4")
@@ -149,6 +179,14 @@ class TestPowers:
         cert = json.loads(out)
         assert (cert["start"], cert["period"]) == (3, 5)
         assert cert["recipe"]["kind"] == "fixed-point"
+
+    @pytest.mark.parametrize("M", ["3000000000", "100000000000"])
+    def test_vdw_huge_weights_find_nothing(self, capsys, M):
+        # N = (M + 1)**2 exceeds every block's weight sum at this length
+        code, out, err = run(capsys, "powers", "vdw", "--recipe", "tm",
+                             "--k", "2", "--M", M, "--prefix-len", "4096")
+        assert (code, out, err) == (
+            1, "no abelian power found within the prefix\n", "")
 
     def test_sturmian_certificate(self, capsys, golden):
         from abelianwords.powers import sturmian_period_pair

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from test_contfrac import (oracle_affine_sign, oracle_floor_scaled,
                            oracle_frac_less_than)
 
-from abelianwords import powers
+from abelianwords import powers, words
 from abelianwords.complexity import abelian_equivalent, balance_bound, parikh
 from abelianwords.contfrac import AffineThreshold, ContinuedFraction
 from abelianwords.powers import (AbelianPowerOccurrence, PeriodPair,
@@ -71,6 +71,20 @@ def oracle_power_at(alpha, i, k, delta=HALF_ALPHA):
               for j in range(k)]
     assert len(set(blocks)) == 1
     return AbelianPowerOccurrence(i - 1, ell, k, blocks[0])
+
+
+def reference_vdw(symbols, k, weights):
+    """The nu-progression scan in Python ints: smallest s, then smallest
+    t0, with nu(t0) = nu(t0 + s) = ... = nu(t0 + k*s), or None."""
+    nu = [0]
+    for a in symbols:
+        nu.append((nu[-1] + weights.alphas[a]) % weights.N)
+    for s in range(1, len(symbols) // k + 1):
+        for t0 in range(len(symbols) - k * s + 1):
+            if nu[t0 + s] == nu[t0] and all(
+                    nu[t0 + j * s] == nu[t0] for j in range(2, k + 1)):
+                return t0, s
+    return None
 
 
 class TestVerify:
@@ -153,6 +167,18 @@ class TestVdwSearch:
         occ = vdw_power_search(w, 3, congo_weights(1, 2))
         assert (occ.start, occ.period, occ.exponent) == (0, 3, 3)
         assert verify_abelian_power(w, occ.start, occ.period, 3)
+
+    @pytest.mark.parametrize("M", [2, 10**3, 3 * 10**9, 10**11])
+    def test_matches_python_int_scan(self, M, tm4096):
+        # past N * L = 2**63 the running sums leave int64
+        weights = congo_weights(M, 2)
+        for length, k in ((0, 2), (1, 2), (37, 3), (500, 3), (4096, 2)):
+            w = WordPrefix(2, tm4096.symbols[:length])
+            occ = vdw_power_search(w, k, weights)
+            found = None if occ is None else (occ.start, occ.period)
+            assert found == reference_vdw(w.symbols, k, weights), (length, k)
+            if M > 10**9:  # N = (M + 1)**2 outweighs any block here
+                assert found is None
 
     def test_alphabet_mismatch(self, tm4096):
         with pytest.raises(ValueError, match="letters"):
@@ -283,6 +309,26 @@ class TestSturmianPowerAt:
                 for k in (2, 5):
                     sturmian_power_at(alpha, i, k)
         assert made == [slopes[0], slopes[2]]
+
+    def test_many_certificates_grow_the_word_cache_logarithmically(
+            self, monkeypatch):
+        grown = []
+        grow = words._grow_characteristic
+
+        def counting(alpha, word, want):
+            grown.append(want)
+            return grow(alpha, word, want)
+
+        monkeypatch.setattr(words, "_grow_characteristic", counting)
+        alpha = ContinuedFraction((2,), (1,))  # fresh caches
+        rng = random.Random(7000)
+        longest = 0
+        for i in rng.sample(range(1, 4097), 1000):
+            for k in range(2, 9):
+                occ = sturmian_power_at(alpha, i, k)
+                longest = max(longest, occ.start + k * occ.period)
+        assert len(alpha._word[0]) >= longest
+        assert len(grown) <= longest.bit_length() + 1
 
     def test_block_parikh_is_of_first_block(self, golden):
         occ = sturmian_power_at(golden, 4, 2)

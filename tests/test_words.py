@@ -1,14 +1,19 @@
 import json
 import random
+import sys
+import threading
+from itertools import product
 from typing import get_args
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abelianwords import words
 from abelianwords.contfrac import (AffineThreshold, ContinuedFraction,
-                                   floor_range, frac_less_than)
+                                   InsufficientPrecisionError, floor_range,
+                                   frac_less_than)
 from abelianwords.words import (CONSTANT3, FIBONACCI, THUE_MORSE, BudgetError,
                                 Champernowne, Characteristic, Explicit,
                                 FixedPoint, Hubert, LiteralPrepend,
@@ -63,6 +68,34 @@ def iterate_fixed_point(m, seed, length):
     return w[:length]
 
 
+def whole_word_fixed_point(m, seed, length):
+    """The array generator fixed_point replaced: re-map the whole word,
+    up to the length, every round."""
+    w = np.array([seed], dtype=np.uint8)
+    while len(w) < length:
+        w = m._gather(w[:length])
+    return w[:length].tobytes()
+
+
+def floor_characteristic(cf, length):
+    """Characteristic prefix from floor((j+2)*alpha) - floor((j+1)*alpha),
+    or "raises" where floor_range runs out of terms."""
+    if length == 0:
+        return b""
+    try:
+        floors = floor_range(cf, length + 1)
+    except InsufficientPrecisionError:
+        return "raises"
+    return bytes(int(b - a) for a, b in zip(floors[1:], floors[2:]))
+
+
+def characteristic_or_raises(cf, length):
+    try:
+        return characteristic_prefix(cf, length).symbols
+    except InsufficientPrecisionError:
+        return "raises"
+
+
 def iterate_lengths(m, seed, length):
     """Lengths of the iterates m^k(seed) up to the first >= length."""
     w = bytes([seed])
@@ -105,6 +138,29 @@ def morphisms_and_words(draw):
                    for n in lengths)
     symbols = bytes(draw(st.lists(letter, max_size=60)))
     return Morphism(images), symbols
+
+
+@st.composite
+def prolongable_morphisms(draw):
+    """A morphism over p <= 3 letters, image lengths 1..4, prolongable on 0."""
+    p = draw(st.integers(1, 3))
+    letter = st.integers(0, p - 1)
+    images = [bytes([0] + draw(st.lists(letter, min_size=1, max_size=3)))]
+    images += [bytes(draw(st.lists(letter, min_size=1, max_size=4)))
+               for _ in range(1, p)]
+    return Morphism(tuple(images))
+
+
+@st.composite
+def slope_terms(draw):
+    """(preperiod, period) with terms in 1..5, now and then with one term
+    in 10**18..10**20 somewhere in the preperiod."""
+    pre = draw(st.lists(st.integers(1, 5), max_size=4))
+    period = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        pre.insert(draw(st.integers(0, len(pre))),
+                   draw(st.integers(10**18, 10**20)))
+    return tuple(pre), tuple(period)
 
 
 @st.composite
@@ -162,6 +218,12 @@ class TestFixedPoint:
             for length in (size - 1, size, size + 1):
                 assert fixed_point(m, 0, length).symbols == \
                     iterate_fixed_point(m, 0, length)
+
+    @settings(max_examples=300, deadline=None)
+    @given(prolongable_morphisms(), st.integers(0, 3000))
+    def test_matches_whole_word_iteration(self, m, length):
+        assert fixed_point(m, 0, length).symbols == \
+            whole_word_fixed_point(m, 0, length)
 
 
 class TestApplyMorphism:
@@ -235,6 +297,58 @@ class TestCharacteristic:
         t = AffineThreshold(1, -1)
         for n in range(1, length + 1):
             assert (w.symbols[n - 1] == 0) == frac_less_than(cf, n, t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(slope_terms(), st.lists(st.integers(0, 5000), min_size=1,
+                                   max_size=6))
+    def test_matches_floor_oracle_in_any_order(self, terms, lengths):
+        # one fresh slope serves every length, so its cache grows from
+        # whatever the earlier requests left; the oracle's slope is another
+        # instance, so it shares no cache with it
+        cf = ContinuedFraction(*terms)
+        for length in lengths:
+            assert characteristic_prefix(cf, length).symbols == \
+                floor_characteristic(ContinuedFraction(*terms), length)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_finite_expansion_raises_where_floors_do(self, size):
+        # lengths rise on one instance, so the cache grows at every step
+        for terms in product(range(1, 5), repeat=size):
+            cf, ref = ContinuedFraction(terms), ContinuedFraction(terms)
+            for length in range(ref.convergent(size).q + 6):
+                assert characteristic_or_raises(cf, length) == \
+                    floor_characteristic(ref, length), (terms, length)
+
+    def test_threads_growing_one_slope_match_oracle(self):
+        rng = random.Random(8)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for a in (3, 4, 5):
+                terms = ((a, 2), (1, 3))
+                shared = ContinuedFraction(*terms)
+                asks = [[rng.randint(0, 20000) for _ in range(20)]
+                        for _ in range(8)]
+                results = [None] * 8
+                barrier = threading.Barrier(8)
+
+                def run(slot):
+                    barrier.wait()
+                    results[slot] = [characteristic_prefix(shared, n).symbols
+                                     for n in asks[slot]]
+
+                threads = [threading.Thread(target=run, args=(slot,))
+                           for slot in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                longest = floor_characteristic(ContinuedFraction(*terms),
+                                               20000)
+                assert results == [[longest[:n] for n in ask] for ask in asks]
+        finally:
+            sys.setswitchinterval(old)
 
     def test_complement_exchanges_letters(self, golden):
         w = characteristic_prefix(golden, 2000).as_array()
@@ -390,6 +504,20 @@ class TestRecipeSchema:
     def test_wrong_wire_type_is_value_error(self, d):
         with pytest.raises(ValueError):
             recipe_from_dict(d)
+
+    @pytest.mark.parametrize("depth", [700, 5000])
+    def test_deep_literal_prepend_nesting(self, depth):
+        d = {"kind": "periodic", "pattern": "01"}
+        for i in range(depth):
+            d = {"kind": "literal-prepend", "prefix": str(i % 3), "inner": d}
+        r = recipe_from_dict(d)
+        heads = bytes(i % 3 for i in reversed(range(depth)))
+        assert prefix_of(r, depth + 5).symbols == heads + bytes([0, 1, 0, 1, 0])
+        assert prefix_of(r, 9).symbols == heads[:9]
+        assert prefix_of(r, depth + 5).alphabet_size == 3
+        dumped = recipe_to_dict(r)
+        if depth < 1000:  # comparing nested dicts recurses once per level
+            assert dumped == d
 
     def test_wire_format(self):
         r = recipe_from_json(
