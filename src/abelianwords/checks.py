@@ -5,6 +5,15 @@ independently re-checkable witness on failure.  A verdict is always a
 statement about the prefix that was inspected: aperiodicity and other
 infinite-word hypotheses cannot be decided from a prefix, so a pass means
 "consistent with the claim on this prefix", never more.
+
+The prefix inspected for a recipe is ``inspected_length``: the shorter of
+``DEFAULT_MARGIN * n_max`` and the factor-complete length of
+:func:`abelianwords.words.complete_prefix_length`, where the recipe has
+one.  A factor-complete prefix holds every factor of length <= n_max of
+the infinite word, so a statement about its factors of those lengths (a
+profile, a balance bound) is one about the word, and reads the same on
+any longer prefix.  Recipes without a known bound (Hubert, explicit,
+Champernowne, max-complexity) keep the margin.
 """
 
 from dataclasses import dataclass
@@ -13,11 +22,12 @@ from typing import Union
 import numpy as np
 
 from .complexity import abelian_profile, parikh
-from .words import WordPrefix, WordRecipe, prefix_of
+from .words import WordPrefix, WordRecipe, complete_prefix_length, prefix_of
 
 __all__ = [
     "CheckReport",
     "MuDecomposition",
+    "inspected_length",
     "mu_preimage_decompose",
     "periodicity_via_parikh",
     "rauzy_constant3_check",
@@ -26,6 +36,17 @@ __all__ = [
 ]
 
 DEFAULT_MARGIN = 64
+
+
+def inspected_length(recipe: WordRecipe, n_max: int,
+                     margin: int = DEFAULT_MARGIN) -> int:
+    """The prefix length to inspect for claims on lengths <= n_max: the
+    factor-complete length where the recipe has one, capped at
+    ``margin * n_max``."""
+    complete = complete_prefix_length(recipe, n_max)
+    if complete is None:
+        return margin * n_max
+    return min(complete.length, margin * n_max)
 
 
 @dataclass(frozen=True)
@@ -151,9 +172,10 @@ def special_factor_witnesses(w: WordPrefix, k: int):
 def rauzy_constant3_check(recipe: WordRecipe, n_max: int,
                           prefix_len: Union[int, None] = None,
                           margin: int = DEFAULT_MARGIN) -> CheckReport:
-    """Check rho_ab(n) = 3 for n = 1..n_max on a prefix of the recipe."""
+    """Check rho_ab(n) = 3 for n = 1..n_max on a prefix of the recipe, by
+    default of ``inspected_length(recipe, n_max, margin)`` symbols."""
     if prefix_len is None:
-        prefix_len = margin * n_max
+        prefix_len = inspected_length(recipe, n_max, margin)
     w = prefix_of(recipe, prefix_len)
     prof = abelian_profile(w, n_max)
     for n in range(1, n_max + 1):

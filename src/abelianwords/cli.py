@@ -42,6 +42,8 @@ RECIPE_PRESETS = {
     "hubert-golden": {"kind": "hubert", "slope": SLOPE_PRESETS["golden"]},
     "rauzy-morphism": {"kind": "fixed-point", "morphism": {"0": "01", "1": "0"},
                        "seed": "0", "post": {"0": "012", "1": "021"}},
+    "tribonacci": {"kind": "fixed-point",
+                   "morphism": {"0": "01", "1": "02", "2": "0"}, "seed": "0"},
 }
 
 
@@ -98,7 +100,7 @@ def cmd_generate(args) -> int:
 
 def cmd_profile(args) -> int:
     recipe = _load_recipe(args.recipe)
-    prefix_len = args.prefix_len or 64 * args.nmax
+    prefix_len = args.prefix_len or checks.inspected_length(recipe, args.nmax)
     w = words.prefix_of(recipe, prefix_len)
     prof = complexity.profile(w, args.nmax)
     lines = ["n,rho_ab,rho,balance_running"]
@@ -174,8 +176,14 @@ def _report_csv(reports) -> str:
 def cmd_verify(args) -> int:
     n_max = args.nmax
     if args.claim == "thue-morse":
-        w = words.prefix_of(_load_recipe("tm"), 64 * n_max)
-        reports = [checks.tm_profile_check(w, n_max)]
+        recipe = _load_recipe("tm")
+        length = checks.inspected_length(recipe, n_max)
+        w = words.prefix_of(recipe, length)
+        # the prefix is factor-complete or has the full margin, either way
+        # long enough: its own length is the margin it is checked with
+        # (an n_max below 1 is refused by the check itself)
+        margin = length // max(n_max, 1)
+        reports = [checks.tm_profile_check(w, n_max, margin=margin)]
     elif args.claim == "rauzy":
         preset = "hubert-golden" if args.variant == "hubert" else "rauzy-morphism"
         reports = [checks.rauzy_constant3_check(_load_recipe(preset), n_max)]
@@ -212,7 +220,10 @@ def build_parser():
     p = sub.add_parser("profile", help="CSV of n, rho_ab, rho, running balance")
     p.add_argument("--recipe", required=True)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--prefix-len", type=int, dest="prefix_len")
+    p.add_argument("--prefix-len", type=int, dest="prefix_len",
+                   help="symbols to inspect (default: a prefix holding every "
+                        "factor of length <= nmax where the recipe has a "
+                        "known bound, capped at 64 * nmax)")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted and ignored (the profile is one pass)")
     p.add_argument("--out")

@@ -12,6 +12,7 @@ prefix sums built once per word give each length-n window's letter counts,
 and each letter's minimum and radix (max - min + 1) over those windows.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Union
@@ -37,9 +38,9 @@ ParikhVector = tuple[int, ...]
 
 Wordlike = Union[WordPrefix, bytes, bytearray, str, Iterable[int]]
 
-# class codes are counted with bincount while the code space is at most
-# this many times the window count, and sorted (np.unique) beyond it
-_BINCOUNT_SPACE = 4
+# class codes are counted by marking flags while the code space is at most
+# this many times the window count, and by sorting beyond it
+_FLAG_SPACE = 4
 
 
 def _coerce(word: Wordlike, alphabet_size=None) -> tuple[bytes, int]:
@@ -79,12 +80,13 @@ def _require_range(n_max: int, length: int, n_min: int = 1):
 def _window_stats(w: Wordlike, n_max: int, n_min: int = 1):
     """The window pass over ``w``: ``(symbols, p, stats)``.
 
-    ``stats`` yields ``(counts, lo, radix)`` for n = n_min..n_max: the
-    tracked letters' counts in each length-n window (one reused buffer),
-    their minima and their radices.  A binary word's two counts sum to n
-    and share one radix, so for p <= 2 only the last letter is tracked.
-    The sums wrap in the narrowest unsigned dtype holding n_max + 1, which
-    leaves every window's count, a difference of two sums, exact.
+    ``stats`` yields ``(counts, lo, radix, scratch)`` for n = n_min..n_max:
+    the tracked letters' counts in each length-n window (one reused
+    buffer), their minima, their radices, and the scratch buffers the
+    class count works in.  A binary word's two counts sum to n and share
+    one radix, so for p <= 2 only the last letter is tracked.  The sums
+    wrap in the narrowest unsigned dtype holding n_max + 1, which leaves
+    every window's count, a difference of two sums, exact.
     """
     symbols, p = _coerce(w)
     L = len(symbols)
@@ -95,41 +97,63 @@ def _window_stats(w: Wordlike, n_max: int, n_min: int = 1):
     for row, a in zip(cum, letters):
         np.cumsum(arr == a, dtype=cum.dtype, out=row[1:])
     buf = np.empty((len(letters), L), dtype=cum.dtype)
+    # allocated once per pass; pages no step touches are never faulted in
+    scratch = _Scratch(np.empty(L, dtype=np.int64),
+                       np.empty(_FLAG_SPACE * L, dtype=bool))
 
     def stats():
         for n in range(n_min, n_max + 1):
             k = L - n + 1
             counts = np.subtract(cum[:, n:], cum[:, :k], out=buf[:, :k])
             lo = counts.min(axis=1)
-            yield counts, lo, counts.max(axis=1) - lo + 1
+            yield counts, lo, counts.max(axis=1) - lo + 1, scratch
     return symbols, p, stats()
 
 
-def _class_codes(counts, lo, radix) -> tuple[np.ndarray, int]:
-    """Per-window int64 codes, equal exactly when the Parikh vectors are,
-    and the size of their code space: the counts, offset by their minima,
-    in mixed radix.  Of several rows the last (n minus the rest) is left
-    out; the code is compacted to dense ranks before it would pass int64."""
-    code = (counts[0] - lo[0]).astype(np.int64)
+# ``codes`` holds one int64 class code per window, ``flags`` one bool per
+# code of a code space counted by marking (at least one per window)
+_Scratch = namedtuple("_Scratch", "codes flags")
+
+
+def _class_codes(counts, lo, radix, scratch) -> tuple[np.ndarray, int]:
+    """Per-window int64 codes, written into ``scratch.codes`` and equal
+    exactly when the Parikh vectors are, and the size of their code space:
+    the counts, offset by their minima, in mixed radix.  Of several rows
+    the last (n minus the rest) is left out; the code is compacted to
+    dense ranks before it would pass int64."""
+    code = scratch.codes[:counts.shape[1]]
+    np.subtract(counts[0], lo[0], out=code)
     space = int(radix[0])
     for a in range(1, max(len(counts) - 1, 1)):
         r = int(radix[a])
         if space * r > 2**63:
-            ranks, code = np.unique(code, return_inverse=True)
+            ranks, code[:] = np.unique(code, return_inverse=True)
             space = len(ranks)
-        code = code * r + (counts[a] - lo[a])
+        # every partial value lies in (-lo[a], space * r), inside int64
+        code *= r
+        code -= int(lo[a])
+        code += counts[a]
         space *= r
     return code, space
 
 
-def _class_count(counts, lo, radix) -> int:
-    """Distinct Parikh vectors among the windows of one step of the pass."""
+def _class_count(counts, lo, radix, scratch) -> int:
+    """Distinct Parikh vectors among the windows of one step of the pass.
+
+    A code space at most ``_FLAG_SPACE`` times the window count is
+    counted by marking each code in ``scratch.flags``; a larger one by
+    sorting the codes in place and counting where neighbours differ."""
     if len(counts) == 1:
         return int(radix[0])
-    code, space = _class_codes(counts, lo, radix)
-    if space <= _BINCOUNT_SPACE * code.size:
-        return int(np.count_nonzero(np.bincount(code)))
-    return len(np.unique(code))
+    code, space = _class_codes(counts, lo, radix, scratch)
+    if space <= _FLAG_SPACE * code.size:
+        seen = scratch.flags[:space]
+        seen[:] = False
+        seen[code] = True
+        return int(np.count_nonzero(seen))
+    code.sort()
+    differs = np.not_equal(code[1:], code[:-1], out=scratch.flags[:code.size - 1])
+    return 1 + int(np.count_nonzero(differs))
 
 
 def abelian_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
@@ -137,9 +161,9 @@ def abelian_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
 
     Read off the window pass.  A count moves by at most one per slide, so
     a single tracked count (p <= 2) takes every value in its range and the
-    class count is its radix.  For p >= 3 the class codes are counted with
-    ``np.bincount`` while their space is a small multiple of the window
-    count, and with ``np.unique`` beyond it.
+    class count is its radix.  For p >= 3 the class codes are counted by
+    marking a flag per code while their space is a small multiple of the
+    window count, and by an in-place sort beyond it.
     """
     _, _, stats = _window_stats(w, n_max, n_min)
     return [_class_count(*step) for step in stats]
@@ -149,8 +173,9 @@ def parikh_classes(w: Wordlike, n: int) -> set[ParikhVector]:
     """The exact set of Parikh vectors of the length-n windows, each read
     off the first window of its class."""
     _, p, stats = _window_stats(w, n, n)
-    counts, lo, radix = next(stats)
-    _, first = np.unique(_class_codes(counts, lo, radix)[0], return_index=True)
+    counts, lo, radix, scratch = next(stats)
+    code, _ = _class_codes(counts, lo, radix, scratch)
+    _, first = np.unique(code, return_index=True)
     vectors = counts[:, first]
     if p == 2:  # only letter 1 is tracked
         vectors = np.vstack([n - vectors, vectors])
@@ -174,13 +199,19 @@ def subword_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
     symbols, _ = _coerce(w)
     L = len(symbols)
     _require_range(n_max, L, n_min)
-    levels = _rank_levels(symbols, (n_max - 1).bit_length())
-    order = np.argsort(levels[-1][:L], kind="stable")
+    levels, order = _rank_levels(symbols, (n_max - 1).bit_length())
     a, b = order[:-1], order[1:]
+    # binary lifting over scratch buffers reused at every level: at each
+    # pair's current LCP, add 2^j where the next 2^j symbols agree too
     lcp = np.zeros(L - 1, dtype=np.int64)
+    at_a, at_b = np.empty_like(lcp), np.empty_like(lcp)
+    rank_a, rank_b = np.empty((2, L - 1), dtype=levels[0].dtype)
     for j in range(len(levels) - 1, -1, -1):
-        lev = levels[j]
-        lcp += (lev[a + lcp] == lev[b + lcp]).astype(np.int64) << j
+        np.take(levels[j], np.add(a, lcp, out=at_a), out=rank_a)
+        np.take(levels[j], np.add(b, lcp, out=at_b), out=rank_b)
+        agree = np.equal(rank_a, rank_b, out=at_a)  # at_a is free again
+        agree <<= j
+        lcp += agree
     lo = np.concatenate(([0], np.minimum(lcp, n_max)))
     hi = np.minimum(L - order, n_max)
     starts = (np.bincount(lo + 1, minlength=n_max + 2)
@@ -188,14 +219,19 @@ def subword_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
     return np.cumsum(starts)[n_min:n_max + 1].tolist()
 
 
-def _rank_levels(symbols: bytes, top: int) -> list[np.ndarray]:
-    """Order-preserving ranks of every window of length 2^j, j = 0..top.
+def _rank_levels(symbols: bytes, top: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Order-preserving ranks of every window of length 2^j, j = 0..top,
+    and the positions sorted by their level-``top`` rank.
 
     ``levels[j][i]`` ranks the window of length 2^j at position i, padded
     past the end with a sentinel below every letter; index L holds the
     sentinel rank 0 itself, and every real window ranks >= 1.  Two
     windows get the same rank exactly when they are equal, and a padded
-    window equals no window at another position.
+    window equals no window at another position.  Each level ranks the
+    pairs of the last one's ranks: one argsort, then dense ranks from
+    where the sorted pair codes change, scattered back; the pair codes,
+    their sorted copy and the change flags are buffers reused at every
+    level.
     """
     L = len(symbols)
     dtype = np.int32 if L < 2**31 - 2 else np.int64  # holds 0..L+1
@@ -203,23 +239,31 @@ def _rank_levels(symbols: bytes, top: int) -> list[np.ndarray]:
     lev[:L] = np.frombuffer(symbols, dtype=np.uint8)
     lev[:L] += 1
     levels = [lev]
+    order = np.argsort(lev[:L])
+    codes, ranks = np.empty((2, L), dtype=np.int64)
+    changes = np.empty(L, dtype=bool)
+    changes[0] = True
     for j in range(1, top + 1):
         half = 1 << (j - 1)
-        shifted = np.zeros(L, dtype=np.int64)
-        shifted[:L - half] = lev[half:L]
-        codes = lev[:L].astype(np.int64) * (int(lev.max()) + 1) + shifted
-        _, inv = np.unique(codes, return_inverse=True)
+        # a window's code: its first half's rank, then its second half's
+        codes[:] = lev[:L]
+        codes *= int(lev.max()) + 1
+        codes[:L - half] += lev[half:L]
+        order = np.argsort(codes)
+        sorted_codes = np.take(codes, order, out=ranks)
+        np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=changes[1:])
+        # ranks held the sorted codes, which are read by now
+        np.cumsum(changes, out=ranks)
         lev = np.zeros(L + 1, dtype=dtype)
-        lev[:L] = inv.reshape(-1)
-        lev[:L] += 1
+        lev[order] = ranks
         levels.append(lev)
-    return levels
+    return levels, order
 
 
 def balance_per_length(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
     """For each n, the largest per-letter count spread over length-n windows."""
     _, _, stats = _window_stats(w, n_max, n_min)
-    return [int(radix.max()) - 1 for _, _, radix in stats]
+    return [int(radix.max()) - 1 for _, _, radix, _ in stats]
 
 
 def balance_bound(w: Wordlike, n_max: int) -> int:
@@ -256,9 +300,9 @@ def profile(w: Wordlike, n_max: int, include_subword: bool = True) -> Complexity
     balance of one prefix; one window pass gives both rho_ab and balance.
     """
     symbols, _, stats = _window_stats(w, n_max)
-    rho_ab, per_length = zip(*[(_class_count(counts, lo, radix),
+    rho_ab, per_length = zip(*[(_class_count(counts, lo, radix, scratch),
                                 int(radix.max()) - 1)
-                               for counts, lo, radix in stats])
+                               for counts, lo, radix, scratch in stats])
     rho = subword_profile(symbols, n_max) if include_subword else None
     running = np.maximum.accumulate(per_length)
     return ComplexityProfile(

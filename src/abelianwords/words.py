@@ -8,7 +8,7 @@ word's classical 1-based positions are shifted internally, so public
 position j holds the letter the classical definition assigns to j+1.
 
 Each recipe kind is one row of the table ``_KINDS``: its wire name,
-serializer, parser and generator.
+serializer, parser, generator and factor-complete bound.
 
 Generation does no per-symbol Python work.  A morphism is applied by
 gathering rows of its image table with numpy.  Both word families of the
@@ -24,12 +24,17 @@ their generators append only the new part:
   under one lock), and every characteristic prefix is a slice of it.
 
 The other generators build their prefixes from whole-array operations.
+
+Where the recipe's word is uniformly recurrent with a known recurrence
+bound, a computable prefix already holds every factor of length <= n of
+the infinite word: ``complete_prefix_length`` gives that length with a
+witness that can be checked again, or None.
 """
 
 import json
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -40,6 +45,7 @@ __all__ = [
     "BudgetError",
     "Champernowne",
     "Characteristic",
+    "CompletePrefix",
     "DEFAULT_SYMBOL_BUDGET",
     "Explicit",
     "FixedPoint",
@@ -53,6 +59,7 @@ __all__ = [
     "apply_morphism",
     "champernowne_prefix",
     "characteristic_prefix",
+    "complete_prefix_length",
     "fixed_point",
     "hubert_ternary",
     "hubert_transform",
@@ -65,6 +72,7 @@ __all__ = [
     "DOUBLING",
     "FIBONACCI",
     "THUE_MORSE",
+    "TRIBONACCI",
 ]
 
 DEFAULT_SYMBOL_BUDGET = 1 << 26
@@ -185,6 +193,7 @@ class Morphism:
 
 THUE_MORSE = Morphism.from_strings({"0": "01", "1": "10"})
 FIBONACCI = Morphism.from_strings({"0": "01", "1": "0"})
+TRIBONACCI = Morphism.from_strings({"0": "01", "1": "02", "2": "0"})
 DOUBLING = Morphism.from_strings({"0": "00", "1": "11"})
 # sends any aperiodic binary word to a ternary word of constant Abelian
 # complexity 3
@@ -250,10 +259,25 @@ class Hubert:
     slope: ContinuedFraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiteralPrepend:
+    """``prefix`` followed by the word of ``inner``.  Equality and hashing
+    walk the nested levels in a loop, so any nesting depth is served."""
+
     prefix: bytes
     inner: "WordRecipe"
+
+    def _key(self) -> tuple:
+        levels, inner = _unnest(self)
+        return tuple(level.prefix for level in levels), inner
+
+    def __eq__(self, other):
+        if type(other) is not LiteralPrepend:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 WordRecipe = Union[FixedPoint, Characteristic, Periodic, Explicit,
@@ -450,10 +474,15 @@ def hubert_transform(inner: WordPrefix) -> WordPrefix:
     """
     if inner.alphabet_size > 2:
         raise ValueError("inner word must be binary")
-    is_zero = inner.as_array() == 0
-    # 0-based occurrence index of each 0; counting mod 256 keeps its parity
-    occ = np.cumsum(is_zero, dtype=np.uint8) - np.uint8(1)
-    out = np.where(is_zero, occ & np.uint8(1), np.uint8(2))
+    arr = inner.as_array()
+    # one buffer, worked in place: 1 at each 0, then the count of 0s so
+    # far (mod 256, which keeps its parity), then the parity of the 0-based
+    # occurrence index; the letters 1, read as a bool mask, become 2
+    out = np.subtract(1, arr, dtype=np.uint8)
+    np.cumsum(out, dtype=np.uint8, out=out)
+    out -= 1
+    out &= 1
+    np.copyto(out, 2, where=arr.view(bool))
     return WordPrefix(3, out.tobytes())
 
 
@@ -514,13 +543,122 @@ def _prepend_prefix(r: LiteralPrepend, length: int, budget: int) -> WordPrefix:
     return WordPrefix(p, head[:length] + tail.symbols, r)
 
 
+# ---------------------------------------------------------------------------
+# factor-complete prefixes.  Each ``complete`` row below takes a recipe and
+# n >= 1 and returns a CompletePrefix or None (no bound is known).
+
+class CompletePrefix(NamedTuple):
+    """A prefix length holding every factor of length <= n of the infinite
+    word, and the small witness the bound was computed from."""
+
+    length: int
+    witness: dict
+
+
+def _is_primitive(m: Morphism) -> bool:
+    """Whether some power of the incidence matrix is positive.  By
+    Wielandt's bound a primitive p x p matrix has a positive power by
+    exponent (p - 1)^2 + 1, and every later power is positive too, so
+    squaring until the exponent passes that bound decides it."""
+    inc = np.zeros((m.alphabet_size, m.alphabet_size), dtype=bool)
+    for a, img in enumerate(m.images):
+        inc[a, np.frombuffer(img, dtype=np.uint8)] = True
+    for _ in range(((m.alphabet_size - 1) ** 2).bit_length()):
+        inc = inc @ inc
+    return bool(inc.all())
+
+
+def _two_factors(m: Morphism, seed: int) -> tuple[int, set]:
+    """K, the least iterate with m^K(seed) holding every 2-factor of the
+    fixed point, and that set of 2-factors, computed on sets alone.
+
+    The 2-factors of m(w) are those inside the images of w's letters and,
+    for each 2-factor ab of w, the pair (last letter of m(a), first letter
+    of m(b)).  From K = 1 on w has length >= 2, so its letters are those of
+    its 2-factors, and the next set depends on this one alone: the first
+    iterate whose set repeats holds all of them.
+    """
+    inside = [set(zip(img, img[1:])) for img in m.images]
+    pairs, letters, K = set(), {seed}, 0
+    while True:
+        grown = set().union(*(inside[a] for a in letters))
+        grown |= {(m.images[a][-1], m.images[b][0]) for a, b in pairs}
+        if grown == pairs:
+            return K, pairs
+        pairs, K = grown, K + 1
+        letters = {a for pair in pairs for a in pair}
+
+
+def _fixed_point_complete(r: FixedPoint, n: int):
+    """m^(k+K)(seed), with K from _two_factors and k the least iterate with
+    min_a |m^k(a)| >= n - 1: a length-n factor of the fixed point u =
+    m^k(u) starts inside some m^k(u_i) and so ends inside m^k(u_i u_(i+1)),
+    and u_i u_(i+1) occurs in m^K(seed).  A post-morphism's word has each
+    length-n factor inside the image of an inner factor of length
+    1 + ceil((n - 1) / shortest image), so the inner bound at that length
+    is taken through the image lengths.  Only for a primitive morphism
+    prolongable on the seed; lengths are Python ints, no word is built."""
+    m, p = r.morphism, r.morphism.alphabet_size
+    if not (m.is_prolongable(r.seed) and _is_primitive(m)):
+        return None
+    if r.post is None:
+        inner_n, lengths = n, [1] * p
+    else:
+        shortest = min(map(len, r.post.images))
+        inner_n = 1 + -(-(n - 1) // shortest)
+        lengths = [len(r.post.images[a]) for a in range(p)]
+
+    def iterate(vec):  # |x(m(a))| from |x(b)| for every letter b
+        return [sum(vec[b] for b in img) for img in m.images]
+
+    K, pairs = _two_factors(m, r.seed)
+    k, sizes = 0, [1] * p  # sizes[a] = |m^k(a)|
+    while min(sizes) < inner_n - 1:
+        sizes, k = iterate(sizes), k + 1
+    for _ in range(k + K):
+        lengths = iterate(lengths)
+    witness = {"k": k, "K": K, "inner_n": inner_n,
+               "two_factors": sorted(pairs)}
+    return CompletePrefix(lengths[r.seed], witness)
+
+
+def _characteristic_complete(r: Characteristic, n: int):
+    """n + q_(j+1) + q_j - 1 with j the largest index where q_j <= n: the
+    recurrence function of a Sturmian word (Morse & Hedlund 1940) bounds
+    every window, the prefix included.  Only for an irrational slope."""
+    alpha = r.slope
+    if not alpha.is_unbounded:
+        return None
+    j = 0
+    while _pq_at(alpha, j + 1)[1] <= n:
+        j += 1
+    q, q_next = _pq_at(alpha, j)[1], _pq_at(alpha, j + 1)[1]
+    return CompletePrefix(n + q_next + q - 1, {"j": j, "q": [q, q_next]})
+
+
+def _prepend_complete(r: LiteralPrepend, n: int):
+    """The head, then the inner bound: a factor overlapping the head ends
+    before |head| + n, and every inner bound is at least n."""
+    levels, inner = _unnest(r)
+    found = complete_prefix_length(inner, n)
+    if found is None:
+        return None
+    head = sum(len(level.prefix) for level in levels)
+    return CompletePrefix(head + found.length,
+                          {"head": head, "inner": found.witness})
+
+
+def _no_bound(r, n):
+    return None
+
+
 # One row per kind: its class, its wire name, ``dump`` (the wire fields
 # after ``kind``, in wire order, an absent optional field as None),
-# ``parse`` (from a wire dict) and ``generate`` (recipe, length, budget).
-# ``dump`` and ``parse`` handle one level: a literal-prepend's ``inner`` is
-# dumped and parsed by recipe_to_dict and recipe_from_dict, which loop
-# over the nested levels.
-_Kind = namedtuple("_Kind", "cls name dump parse generate")
+# ``parse`` (from a wire dict), ``generate`` (recipe, length, budget) and
+# ``complete`` (recipe, n).  ``dump`` and ``parse`` handle one level: a
+# literal-prepend's ``inner`` is dumped and parsed by recipe_to_dict and
+# recipe_from_dict, which loop over the nested levels.
+_Kind = namedtuple("_Kind", "cls name dump parse generate complete")
 _KINDS = (
     _Kind(FixedPoint, "fixed-point",
           lambda r: {"morphism": r.morphism.to_strings(), "seed": str(r.seed),
@@ -528,33 +666,36 @@ _KINDS = (
           lambda d: FixedPoint(
               Morphism.from_strings(d["morphism"]), _parse_letter(d["seed"]),
               Morphism.from_strings(d["post"]) if "post" in d else None),
-          _fixed_point_prefix),
+          _fixed_point_prefix, _fixed_point_complete),
     _Kind(Characteristic, "characteristic",
           lambda r: {"slope": r.slope.to_dict()},
           lambda d: Characteristic(ContinuedFraction.from_dict(d["slope"])),
-          lambda r, n, budget: characteristic_prefix(r.slope, n, budget)),
+          lambda r, n, budget: characteristic_prefix(r.slope, n, budget),
+          _characteristic_complete),
     _Kind(Periodic, "periodic", lambda r: {"pattern": _format_digits(r.pattern)},
-          lambda d: Periodic(_parse_digits(d["pattern"])), _periodic_prefix),
+          lambda d: Periodic(_parse_digits(d["pattern"])), _periodic_prefix,
+          lambda r, n: CompletePrefix(len(r.pattern) + n - 1,
+                                      {"period": len(r.pattern)})),
     _Kind(Explicit, "explicit",
           lambda r: {"symbols": _format_digits(r.symbols),
                      "alphabet_size": r.alphabet_size},
           lambda d: Explicit(_parse_digits(d["symbols"]),
                              _positive_int(d, "alphabet_size")
                              if "alphabet_size" in d else None),
-          _explicit_prefix),
+          _explicit_prefix, _no_bound),
     _Kind(Champernowne, "champernowne",
           lambda r: {}, lambda d: Champernowne(),
-          lambda r, n, budget: champernowne_prefix(n, budget)),
+          lambda r, n, budget: champernowne_prefix(n, budget), _no_bound),
     _Kind(MaxComplexity, "max-complexity",
           lambda r: {}, lambda d: MaxComplexity(),
-          lambda r, n, budget: max_complexity_prefix(n, budget)),
+          lambda r, n, budget: max_complexity_prefix(n, budget), _no_bound),
     _Kind(Hubert, "hubert", lambda r: {"slope": r.slope.to_dict()},
           lambda d: Hubert(ContinuedFraction.from_dict(d["slope"])),
-          lambda r, n, budget: hubert_ternary(r.slope, n, budget)),
+          lambda r, n, budget: hubert_ternary(r.slope, n, budget), _no_bound),
     _Kind(LiteralPrepend, "literal-prepend",
           lambda r: {"prefix": _format_digits(r.prefix), "inner": r.inner},
           lambda d: LiteralPrepend(_parse_digits(d["prefix"]), d["inner"]),
-          _prepend_prefix),
+          _prepend_prefix, _prepend_complete),
 )
 _BY_CLASS = {k.cls: k for k in _KINDS}
 _BY_NAME = {k.name: k for k in _KINDS}
@@ -572,6 +713,23 @@ def prefix_of(recipe: WordRecipe, length: int,
     """Generate the length-``length`` prefix described by ``recipe``."""
     _check_budget(length, budget)
     return _kind_of(recipe).generate(recipe, length, budget)
+
+
+def complete_prefix_length(recipe: WordRecipe,
+                           n: int) -> Union[CompletePrefix, None]:
+    """A prefix length holding every factor of length <= n of the infinite
+    word ``recipe`` describes, with its witness; None where no bound is
+    known (Hubert, explicit, Champernowne and max-complexity recipes,
+    morphisms that are not primitive or not prolongable, rational slopes).
+
+    Fixed points of primitive morphisms use their linear recurrence
+    (Durand, ETDS 2000), characteristic words the Sturmian recurrence
+    function (Morse & Hedlund 1940), periodic words |pattern| + n - 1.
+    For n < 1 the empty prefix holds the one factor, the empty word.
+    """
+    if n < 1:
+        return CompletePrefix(0, {})
+    return _kind_of(recipe).complete(recipe, n)
 
 
 def _dump(recipe: WordRecipe) -> dict:

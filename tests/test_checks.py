@@ -3,14 +3,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abelianwords.checks import (CheckReport, MuDecomposition,
-                                 mu_preimage_decompose,
+                                 inspected_length, mu_preimage_decompose,
                                  periodicity_via_parikh,
                                  rauzy_constant3_check,
                                  special_factor_witnesses, tm_profile_check)
 from abelianwords.complexity import parikh_classes
-from abelianwords.words import (CONSTANT3, FIBONACCI, THUE_MORSE, Hubert,
-                                FixedPoint, Periodic, WordPrefix,
-                                apply_morphism, champernowne_prefix,
+from abelianwords.contfrac import ContinuedFraction
+from abelianwords.words import (CONSTANT3, FIBONACCI, THUE_MORSE,
+                                Characteristic, FixedPoint, Hubert, Periodic,
+                                WordPrefix, apply_morphism, champernowne_prefix,
                                 fixed_point, max_complexity_prefix, prefix_of)
 
 
@@ -42,6 +43,28 @@ class TestTmProfileCheck:
 
     def test_margin_is_configurable(self, tm4096):
         assert tm_profile_check(tm4096, 256, margin=16).passed
+
+
+class TestInspectedLength:
+    def test_factor_complete_where_known(self):
+        rauzy = FixedPoint(FIBONACCI, 0, post=CONSTANT3)
+        assert inspected_length(rauzy, 512) == 4791
+        assert inspected_length(FixedPoint(THUE_MORSE, 0), 1024) == 8192
+
+    def test_margin_without_a_bound(self, golden):
+        assert inspected_length(Hubert(golden), 512) == 64 * 512
+        assert inspected_length(Hubert(golden), 10, margin=3) == 30
+
+    def test_margin_caps_a_longer_bound(self):
+        # q_1 = 1000, so the Sturmian bound at n = 2 is 2 + 1000 + 1 - 1
+        slope = Characteristic(ContinuedFraction((1000,), (1,)))
+        assert inspected_length(slope, 2) == 128
+        assert inspected_length(slope, 2, margin=1000) == 1002
+
+    def test_rauzy_check_reads_the_same_on_both(self):
+        rauzy = FixedPoint(FIBONACCI, 0, post=CONSTANT3)
+        assert (rauzy_constant3_check(rauzy, 200)
+                == rauzy_constant3_check(rauzy, 200, prefix_len=64 * 200))
 
 
 def loop_decompose(w):

@@ -10,6 +10,7 @@ PERIODIC10 = '{"kind": "periodic", "pattern": "0123456789"}'
 GOLDEN_JSON = '{"preperiod": [2], "period": [1]}'
 
 import abelianwords
+from abelianwords import checks
 from abelianwords.cli import RECIPE_PRESETS, main
 from abelianwords.words import recipe_from_dict, recipe_to_dict
 
@@ -157,6 +158,16 @@ class TestProfile:
         rows = [f"{n},{1 if n % 10 == 0 else 10},10,1" for n in range(1, 201)]
         assert out == "n,rho_ab,rho,balance_running\n" + "\n".join(rows) + "\n"
 
+    @pytest.mark.parametrize("preset", sorted(RECIPE_PRESETS))
+    @pytest.mark.parametrize("nmax", [1, 6, 37])
+    def test_default_prefix_matches_the_margin(self, capsys, preset, nmax):
+        # the default prefix is factor-complete where a bound is known, so
+        # every row reads as on the 64 * nmax prefix
+        args = ["profile", "--recipe", preset, "--nmax", str(nmax)]
+        code, out, _ = run(capsys, *args)
+        _, margin, _ = run(capsys, *args, "--prefix-len", str(64 * nmax))
+        assert code == 0 and out == margin
+
     def test_explicit_prefix_len(self, capsys):
         code, out, _ = run(capsys, "profile", "--recipe", "tm", "--nmax", "2",
                            "--prefix-len", "4096")
@@ -262,6 +273,17 @@ class TestVerify:
             code, out, _ = run(capsys, "verify", "rauzy", "--variant", variant,
                                "--nmax", "32")
             assert code == 0 and "PASS" in out
+
+    @pytest.mark.parametrize("variant, preset", [
+        ("hubert", "hubert-golden"), ("morphism", "rauzy-morphism")])
+    def test_rauzy_matches_the_margin(self, capsys, variant, preset):
+        recipe = recipe_from_dict(RECIPE_PRESETS[preset])
+        margin = checks.rauzy_constant3_check(recipe, 48, prefix_len=64 * 48)
+        code, out, _ = run(capsys, "verify", "rauzy", "--variant", variant,
+                           "--nmax", "48")
+        assert code == 0
+        assert out == (f"{margin.verdict.upper()} claim={margin.claim} "
+                       f"range={margin.range_checked}\n")
 
     def test_periodicity_failure(self, capsys):
         code, out, _ = run(capsys, "verify", "periodicity", "--recipe",

@@ -9,7 +9,8 @@ from abelianwords.complexity import (abelian_equivalent, abelian_profile,
                                      balance_bound, balance_per_length,
                                      max_abelian_complexity, parikh,
                                      parikh_classes, profile, subword_profile)
-from abelianwords.words import (Periodic, WordPrefix, max_complexity_prefix,
+from abelianwords.words import (TRIBONACCI, FixedPoint, Periodic, WordPrefix,
+                                complete_prefix_length, max_complexity_prefix,
                                 prefix_of)
 
 
@@ -308,6 +309,29 @@ class TestBalance:
                               for i in range(len(w) - n + 1)]
                     spreads.append(max(counts) - min(counts))
                 assert per_n[n - 1] == max(spreads)
+
+
+class TestTribonacci:
+    """The fixed point of 0 -> 01, 1 -> 02, 2 -> 0 on its factor-complete
+    prefix, so each number is one of the infinite word."""
+
+    N = 1000
+
+    @pytest.fixture(scope="class")
+    def prof(self):
+        recipe = FixedPoint(TRIBONACCI, 0)
+        length = complete_prefix_length(recipe, self.N).length
+        return profile(prefix_of(recipe, length), self.N)
+
+    def test_subword_complexity_is_2n_plus_1(self, prof):
+        assert prof.rho == tuple(2 * n + 1 for n in range(1, self.N + 1))
+
+    def test_2_balanced(self, prof):
+        assert prof.balance == 2
+
+    def test_abelian_complexity_between_3_and_7(self, prof):
+        assert set(prof.rho_ab) <= set(range(3, 8))
+        assert prof.rho_ab[0] == 3
 
 
 class TestBinomialBound:

@@ -7,20 +7,21 @@ from typing import get_args
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from abelianwords import words
 from abelianwords.contfrac import (AffineThreshold, ContinuedFraction,
                                    InsufficientPrecisionError, floor_range,
                                    frac_less_than)
-from abelianwords.words import (CONSTANT3, FIBONACCI, THUE_MORSE, BudgetError,
-                                Champernowne, Characteristic, Explicit,
-                                FixedPoint, Hubert, LiteralPrepend,
-                                MaxComplexity, Morphism, Periodic, WordPrefix,
-                                WordRecipe, apply_morphism, champernowne_prefix,
-                                characteristic_prefix, fixed_point,
-                                hubert_ternary, hubert_transform,
+from abelianwords.words import (CONSTANT3, DOUBLING, FIBONACCI, THUE_MORSE,
+                                TRIBONACCI, BudgetError, Champernowne,
+                                Characteristic, Explicit, FixedPoint, Hubert,
+                                LiteralPrepend, MaxComplexity, Morphism,
+                                Periodic, WordPrefix, WordRecipe,
+                                apply_morphism, champernowne_prefix,
+                                characteristic_prefix, complete_prefix_length,
+                                fixed_point, hubert_ternary, hubert_transform,
                                 max_complexity_prefix, prefix_of,
                                 recipe_from_dict, recipe_from_json,
                                 recipe_to_dict)
@@ -454,6 +455,168 @@ class TestPrefixOf:
         assert prefix_of(r, 333) == prefix_of(r, 333)
 
 
+def new_factors(recipe, length, n):
+    """Factors of length <= n of the prefix 4 * ``length`` long that the
+    first ``length`` symbols do not show, found by listing every window."""
+    symbols = prefix_of(recipe, 4 * length).symbols
+    missing = set()
+    for m in range(1, n + 1):
+        early = {symbols[i:i + m] for i in range(length - m + 1)}
+        missing |= {symbols[i:i + m] for i in range(4 * length - m + 1)} - early
+    return missing
+
+
+def letter_sets_reach_everything(m):
+    """Whether some iterate m^j has every letter in every image: the
+    letter sets of m^j(a) are followed until their tuple repeats."""
+    every = frozenset(range(m.alphabet_size))
+    sets = tuple(frozenset([a]) for a in range(m.alphabet_size))
+    seen = set()
+    while sets not in seen:
+        if all(s == every for s in sets):
+            return True
+        seen.add(sets)
+        sets = tuple(frozenset().union(*(set(m.images[b]) for b in s))
+                     for s in sets)
+    return False
+
+
+def check_complete(recipe, n):
+    found = complete_prefix_length(recipe, n)
+    assume(found is not None and found.length <= 1 << 13)
+    assert not new_factors(recipe, found.length, n), (recipe, n, found)
+    return found
+
+
+@st.composite
+def fixed_points_maybe_post(draw):
+    """A fixed point of a morphism over p <= 3 letters, image lengths 1..4,
+    prolongable on 0, half the time with a post-morphism of image lengths
+    1..4 onto up to four letters."""
+    m = draw(prolongable_morphisms())
+    if draw(st.booleans()):
+        return FixedPoint(m, 0)
+    image = st.lists(st.integers(0, 3), min_size=1, max_size=4).map(bytes)
+    post = tuple(draw(image) for _ in range(m.alphabet_size))
+    return FixedPoint(m, 0, Morphism(post))
+
+
+def two_factors(symbols):
+    return set(zip(symbols, symbols[1:]))
+
+
+@st.composite
+def large_quotient_slopes(draw):
+    """Irrational slopes with partial quotients 1..5 and, now and then,
+    some up to 300."""
+    term = st.one_of(st.integers(1, 5), st.integers(20, 300))
+    return ContinuedFraction(tuple(draw(st.lists(term, max_size=4))),
+                             tuple(draw(st.lists(term, min_size=1,
+                                                 max_size=3))))
+
+
+class TestCompletePrefixLength:
+    def test_thue_morse(self):
+        found = complete_prefix_length(FixedPoint(THUE_MORSE, 0), 1024)
+        assert found.length == 8192
+        assert (found.witness["k"], found.witness["K"]) == (10, 3)
+        assert found.witness["two_factors"] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_rauzy_morphism(self):
+        found = complete_prefix_length(
+            FixedPoint(FIBONACCI, 0, post=CONSTANT3), 512)
+        assert found.length == 4791  # 3 * |fib^15(0)| = 3 * 1597
+        assert found.witness["inner_n"] == 172
+
+    def test_tribonacci(self):
+        found = complete_prefix_length(FixedPoint(TRIBONACCI, 0), 2000)
+        assert found.length == 66012
+        assert (found.witness["k"], found.witness["K"]) == (14, 4)
+
+    def test_periodic_and_prepend(self):
+        pattern = bytes(range(10))
+        assert complete_prefix_length(Periodic(pattern), 200).length == 209
+        r = LiteralPrepend(bytes([1, 2]), LiteralPrepend(bytes([0]),
+                                                          Periodic(pattern)))
+        assert complete_prefix_length(r, 200).length == 212
+
+    def test_fibonacci_characteristic(self, golden):
+        # q_j: 1, 2, 3, 5, ... ; the largest q_j <= 256 is q_11 = 233
+        found = complete_prefix_length(Characteristic(golden), 256)
+        assert found.witness == {"j": 11, "q": [233, 377]}
+        assert found.length == 256 + 377 + 233 - 1
+
+    @pytest.mark.parametrize("recipe", [
+        FixedPoint(Morphism.from_strings({"0": "01", "1": "1"}), 0),
+        FixedPoint(DOUBLING, 0),
+        FixedPoint(TRIPLE_RUNS, 0),
+        FixedPoint(FIBONACCI, 1),  # not prolongable on 1
+        Characteristic(ContinuedFraction((2, 3))),  # rational slope
+        Explicit(bytes([0, 1]) * 50),
+        Champernowne(),
+        MaxComplexity(),
+        Hubert(GOLDEN),
+        LiteralPrepend(bytes([1]), Hubert(GOLDEN)),
+    ])
+    def test_no_known_bound_gives_none(self, recipe):
+        assert complete_prefix_length(recipe, 16) is None
+
+    def test_below_one_is_the_empty_prefix(self):
+        assert complete_prefix_length(Champernowne(), 0).length == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(prolongable_morphisms())
+    def test_primitivity_matches_letter_sets(self, m):
+        found = complete_prefix_length(FixedPoint(m, 0), 4)
+        assert (found is not None) == letter_sets_reach_everything(m)
+
+    @settings(max_examples=80, deadline=None)
+    @given(fixed_points_maybe_post(), st.integers(1, 8))
+    def test_fixed_points_show_every_factor(self, recipe, n):
+        found = check_complete(recipe, n)
+        m, k, K = recipe.morphism, found.witness["k"], found.witness["K"]
+        iterates = [bytes([0])]
+        for _ in range(k + K + 1):
+            iterates.append(join_images(m, iterates[-1]))
+        # m^K(0) holds every 2-factor, m^(K-1)(0) does not, m^(K+1)(0) adds none
+        pairs = set(found.witness["two_factors"])
+        assert two_factors(iterates[K]) == two_factors(iterates[K + 1]) == pairs
+        assert two_factors(iterates[K - 1]) != pairs
+        # k is the least iterate whose images all reach inner_n - 1
+        images = [bytes([a]) for a in range(m.alphabet_size)]
+        shortest = [min(map(len, images))]
+        for _ in range(k):
+            images = [join_images(m, img) for img in images]
+            shortest.append(min(map(len, images)))
+        need = found.witness["inner_n"] - 1
+        assert shortest[k] >= need and (k == 0 or shortest[k - 1] < need)
+        word = iterates[k + K]
+        assert found.length == len(recipe.post.apply_raw(word)
+                                   if recipe.post else word)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=12).map(bytes),
+           st.integers(1, 30))
+    def test_periodic_words_show_every_factor(self, pattern, n):
+        check_complete(Periodic(pattern), n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(large_quotient_slopes(), st.integers(1, 40))
+    def test_sturmian_words_show_every_factor(self, slope, n):
+        found = check_complete(Characteristic(slope), n)
+        q, q_next = found.witness["q"]
+        assert q <= n < q_next
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 2), max_size=6).map(bytes),
+           st.sampled_from([FixedPoint(THUE_MORSE, 0), Characteristic(GOLDEN),
+                            Periodic(bytes([0, 1, 1])),
+                            FixedPoint(FIBONACCI, 0, post=CONSTANT3)]),
+           st.integers(1, 12))
+    def test_literal_prepends_show_every_factor(self, head, inner, n):
+        check_complete(LiteralPrepend(head, inner), n)
+
+
 TM_WIRE = {"kind": "fixed-point", "morphism": {"0": "01", "1": "10"},
            "seed": "0"}
 
@@ -518,6 +681,22 @@ class TestRecipeSchema:
         dumped = recipe_to_dict(r)
         if depth < 1000:  # comparing nested dicts recurses once per level
             assert dumped == d
+
+    def test_deep_literal_prepend_equality_and_hash(self):
+        def nest(innermost, depth=3000):
+            r = innermost
+            for i in range(depth):
+                r = LiteralPrepend(bytes([i % 3]), r)
+            return r
+        a, b = nest(Periodic(bytes([0, 1]))), nest(Periodic(bytes([0, 1])))
+        other = nest(Periodic(bytes([1, 0])))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != other and hash(a) != hash(other)
+        assert len({a, b, other}) == 2
+        # the levels' prefixes are compared one by one, not concatenated
+        inner = Characteristic(GOLDEN)
+        assert (LiteralPrepend(bytes([0]), LiteralPrepend(bytes([1]), inner))
+                != LiteralPrepend(bytes([0, 1]), inner))
 
     def test_wire_format(self):
         r = recipe_from_json(
