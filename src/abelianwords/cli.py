@@ -209,7 +209,6 @@ def build_parser():
                     "and find Abelian powers.")
     parser.add_argument("--config", help="JSON file with flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
-    by_name = {}
 
     g = sub.add_parser("generate", help="write a prefix as a digit string")
     g.add_argument("--recipe", required=True)
@@ -250,8 +249,7 @@ def build_parser():
     v.add_argument("--out")
     v.set_defaults(func=cmd_verify)
 
-    by_name.update(generate=g, profile=p, powers=w, verify=v)
-    return parser, by_name
+    return parser, sub.choices
 
 
 def _config_value(action, key, val):
@@ -295,15 +293,12 @@ def _apply_config(subparser, args):
 
 
 def main(argv=None) -> int:
-    parser, by_name = build_parser()
+    parser, subparsers = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config(by_name[args.command], args)
+        args = _apply_config(subparsers[args.command], args)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (InsufficientPrecisionError, BudgetError, MemoryError) as exc:

@@ -10,6 +10,10 @@ convention.
 Abelian complexity, balance and Parikh classes all read one window pass:
 prefix sums built once per word give each length-n window's letter counts,
 and each letter's minimum and radix (max - min + 1) over those windows.
+
+A window pass or subword pass over more than 2^32 window steps (prefix
+length times the number of window lengths) raises BudgetError before it
+allocates anything.
 """
 
 from collections import namedtuple
@@ -19,7 +23,8 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .words import WordPrefix, _max_letter, _parse_digits
+from .words import (DEFAULT_SYMBOL_BUDGET, BudgetError, WordPrefix,
+                    _max_letter, _parse_digits)
 
 __all__ = [
     "ComplexityProfile",
@@ -41,6 +46,10 @@ Wordlike = Union[WordPrefix, bytes, bytearray, str, Iterable[int]]
 # class codes are counted by marking flags while the code space is at most
 # this many times the window count, and by sorting beyond it
 _FLAG_SPACE = 4
+
+# the most window steps, prefix length times the number of window lengths,
+# one window pass or subword pass may take
+_WORK_BOUND = DEFAULT_SYMBOL_BUDGET * 64
 
 
 def _coerce(word: Wordlike, alphabet_size=None) -> tuple[bytes, int]:
@@ -72,9 +81,16 @@ def abelian_equivalent(u: Wordlike, v: Wordlike, alphabet_size=None) -> bool:
 
 
 def _require_range(n_max: int, length: int, n_min: int = 1):
+    """Refuse a window range outside the word, and a pass whose work
+    passes ``_WORK_BOUND``, before anything is allocated."""
     if not 1 <= n_min <= n_max <= length:
         raise ValueError(
             f"window lengths must satisfy 1 <= {n_min} <= {n_max} <= {length}")
+    lengths = n_max - n_min + 1
+    if length * lengths > _WORK_BOUND:
+        raise BudgetError(
+            f"{lengths} window lengths over {length} symbols is "
+            f"{length * lengths} window steps, bound is {_WORK_BOUND}")
 
 
 def _window_stats(w: Wordlike, n_max: int, n_min: int = 1):
@@ -286,7 +302,7 @@ class ComplexityProfile:
     n_max: int
     prefix_len: int
     rho_ab: tuple[int, ...]
-    rho: Union[tuple[int, ...], None]
+    rho: tuple[int, ...]
     balance_running: tuple[int, ...]
 
     @property
@@ -295,20 +311,19 @@ class ComplexityProfile:
         return self.balance_running[-1]
 
 
-def profile(w: Wordlike, n_max: int, include_subword: bool = True) -> ComplexityProfile:
-    """Assemble the Abelian profile, optional subword profile, and running
-    balance of one prefix; one window pass gives both rho_ab and balance.
+def profile(w: Wordlike, n_max: int) -> ComplexityProfile:
+    """Assemble the Abelian profile, subword profile, and running balance
+    of one prefix; one window pass gives both rho_ab and balance.
     """
     symbols, _, stats = _window_stats(w, n_max)
     rho_ab, per_length = zip(*[(_class_count(counts, lo, radix, scratch),
                                 int(radix.max()) - 1)
                                for counts, lo, radix, scratch in stats])
-    rho = subword_profile(symbols, n_max) if include_subword else None
     running = np.maximum.accumulate(per_length)
     return ComplexityProfile(
         n_max=n_max,
         prefix_len=len(symbols),
         rho_ab=tuple(rho_ab),
-        rho=tuple(rho) if rho is not None else None,
+        rho=tuple(subword_profile(symbols, n_max)),
         balance_running=tuple(int(x) for x in running),
     )

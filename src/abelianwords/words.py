@@ -1,14 +1,17 @@
 """Finite prefixes of infinite words, built from declarative recipes.
 
 Alphabets are always {0, ..., p-1}; symbols are stored as ``bytes`` so
-prefixes are compact, immutable and hashable.  Every generator records the
-recipe that produced it, and regenerating from the recipe gives the
-identical prefix.  All public indexing is 0-based; the characteristic
-word's classical 1-based positions are shifted internally, so public
-position j holds the letter the classical definition assigns to j+1.
+prefixes are compact, immutable and hashable, and two prefixes are equal
+when their alphabets and symbols are.  All public indexing is 0-based; the
+characteristic word's classical 1-based positions are shifted internally,
+so public position j holds the letter the classical definition assigns to
+j+1.
 
 Each recipe kind is one row of the table ``_KINDS``: its wire name,
-serializer, parser, generator and factor-complete bound.
+serializer, parser, generator and factor-complete bound.  A row's
+generator produces the alphabet size and symbols; ``prefix_of`` alone
+checks the length against the fixed symbol budget and wraps them in a
+``WordPrefix``, and each public generator is ``prefix_of`` on its recipe.
 
 Generation does no per-symbol Python work.  A morphism is applied by
 gathering rows of its image table with numpy.  Both word families of the
@@ -82,7 +85,9 @@ _FROM_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 class BudgetError(RuntimeError):
-    """Requested prefix length exceeds the configured symbol budget."""
+    """Requested work exceeds a fixed bound: a prefix longer than
+    ``DEFAULT_SYMBOL_BUDGET`` symbols, or a window pass over too many
+    windows."""
 
 
 def _parse_digits(s: str) -> bytes:
@@ -111,6 +116,13 @@ def _positive_int(d: dict, key: str) -> int:
 def _max_letter(symbols: bytes) -> int:
     """Largest letter in ``symbols``, or -1 when there is none."""
     return int(np.frombuffer(symbols, dtype=np.uint8).max()) if symbols else -1
+
+
+def _check_alphabet(alphabet_size: int, symbols: bytes):
+    if alphabet_size < 1:
+        raise ValueError("alphabet size must be >= 1")
+    if _max_letter(symbols) >= alphabet_size:
+        raise ValueError("symbol out of alphabet range")
 
 
 def _format_digits(symbols: bytes) -> str:
@@ -154,9 +166,6 @@ class Morphism:
     @property
     def image_alphabet_size(self) -> int:
         return 1 + int(self._table.max())
-
-    def image(self, a: int) -> bytes:
-        return self.images[a]
 
     def is_prolongable(self, seed: int) -> bool:
         """True when image(seed) starts with seed and has length >= 2."""
@@ -261,8 +270,9 @@ class Hubert:
 
 @dataclass(frozen=True, eq=False)
 class LiteralPrepend:
-    """``prefix`` followed by the word of ``inner``.  Equality and hashing
-    walk the nested levels in a loop, so any nesting depth is served."""
+    """``prefix`` followed by the word of ``inner``.  Equality, hashing,
+    repr and pickling walk the nested levels in a loop, so any nesting
+    depth is served."""
 
     prefix: bytes
     inner: "WordRecipe"
@@ -279,6 +289,15 @@ class LiteralPrepend:
     def __hash__(self):
         return hash(self._key())
 
+    def __repr__(self):
+        levels, inner = _unnest(self)
+        opened = "".join(f"LiteralPrepend(prefix={level.prefix!r}, inner="
+                         for level in levels)
+        return opened + repr(inner) + ")" * len(levels)
+
+    def __reduce__(self):
+        return _literal_prepend, self._key()
+
 
 WordRecipe = Union[FixedPoint, Characteristic, Periodic, Explicit,
                    Champernowne, MaxComplexity, Hubert, LiteralPrepend]
@@ -290,13 +309,9 @@ class WordPrefix:
 
     alphabet_size: int
     symbols: bytes
-    recipe: Union[WordRecipe, None] = None
 
     def __post_init__(self):
-        if self.alphabet_size < 1:
-            raise ValueError("alphabet size must be >= 1")
-        if _max_letter(self.symbols) >= self.alphabet_size:
-            raise ValueError("symbol out of alphabet range")
+        _check_alphabet(self.alphabet_size, self.symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -319,38 +334,9 @@ class WordPrefix:
         return f"WordPrefix(p={self.alphabet_size}, len={len(self)}, {head!r})"
 
 
-def _check_budget(length: int, budget: int):
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    if length > budget:
-        raise BudgetError(
-            f"requested {length} symbols, budget is {budget}")
-
-
-def fixed_point(m: Morphism, seed: int, length: int,
-                budget: int = DEFAULT_SYMBOL_BUDGET) -> WordPrefix:
-    """Length-``length`` prefix of the fixed point of ``m`` starting at ``seed``.
-
-    The iterates w_0 = seed, w_(n+1) = m(w_n) each extend the last, and
-    m(w_n) = w_n m(w_n[|w_(n-1)|:]).  So one buffer is filled by mapping
-    only the letters the previous round added, and of those only as many
-    as the length still needs.
-    """
-    recipe = FixedPoint(m, seed)
-    if not m.is_prolongable(seed):
-        raise ValueError(f"morphism is not prolongable on letter {seed}")
-    _check_budget(length, budget)
-    w = np.empty(length, dtype=np.uint8)
-    first = np.frombuffer(m.images[seed], dtype=np.uint8)[:length]
-    w[:len(first)] = first
-    old, end = 1, len(first)  # w[:old] is w_(n-1), w[:end] is w_n
-    shortest = min(map(len, m.images))
-    while end < length:
-        take = min(end - old, -(-(length - end) // shortest))
-        image = m._gather(w[old:old + take])[:length - end]
-        w[end:end + len(image)] = image
-        old, end = end, end + len(image)
-    return WordPrefix(m.alphabet_size, w.tobytes(), recipe)
+def fixed_point(m: Morphism, seed: int, length: int) -> WordPrefix:
+    """Length-``length`` prefix of the fixed point of ``m`` starting at ``seed``."""
+    return prefix_of(FixedPoint(m, seed), length)
 
 
 def apply_morphism(m: Morphism, w: WordPrefix) -> WordPrefix:
@@ -360,21 +346,91 @@ def apply_morphism(m: Morphism, w: WordPrefix) -> WordPrefix:
     return WordPrefix(m.image_alphabet_size, m.apply_raw(w.symbols))
 
 
-def characteristic_prefix(alpha: ContinuedFraction, length: int,
-                          budget: int = DEFAULT_SYMBOL_BUDGET) -> WordPrefix:
+def characteristic_prefix(alpha: ContinuedFraction, length: int) -> WordPrefix:
     """Prefix of the characteristic word of slope alpha.
 
     Position j (0-based) holds floor((j+2)*alpha) - floor((j+1)*alpha),
     i.e. the letter the classical 1-based definition assigns to j+1.
-    The prefix is a slice of the slope's grow-only cache, which at least
-    doubles whenever it grows.  A finite expansion serves only lengths
-    below q - 2 for its last convergent denominator q, and beyond that
-    raises :class:`InsufficientPrecisionError`.
+    A finite expansion serves only lengths below q - 2 for its last
+    convergent denominator q, and beyond that raises
+    :class:`InsufficientPrecisionError`.
     """
-    _check_budget(length, budget)
-    recipe = Characteristic(alpha)
+    return prefix_of(Characteristic(alpha), length)
+
+
+def champernowne_prefix(length: int) -> WordPrefix:
+    """Prefix of the concatenated binary expansions 0, 1, 10, 11, 100, ..."""
+    return prefix_of(Champernowne(), length)
+
+
+def max_complexity_prefix(length: int) -> WordPrefix:
+    """Prefix of 0 1 0 111 000 1^9 0^9 1^27 0^27 ...
+
+    The binary word whose Abelian complexity meets the compositions bound
+    n+1 at every length, while its subword complexity stays linear.
+    """
+    return prefix_of(MaxComplexity(), length)
+
+
+def hubert_transform(inner: WordPrefix) -> WordPrefix:
+    """Ternary recoding of a binary word: the j-th occurrence of letter 0
+    becomes 0 for even j and 1 for odd j, and every occurrence of letter 1
+    becomes 2.
+
+    Applied to a Sturmian word this produces a balanced aperiodic ternary
+    word.  The phase is fixed: the first 0-occurrence maps to 0.
+    """
+    if inner.alphabet_size > 2:
+        raise ValueError("inner word must be binary")
+    return WordPrefix(3, _hubert_symbols(inner.symbols))
+
+
+def hubert_ternary(inner: ContinuedFraction, length: int) -> WordPrefix:
+    """Balanced aperiodic ternary word built over the characteristic word
+    of the given slope."""
+    return prefix_of(Hubert(inner), length)
+
+
+# ---------------------------------------------------------------------------
+# recipe kinds.  On the wire symbols are digit strings (p <= 10); the
+# parsers, Morphism.from_strings and ContinuedFraction.from_dict are where
+# wire types are checked.
+
+def _fixed_point_row(r: FixedPoint, length: int) -> tuple[int, bytes]:
+    """The fixed point of ``r.morphism`` from ``r.seed``, mapped through
+    ``r.post`` when there is one.
+
+    The iterates w_0 = seed, w_(n+1) = m(w_n) each extend the last, and
+    m(w_n) = w_n m(w_n[|w_(n-1)|:]).  So one buffer is filled by mapping
+    only the letters the previous round added, and of those only as many
+    as the length still needs.  A post-morphism needs the first
+    ceil(length / its shortest image) letters of the fixed point.
+    """
+    m, post = r.morphism, r.post
+    if not m.is_prolongable(r.seed):
+        raise ValueError(f"morphism is not prolongable on letter {r.seed}")
+    need = length if post is None else -(-length // min(map(len, post.images)))
+    w = np.empty(need, dtype=np.uint8)
+    first = np.frombuffer(m.images[r.seed], dtype=np.uint8)[:need]
+    w[:len(first)] = first
+    old, end = 1, len(first)  # w[:old] is w_(n-1), w[:end] is w_n
+    shortest = min(map(len, m.images))
+    while end < need:
+        take = min(end - old, -(-(need - end) // shortest))
+        image = m._gather(w[old:old + take])[:need - end]
+        w[end:end + len(image)] = image
+        old, end = end, end + len(image)
+    if post is None:
+        return m.alphabet_size, w.tobytes()
+    return post.image_alphabet_size, post._gather(w)[:length].tobytes()
+
+
+def _characteristic_symbols(alpha: ContinuedFraction, length: int) -> bytes:
+    """The first ``length`` symbols of the characteristic word of alpha:
+    a slice of the slope's grow-only cache, which at least doubles
+    whenever it grows."""
     if length == 0:
-        return WordPrefix(2, b"", recipe)
+        return b""
     need = length + 3  # some q_n > length + 2, the finite-expansion rule
     word = alpha._word[0]
     if len(word) < need:
@@ -385,7 +441,7 @@ def characteristic_prefix(alpha: ContinuedFraction, length: int,
                 # asks for no term the length does not need
                 want = max(need, 2 * len(word)) if alpha.is_unbounded else need
                 word = alpha._word[0] = _grow_characteristic(alpha, word, want)
-    return WordPrefix(2, word[:length], recipe)
+    return word[:length]
 
 
 def _grow_characteristic(alpha: ContinuedFraction, word: bytes,
@@ -420,10 +476,21 @@ def _grow_characteristic(alpha: ContinuedFraction, word: bytes,
     return bytes(out)
 
 
-def champernowne_prefix(length: int,
-                        budget: int = DEFAULT_SYMBOL_BUDGET) -> WordPrefix:
-    """Prefix of the concatenated binary expansions 0, 1, 10, 11, 100, ..."""
-    _check_budget(length, budget)
+def _hubert_symbols(symbols: bytes) -> bytes:
+    """The Hubert recoding (see hubert_transform) of binary ``symbols``."""
+    arr = np.frombuffer(symbols, dtype=np.uint8)
+    # one buffer, worked in place: 1 at each 0, then the count of 0s so
+    # far (mod 256, which keeps its parity), then the parity of the 0-based
+    # occurrence index; the letters 1, read as a bool mask, become 2
+    out = np.subtract(1, arr, dtype=np.uint8)
+    np.cumsum(out, dtype=np.uint8, out=out)
+    out -= 1
+    out &= 1
+    np.copyto(out, 2, where=arr.view(bool))
+    return out.tobytes()
+
+
+def _champernowne_symbols(length: int) -> bytes:
     # one block per bit length b: the numbers 2^(b-1)..2^b-1 (and 0 for
     # b = 1) written as rows of b bits, only as many as the prefix needs
     blocks = []
@@ -445,83 +512,36 @@ def champernowne_prefix(length: int,
         for j in range(b):
             rows[:, j] = (nums >> (b - 1 - j)) & 1
         start += count * b
-    return WordPrefix(2, out[:length].tobytes(), Champernowne())
+    return out[:length].tobytes()
 
 
-def max_complexity_prefix(length: int,
-                          budget: int = DEFAULT_SYMBOL_BUDGET) -> WordPrefix:
-    """Prefix of 0 1 0 111 000 1^9 0^9 1^27 0^27 ...
-
-    The binary word whose Abelian complexity meets the compositions bound
-    n+1 at every length, while its subword complexity stays linear.
-    """
-    _check_budget(length, budget)
+def _max_complexity_symbols(length: int) -> bytes:
     out = bytearray(b"\x00")
     run = 1
     while len(out) < length:
         out += b"\x01" * run + b"\x00" * run
         run *= 3
-    return WordPrefix(2, bytes(out[:length]), MaxComplexity())
+    return bytes(out[:length])
 
 
-def hubert_transform(inner: WordPrefix) -> WordPrefix:
-    """Ternary recoding of a binary word: the j-th occurrence of letter 0
-    becomes 0 for even j and 1 for odd j, and every occurrence of letter 1
-    becomes 2.
-
-    Applied to a Sturmian word this produces a balanced aperiodic ternary
-    word.  The phase is fixed: the first 0-occurrence maps to 0.
-    """
-    if inner.alphabet_size > 2:
-        raise ValueError("inner word must be binary")
-    arr = inner.as_array()
-    # one buffer, worked in place: 1 at each 0, then the count of 0s so
-    # far (mod 256, which keeps its parity), then the parity of the 0-based
-    # occurrence index; the letters 1, read as a bool mask, become 2
-    out = np.subtract(1, arr, dtype=np.uint8)
-    np.cumsum(out, dtype=np.uint8, out=out)
-    out -= 1
-    out &= 1
-    np.copyto(out, 2, where=arr.view(bool))
-    return WordPrefix(3, out.tobytes())
-
-
-def hubert_ternary(inner: ContinuedFraction, length: int,
-                   budget: int = DEFAULT_SYMBOL_BUDGET) -> WordPrefix:
-    """Balanced aperiodic ternary word built over the characteristic word
-    of the given slope."""
-    w = hubert_transform(characteristic_prefix(inner, length, budget))
-    return WordPrefix(3, w.symbols, Hubert(inner))
-
-
-# ---------------------------------------------------------------------------
-# recipe kinds.  On the wire symbols are digit strings (p <= 10); the
-# parsers, Morphism.from_strings and ContinuedFraction.from_dict are where
-# wire types are checked.
-
-def _fixed_point_prefix(r: FixedPoint, length: int, budget: int) -> WordPrefix:
-    if r.post is None:
-        return fixed_point(r.morphism, r.seed, length, budget)
-    shortest = min(map(len, r.post.images))
-    inner = fixed_point(r.morphism, r.seed, -(-length // shortest), budget)
-    image = r.post._gather(inner.as_array())[:length].tobytes()
-    return WordPrefix(r.post.image_alphabet_size, image, r)
-
-
-def _periodic_prefix(r: Periodic, length: int, budget: int) -> WordPrefix:
+def _periodic_row(r: Periodic, length: int) -> tuple[int, bytes]:
     if not r.pattern:
         raise ValueError("periodic pattern must be non-empty")
     sym = (r.pattern * -(-length // len(r.pattern)))[:length]
-    return WordPrefix(_max_letter(r.pattern) + 1, sym, r)
+    return _max_letter(r.pattern) + 1, sym
 
 
-def _explicit_prefix(r: Explicit, length: int, budget: int) -> WordPrefix:
+def _explicit_row(r: Explicit, length: int) -> tuple[int, bytes]:
     if length > len(r.symbols):
         raise ValueError(f"explicit recipe holds {len(r.symbols)} symbols, "
                          f"{length} requested")
-    p = (max(_max_letter(r.symbols) + 1, 1) if r.alphabet_size is None
-         else r.alphabet_size)
-    return WordPrefix(p, r.symbols[:length], r)
+    symbols = r.symbols[:length]
+    if r.alphabet_size is None:
+        return max(_max_letter(r.symbols) + 1, 1), symbols
+    # the one declared alphabet: checked here as well, as a literal-prepend
+    # head could otherwise widen it to cover the symbols
+    _check_alphabet(r.alphabet_size, symbols)
+    return r.alphabet_size, symbols
 
 
 def _unnest(recipe: WordRecipe) -> tuple[list, WordRecipe]:
@@ -535,12 +555,18 @@ def _unnest(recipe: WordRecipe) -> tuple[list, WordRecipe]:
     return levels, recipe
 
 
-def _prepend_prefix(r: LiteralPrepend, length: int, budget: int) -> WordPrefix:
+def _literal_prepend(prefixes: tuple, inner: WordRecipe) -> "LiteralPrepend":
+    """The levels with these prefixes, outermost first, around ``inner``."""
+    for prefix in reversed(prefixes):
+        inner = LiteralPrepend(prefix, inner)
+    return inner
+
+
+def _prepend_row(r: LiteralPrepend, length: int) -> tuple[int, bytes]:
     levels, inner = _unnest(r)
     head = b"".join(level.prefix for level in levels)
-    tail = prefix_of(inner, length - min(length, len(head)), budget)
-    p = max(tail.alphabet_size, _max_letter(head) + 1)
-    return WordPrefix(p, head[:length] + tail.symbols, r)
+    p, tail = _kind_of(inner).generate(inner, length - min(length, len(head)))
+    return max(p, _max_letter(head) + 1), head[:length] + tail
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +680,8 @@ def _no_bound(r, n):
 
 # One row per kind: its class, its wire name, ``dump`` (the wire fields
 # after ``kind``, in wire order, an absent optional field as None),
-# ``parse`` (from a wire dict), ``generate`` (recipe, length, budget) and
+# ``parse`` (from a wire dict), ``generate`` ((recipe, length) to
+# (alphabet size, symbols), for a length prefix_of has checked) and
 # ``complete`` (recipe, n).  ``dump`` and ``parse`` handle one level: a
 # literal-prepend's ``inner`` is dumped and parsed by recipe_to_dict and
 # recipe_from_dict, which loop over the nested levels.
@@ -666,14 +693,14 @@ _KINDS = (
           lambda d: FixedPoint(
               Morphism.from_strings(d["morphism"]), _parse_letter(d["seed"]),
               Morphism.from_strings(d["post"]) if "post" in d else None),
-          _fixed_point_prefix, _fixed_point_complete),
+          _fixed_point_row, _fixed_point_complete),
     _Kind(Characteristic, "characteristic",
           lambda r: {"slope": r.slope.to_dict()},
           lambda d: Characteristic(ContinuedFraction.from_dict(d["slope"])),
-          lambda r, n, budget: characteristic_prefix(r.slope, n, budget),
+          lambda r, n: (2, _characteristic_symbols(r.slope, n)),
           _characteristic_complete),
     _Kind(Periodic, "periodic", lambda r: {"pattern": _format_digits(r.pattern)},
-          lambda d: Periodic(_parse_digits(d["pattern"])), _periodic_prefix,
+          lambda d: Periodic(_parse_digits(d["pattern"])), _periodic_row,
           lambda r, n: CompletePrefix(len(r.pattern) + n - 1,
                                       {"period": len(r.pattern)})),
     _Kind(Explicit, "explicit",
@@ -682,20 +709,21 @@ _KINDS = (
           lambda d: Explicit(_parse_digits(d["symbols"]),
                              _positive_int(d, "alphabet_size")
                              if "alphabet_size" in d else None),
-          _explicit_prefix, _no_bound),
+          _explicit_row, _no_bound),
     _Kind(Champernowne, "champernowne",
           lambda r: {}, lambda d: Champernowne(),
-          lambda r, n, budget: champernowne_prefix(n, budget), _no_bound),
+          lambda r, n: (2, _champernowne_symbols(n)), _no_bound),
     _Kind(MaxComplexity, "max-complexity",
           lambda r: {}, lambda d: MaxComplexity(),
-          lambda r, n, budget: max_complexity_prefix(n, budget), _no_bound),
+          lambda r, n: (2, _max_complexity_symbols(n)), _no_bound),
     _Kind(Hubert, "hubert", lambda r: {"slope": r.slope.to_dict()},
           lambda d: Hubert(ContinuedFraction.from_dict(d["slope"])),
-          lambda r, n, budget: hubert_ternary(r.slope, n, budget), _no_bound),
+          lambda r, n: (3, _hubert_symbols(_characteristic_symbols(r.slope, n))),
+          _no_bound),
     _Kind(LiteralPrepend, "literal-prepend",
           lambda r: {"prefix": _format_digits(r.prefix), "inner": r.inner},
           lambda d: LiteralPrepend(_parse_digits(d["prefix"]), d["inner"]),
-          _prepend_prefix, _prepend_complete),
+          _prepend_row, _prepend_complete),
 )
 _BY_CLASS = {k.cls: k for k in _KINDS}
 _BY_NAME = {k.name: k for k in _KINDS}
@@ -708,11 +736,16 @@ def _kind_of(recipe: WordRecipe) -> _Kind:
     return kind
 
 
-def prefix_of(recipe: WordRecipe, length: int,
-              budget: int = DEFAULT_SYMBOL_BUDGET) -> WordPrefix:
-    """Generate the length-``length`` prefix described by ``recipe``."""
-    _check_budget(length, budget)
-    return _kind_of(recipe).generate(recipe, length, budget)
+def prefix_of(recipe: WordRecipe, length: int) -> WordPrefix:
+    """Generate the length-``length`` prefix described by ``recipe``; a
+    length over ``DEFAULT_SYMBOL_BUDGET`` raises BudgetError before any
+    symbol is built."""
+    if length < 0:
+        raise ValueError("length must be >= 0")
+    if length > DEFAULT_SYMBOL_BUDGET:
+        raise BudgetError(
+            f"requested {length} symbols, budget is {DEFAULT_SYMBOL_BUDGET}")
+    return WordPrefix(*_kind_of(recipe).generate(recipe, length))
 
 
 def complete_prefix_length(recipe: WordRecipe,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -335,6 +336,20 @@ class TestExitCodes:
         code, _, err = run(capsys, "generate", "--recipe", "tm",
                            "--len", str(1 << 27))
         assert code == 3 and "budget" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--recipe", "tm", "--nmax", "2000000"],
+        ["verify", "thue-morse", "--nmax", "2000000"],
+    ], ids=["profile", "verify"])
+    def test_window_work_bound_is_exit_3(self, capsys, argv):
+        # the 2^24-symbol factor-complete prefix is within the symbol
+        # budget, but 2 * 10^6 window lengths over it are not
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "window steps" in err
+        assert err.count("\n") == 1
 
     def test_usage_error_from_argparse(self):
         with pytest.raises(SystemExit) as exc:

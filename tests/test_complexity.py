@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from abelianwords.complexity import (abelian_equivalent, abelian_profile,
                                      balance_bound, balance_per_length,
                                      max_abelian_complexity, parikh,
                                      parikh_classes, profile, subword_profile)
-from abelianwords.words import (TRIBONACCI, FixedPoint, Periodic, WordPrefix,
+from abelianwords.words import (DEFAULT_SYMBOL_BUDGET, TRIBONACCI,
+                                BudgetError, FixedPoint, Periodic, WordPrefix,
                                 complete_prefix_length, max_complexity_prefix,
                                 prefix_of)
 
@@ -309,6 +311,33 @@ class TestBalance:
                               for i in range(len(w) - n + 1)]
                     spreads.append(max(counts) - min(counts))
                 assert per_n[n - 1] == max(spreads)
+
+
+class TestWorkBound:
+    """A window pass or subword pass over more than 2^32 window steps
+    (prefix length times the number of lengths) is refused up front."""
+
+    LENGTH = 1 << 17
+    OVER = (1 << 15) + 1  # 2^17 * (2^15 + 1) steps, just over 2^32
+
+    @pytest.mark.parametrize("kernel", [abelian_profile, subword_profile,
+                                        balance_per_length, profile])
+    def test_refused_before_allocation(self, kernel):
+        w = bytes(self.LENGTH)
+        assert self.LENGTH * self.OVER > DEFAULT_SYMBOL_BUDGET * 64
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="window steps"):
+                kernel(w, self.OVER)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_n_min_narrows_the_work(self):
+        w = bytes(self.LENGTH)
+        assert abelian_profile(w, self.OVER, n_min=self.OVER - 1) == [1, 1]
+        assert parikh_classes(w, self.OVER) == {(self.OVER,)}
 
 
 class TestTribonacci:

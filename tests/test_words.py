@@ -1,7 +1,9 @@
 import json
+import pickle
 import random
 import sys
 import threading
+import tracemalloc
 from itertools import product
 from typing import get_args
 
@@ -194,7 +196,7 @@ class TestFixedPoint:
 
     def test_budget(self):
         with pytest.raises(BudgetError):
-            fixed_point(THUE_MORSE, 0, 100, budget=64)
+            fixed_point(THUE_MORSE, 0, words.DEFAULT_SYMBOL_BUDGET + 1)
 
     @pytest.mark.parametrize("images, seed, post, match", [
         ({"0": "02", "1": "1"}, 0, None, "letter 2"),   # 2 has no image
@@ -429,6 +431,12 @@ class TestPrefixOf:
     def test_explicit(self):
         assert prefix_of(Explicit(bytes([0, 1, 1, 0])), 4).digits() == "0110"
 
+    def test_explicit_alphabet_is_checked_under_a_head(self):
+        inner = Explicit(bytes([0, 2]), alphabet_size=2)
+        for r, length in ((inner, 2), (LiteralPrepend(bytes([2]), inner), 3)):
+            with pytest.raises(ValueError, match="alphabet range"):
+                prefix_of(r, length)
+
     def test_periodic(self):
         assert prefix_of(Periodic(bytes([0, 1])), 5).digits() == "01010"
 
@@ -453,6 +461,34 @@ class TestPrefixOf:
     def test_determinism(self, golden):
         r = Hubert(golden)
         assert prefix_of(r, 333) == prefix_of(r, 333)
+
+    def test_prefixes_compare_by_alphabet_and_symbols(self, golden):
+        tm = fixed_point(THUE_MORSE, 0, 8)
+        assert tm == WordPrefix(2, tm.symbols)
+        assert tm != WordPrefix(3, tm.symbols)
+        assert hubert_transform(characteristic_prefix(golden, 50)) == \
+            hubert_ternary(golden, 50)
+        assert prefix_of(LiteralPrepend(b"", Champernowne()), 40) == \
+            champernowne_prefix(40)
+
+    @pytest.mark.parametrize("generate", [
+        lambda n: fixed_point(THUE_MORSE, 0, n),
+        lambda n: characteristic_prefix(GOLDEN, n),
+        lambda n: champernowne_prefix(n),
+        lambda n: max_complexity_prefix(n),
+        lambda n: hubert_ternary(GOLDEN, n),
+        lambda n: prefix_of(FixedPoint(FIBONACCI, 0, post=CONSTANT3), n),
+    ], ids=["fixed_point", "characteristic_prefix", "champernowne_prefix",
+            "max_complexity_prefix", "hubert_ternary", "prefix_of"])
+    def test_budget_refused_before_allocation(self, generate):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="budget"):
+                generate(words.DEFAULT_SYMBOL_BUDGET + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def new_factors(recipe, length, n):
@@ -697,6 +733,28 @@ class TestRecipeSchema:
         inner = Characteristic(GOLDEN)
         assert (LiteralPrepend(bytes([0]), LiteralPrepend(bytes([1]), inner))
                 != LiteralPrepend(bytes([0, 1]), inner))
+
+    def test_deep_literal_prepend_repr_and_pickle(self):
+        def nest(depth=3000):
+            r = Hubert(GOLDEN)
+            for i in range(depth):
+                r = LiteralPrepend(bytes([i % 3]), r)
+            return r
+        a, b = nest(), nest()
+        assert repr(a) == repr(b)
+        assert repr(a).startswith("LiteralPrepend(prefix=b'\\x02', inner="
+                                  "LiteralPrepend(prefix=b'\\x01', inner=")
+        assert repr(a).endswith(repr(Hubert(GOLDEN)) + ")" * 3000)
+        restored = pickle.loads(pickle.dumps(a))
+        assert restored is not a and restored == a == b
+        assert hash(restored) == hash(a)
+        assert prefix_of(restored, 3005) == prefix_of(a, 3005)
+        # a shallow recipe reads back as itself
+        r = LiteralPrepend(bytes([1]), LiteralPrepend(b"", Periodic(b"\0")))
+        assert repr(r) == ("LiteralPrepend(prefix=b'\\x01', inner="
+                           "LiteralPrepend(prefix=b'', inner="
+                           "Periodic(pattern=b'\\x00')))")
+        assert eval(repr(r)) == r
 
     def test_wire_format(self):
         r = recipe_from_json(
