@@ -100,7 +100,9 @@ def cmd_generate(args) -> int:
 
 def cmd_profile(args) -> int:
     recipe = _load_recipe(args.recipe)
-    prefix_len = args.prefix_len or checks.inspected_length(recipe, args.nmax)
+    prefix_len = args.prefix_len
+    if prefix_len is None:
+        prefix_len = checks.inspected_length(recipe, args.nmax)
     w = words.prefix_of(recipe, prefix_len)
     prof = complexity.profile(w, args.nmax)
     lines = ["n,rho_ab,rho,balance_running"]
@@ -188,7 +190,7 @@ def cmd_verify(args) -> int:
         preset = "hubert-golden" if args.variant == "hubert" else "rauzy-morphism"
         reports = [checks.rauzy_constant3_check(_load_recipe(preset), n_max)]
     elif args.claim == "periodicity":
-        if not args.recipe or not args.p:
+        if not args.recipe or args.p is None:
             raise UsageError("periodicity needs --recipe and --p")
         w = words.prefix_of(_load_recipe(args.recipe), max(64, 8 * args.p))
         reports = [checks.periodicity_via_parikh(w, args.p)]

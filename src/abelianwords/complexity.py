@@ -201,79 +201,120 @@ def parikh_classes(w: Wordlike, n: int) -> set[ParikhVector]:
 def subword_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
     """Number of distinct length-n factors, n = n_min..n_max.
 
-    One suffix sort serves every n.  Rank levels for window lengths 2^j,
-    j = 0..J with 2^J >= n_max, are built by doubling (each window is
-    ranked by its two half-windows, a past-the-end sentinel ranking below
-    every letter).  The positions are sorted once by their level-J rank,
-    and each adjacent pair's longest common prefix, capped at n_max, is
-    found by binary lifting over the same levels.  A sorted position with
-    LCP ``l`` to its predecessor and ``m`` symbols left begins a new
-    length-n factor exactly for n in (l, min(m, n_max)], so one difference
-    array gives every count.  Exact: equal ranks mean equal windows, no
-    hashing involved.
+    One set of rank levels serves every n: dense, order-preserving ranks
+    of the windows of length 2^j, j = 0..top with 2^top >= n_max, built by
+    doubling (see ``_rank_levels``).  The top level's ranks 1..R name its
+    distinct windows in lexicographic order, so one scatter of the
+    positions by rank leaves one representative per rank, already sorted;
+    no sort is needed.  Each adjacent pair of representatives gets its
+    longest common prefix by binary lifting over the lower levels: R - 1
+    pairs, not one per position.  A representative with LCP ``l`` to its
+    predecessor and ``m`` symbols left begins a new length-n factor exactly
+    for n in (l, min(m, n_max)], so one difference array gives every count.
+
+    Lifting over representatives only is exact.  A padded window (one
+    running past the end) equals no window at another position, so it is
+    its own representative.  Every other copy of a real top-level window
+    shares its first 2^top >= n_max symbols with its representative: it
+    begins no new factor of length <= n_max, and its LCP with any other
+    window and its ``min(m, n_max)`` (which is n_max) are the
+    representative's.  Exact: equal ranks mean equal windows, no hashing
+    involved.
     """
     symbols, _ = _coerce(w)
     L = len(symbols)
     _require_range(n_max, L, n_min)
-    levels, order = _rank_levels(symbols, (n_max - 1).bit_length())
-    a, b = order[:-1], order[1:]
+    levels, R = _rank_levels(symbols, (n_max - 1).bit_length())
+    rep = np.empty(R + 1, dtype=np.int64)
+    rep[levels[-1][:L]] = np.arange(L)  # any copy of a rank serves
+    rep = rep[1:]
+    a, b = rep[:-1], rep[1:]
     # binary lifting over scratch buffers reused at every level: at each
-    # pair's current LCP, add 2^j where the next 2^j symbols agree too
-    lcp = np.zeros(L - 1, dtype=np.int64)
+    # pair's current LCP, add 2^j where the next 2^j symbols agree too.
+    # Adjacent representatives differ at the top level, which is skipped.
+    # Every index is at most L, so "clip" never clips; it only spares take
+    # a buffered copy of its output
+    lcp = np.zeros(R - 1, dtype=np.int64)
     at_a, at_b = np.empty_like(lcp), np.empty_like(lcp)
-    rank_a, rank_b = np.empty((2, L - 1), dtype=levels[0].dtype)
-    for j in range(len(levels) - 1, -1, -1):
-        np.take(levels[j], np.add(a, lcp, out=at_a), out=rank_a)
-        np.take(levels[j], np.add(b, lcp, out=at_b), out=rank_b)
+    rank_a, rank_b = np.empty((2, R - 1), dtype=levels[0].dtype)
+    for j in range(len(levels) - 2, -1, -1):
+        np.take(levels[j], np.add(a, lcp, out=at_a), out=rank_a, mode="clip")
+        np.take(levels[j], np.add(b, lcp, out=at_b), out=rank_b, mode="clip")
         agree = np.equal(rank_a, rank_b, out=at_a)  # at_a is free again
         agree <<= j
         lcp += agree
     lo = np.concatenate(([0], np.minimum(lcp, n_max)))
-    hi = np.minimum(L - order, n_max)
+    hi = np.minimum(L - rep, n_max)
     starts = (np.bincount(lo + 1, minlength=n_max + 2)
               - np.bincount(hi + 1, minlength=n_max + 2))
     return np.cumsum(starts)[n_min:n_max + 1].tolist()
 
 
-def _rank_levels(symbols: bytes, top: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Order-preserving ranks of every window of length 2^j, j = 0..top,
-    and the positions sorted by their level-``top`` rank.
+def _rank_levels(symbols: bytes, top: int) -> tuple[list[np.ndarray], int]:
+    """Dense order-preserving ranks of every window of length 2^j,
+    j = 0..top, and the number R of distinct windows at level ``top``.
 
     ``levels[j][i]`` ranks the window of length 2^j at position i, padded
     past the end with a sentinel below every letter; index L holds the
-    sentinel rank 0 itself, and every real window ranks >= 1.  Two
-    windows get the same rank exactly when they are equal, and a padded
-    window equals no window at another position.  Each level ranks the
-    pairs of the last one's ranks: one argsort, then dense ranks from
-    where the sorted pair codes change, scattered back; the pair codes,
-    their sorted copy and the change flags are buffers reused at every
-    level.
+    sentinel rank 0 itself, and the real windows take every rank 1..R_j.
+    Two windows get the same rank exactly when they are equal, and a
+    padded window equals no window at another position.  Level 0 ranks the
+    letters that occur, in letter order.  Each further level ranks the
+    pair codes ``rank_hi * (R + 1) + rank_lo`` of the last one, which lie
+    in a space of (R + 1)^2 codes.  While that space is at most
+    ``_FLAG_SPACE`` times L, each present code is marked in a reused flag
+    buffer, a cumulative sum over the flags numbers the present codes in
+    order, and one gather hands each window its number: no sort.  Beyond
+    it, one argsort orders the codes, dense ranks are counted where the
+    sorted codes change and scattered back.  Both give the same ranks.
+    Once all L windows of a level are distinct, every longer window ranks as
+    its first half does, so the further levels repeat that one.
+    Every buffer but the argsort result and the levels themselves is
+    allocated once; pages a level never touches are never faulted in.
     """
     L = len(symbols)
     dtype = np.int32 if L < 2**31 - 2 else np.int64  # holds 0..L+1
+    arr = np.frombuffer(symbols, dtype=np.uint8)
+    present = np.zeros(256, dtype=bool)
+    present[arr] = True
+    dense = np.cumsum(present, dtype=dtype)
     lev = np.zeros(L + 1, dtype=dtype)
-    lev[:L] = np.frombuffer(symbols, dtype=np.uint8)
-    lev[:L] += 1
+    np.take(dense, arr, out=lev[:L], mode="clip")
+    R = int(dense[-1])
     levels = [lev]
-    order = np.argsort(lev[:L])
     codes, ranks = np.empty((2, L), dtype=np.int64)
-    changes = np.empty(L, dtype=bool)
-    changes[0] = True
+    flags = np.empty(_FLAG_SPACE * L, dtype=bool)
+    numbers = np.empty(_FLAG_SPACE * L, dtype=dtype)
     for j in range(1, top + 1):
+        if R == L:  # all distinct: a window ranks as its first half does
+            levels.append(lev)
+            continue
         half = 1 << (j - 1)
         # a window's code: its first half's rank, then its second half's
         codes[:] = lev[:L]
-        codes *= int(lev.max()) + 1
+        codes *= R + 1
         codes[:L - half] += lev[half:L]
-        order = np.argsort(codes)
-        sorted_codes = np.take(codes, order, out=ranks)
-        np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=changes[1:])
-        # ranks held the sorted codes, which are read by now
-        np.cumsum(changes, out=ranks)
+        space = (R + 1) ** 2
         lev = np.zeros(L + 1, dtype=dtype)
-        lev[order] = ranks
+        if space <= _FLAG_SPACE * L:
+            seen = flags[:space]
+            seen[:] = False
+            seen[codes] = True
+            np.cumsum(seen, out=numbers[:space])
+            np.take(numbers, codes, out=lev[:L], mode="clip")
+            R = int(numbers[space - 1])
+        else:
+            order = np.argsort(codes)
+            sorted_codes = np.take(codes, order, out=ranks, mode="clip")
+            changes = flags[:L]
+            changes[0] = True
+            np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=changes[1:])
+            # ranks held the sorted codes, which are read by now
+            np.cumsum(changes, out=ranks)
+            lev[order] = ranks
+            R = int(ranks[-1])
         levels.append(lev)
-    return levels, order
+    return levels, R
 
 
 def balance_per_length(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:

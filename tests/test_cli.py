@@ -174,6 +174,15 @@ class TestProfile:
                            "--prefix-len", "4096")
         assert code == 0 and out.splitlines()[1] == "1,2,2,1"
 
+    @pytest.mark.parametrize("prefix_len", ["0", "3"])
+    def test_prefix_shorter_than_nmax_is_usage_error(self, capsys, prefix_len):
+        # 0 is a length like any other, not "use the default prefix"
+        code, out, err = run(capsys, "profile", "--recipe", "tm", "--nmax",
+                             "5", "--prefix-len", prefix_len)
+        assert code == 2 and out == ""
+        assert err == ("error: window lengths must satisfy "
+                       f"1 <= 1 <= 5 <= {prefix_len}\n")
+
 
 class TestPowers:
     def test_brute_constant_word(self, capsys):
@@ -290,6 +299,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "periodicity", "--recipe",
                            "periodic01", "--p", "3")
         assert code == 1 and out.startswith("FAIL claim=periodicity")
+
+    @pytest.mark.parametrize("p", ["0", "-3"])
+    def test_periodicity_period_below_one(self, capsys, p):
+        # a given --p of 0 reaches the checker instead of reading as absent
+        code, out, err = run(capsys, "verify", "periodicity", "--recipe",
+                             "tm", "--p", p)
+        assert code == 2 and out == ""
+        assert err == "error: period must be >= 1\n"
+
+    def test_periodicity_without_p(self, capsys):
+        code, _, err = run(capsys, "verify", "periodicity", "--recipe", "tm")
+        assert code == 2
+        assert err == "error: periodicity needs --recipe and --p\n"
 
     def test_periodicity_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "periodicity", "--recipe",

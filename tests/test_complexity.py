@@ -3,17 +3,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from abelianwords.complexity import (abelian_equivalent, abelian_profile,
-                                     balance_bound, balance_per_length,
+from abelianwords.complexity import (_rank_levels, abelian_equivalent,
+                                     abelian_profile, balance_bound,
+                                     balance_per_length,
                                      max_abelian_complexity, parikh,
                                      parikh_classes, profile, subword_profile)
-from abelianwords.words import (DEFAULT_SYMBOL_BUDGET, TRIBONACCI,
-                                BudgetError, FixedPoint, Periodic, WordPrefix,
-                                complete_prefix_length, max_complexity_prefix,
-                                prefix_of)
+from abelianwords.contfrac import ContinuedFraction
+from abelianwords.words import (DEFAULT_SYMBOL_BUDGET, THUE_MORSE, TRIBONACCI,
+                                BudgetError, FixedPoint, Morphism, Periodic,
+                                WordPrefix, _is_primitive,
+                                champernowne_prefix, characteristic_prefix,
+                                complete_prefix_length, fixed_point,
+                                max_complexity_prefix, prefix_of)
 
 
 def sliding_profile(w, n_max):
@@ -69,6 +73,48 @@ def doubling_subword(w, n_max, n_min=1):
         lev = levels[j]
         out.append(int(np.unique(lev[:k] * mult + lev[n - t:n - t + k]).size))
     return out
+
+
+def sorted_rank_levels(symbols, top):
+    """Reference: rank levels by one full argsort per level, letter + 1 at
+    level 0, and the positions in level-``top`` order."""
+    L = len(symbols)
+    lev = np.zeros(L + 1, dtype=np.int64)
+    lev[:L] = np.frombuffer(symbols, dtype=np.uint8)
+    lev[:L] += 1
+    levels = [lev]
+    order = np.argsort(lev[:L])
+    for j in range(1, top + 1):
+        half = 1 << (j - 1)
+        codes = lev[:L] * (int(lev.max()) + 1)
+        codes[:L - half] += lev[half:L]
+        order = np.argsort(codes)
+        sorted_codes = codes[order]
+        changes = np.concatenate(
+            ([True], sorted_codes[1:] != sorted_codes[:-1]))
+        lev = np.zeros(L + 1, dtype=np.int64)
+        lev[order] = np.cumsum(changes)
+        levels.append(lev)
+    return levels, order
+
+
+def sorted_subword(w, n_max, n_min=1):
+    """Reference: every position sorted by its top-level rank, and the
+    capped LCP of each of the L - 1 adjacent pairs by binary lifting."""
+    L = len(w.symbols)
+    levels, order = sorted_rank_levels(w.symbols, (n_max - 1).bit_length())
+    a, b = order[:-1], order[1:]
+    lcp = np.zeros(L - 1, dtype=np.int64)
+    for j in range(len(levels) - 1, -1, -1):
+        lcp += (levels[j][a + lcp] == levels[j][b + lcp]).astype(np.int64) << j
+    lo = np.concatenate(([0], np.minimum(lcp, n_max)))
+    hi = np.minimum(L - order, n_max)
+    starts = (np.bincount(lo + 1, minlength=n_max + 2)
+              - np.bincount(hi + 1, minlength=n_max + 2))
+    return np.cumsum(starts)[n_min:n_max + 1].tolist()
+
+
+GOLDEN = ContinuedFraction((2,), (1,))  # the Fibonacci word's slope
 
 
 def random_word(rng, p, length):
@@ -285,6 +331,85 @@ class TestSubwordProfile:
         got = subword_profile(w, n_max, n_min)
         assert got == doubling_subword(w, n_max, n_min)
         assert got == brute_subword(w, n_max, n_min)
+
+
+class TestSubwordKernel:
+    """The marking/sorting rank levels and the representative-only LCP
+    lift against the full-sort oracle ``sorted_subword``."""
+
+    @pytest.mark.parametrize("symbols", [
+        fixed_point(THUE_MORSE, 0, 4096).symbols,
+        champernowne_prefix(3000).symbols,
+        bytes([0, 5, 1, 0]) * 300,                 # absent letters 2..4
+        bytes(random.Random(7).choice([2, 7, 200]) for _ in range(2000)),
+        bytes(random.Random(8).randrange(4) for _ in range(1 << 12)),
+        bytes([3]) * 100,
+        bytes([9]),
+    ])
+    def test_levels_match_sorted_oracle(self, symbols):
+        top = len(symbols).bit_length()
+        levels, R = _rank_levels(symbols, top)
+        oracle, _ = sorted_rank_levels(symbols, top)
+        assert len(levels) == len(oracle) == top + 1
+        for lev, ref in zip(levels[1:], oracle[1:]):
+            assert np.array_equal(lev, ref)
+        # level 0 holds the dense ranks of the letters, in letter order
+        dense = np.unique(oracle[0], return_inverse=True)[1].reshape(-1)
+        assert np.array_equal(levels[0], dense)
+        assert R == int(oracle[-1].max())
+
+    @pytest.mark.parametrize("make, n_max, sorts", [
+        pytest.param(lambda: fixed_point(THUE_MORSE, 0, 1 << 16), 1024, 2,
+                     id="thue-morse-2^16"),       # marks 8 levels, sorts 2
+        pytest.param(lambda: characteristic_prefix(GOLDEN, 1 << 17), 256, 0,
+                     id="fibonacci-2^17"),        # marks all 8 levels
+        pytest.param(lambda: champernowne_prefix(64 * 256), 256, 2,
+                     id="champernowne"),          # marks 3, sorts 2, repeats 3
+        pytest.param(lambda: random_word(random.Random(4), 4, 1 << 12), 64, 2,
+                     id="random-4-letter-2^12"),  # marks 2, sorts 2, repeats 2
+    ])
+    def test_full_size_against_sorted(self, make, n_max, sorts, monkeypatch):
+        w = make()
+        expected = sorted_subword(w, n_max)
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(
+            np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+        assert subword_profile(w, n_max) == expected
+        assert len(calls) == sorts
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_fixed_points_of_primitive_morphisms(self, data):
+        p = data.draw(st.integers(1, 3))
+        letter = st.integers(0, p - 1)
+        images = [bytes([0] + data.draw(st.lists(letter, min_size=1,
+                                                 max_size=2)))]
+        images += [bytes(data.draw(st.lists(letter, min_size=1, max_size=3)))
+                   for _ in range(1, p)]
+        m = Morphism(tuple(images))
+        assume(_is_primitive(m))
+        w = fixed_point(m, 0, data.draw(st.integers(1, 3000)))
+        n_max = data.draw(st.integers(1, min(300, len(w))))
+        assert subword_profile(w, n_max) == sorted_subword(w, n_max)
+
+    @pytest.mark.parametrize("symbols, n_max", [
+        (bytes([1]), 1),                          # L = 1, letter 0 absent
+        (bytes([3, 3, 7]), 3),                    # n_max = L
+        (bytes([3, 3, 7]), 2),                    # n_max = 2^1
+        (bytes([0, 5, 1, 0]), 4),                 # n_max = L = 2^2
+        (bytes([0, 5, 1, 0]), 3),                 # n_max = 2^1 + 1
+        (bytes([0, 5, 1, 0]) * 9, 16),            # n_max = 2^4
+        (bytes([0, 5, 1, 0]) * 9, 17),            # n_max = 2^4 + 1
+        (bytes([2, 2, 9, 2, 9, 9, 2]) * 10, 64),  # n_max = 2^6
+        (bytes([2, 2, 9, 2, 9, 9, 2]) * 10, 65),  # n_max = 2^6 + 1
+        (bytes([2, 2, 9, 2, 9, 9, 2]) * 10, 70),  # n_max = L
+    ])
+    def test_edges_against_brute(self, symbols, n_max):
+        w = WordPrefix(max(symbols) + 1, symbols)
+        for n_min in {1, n_max}:
+            assert subword_profile(w, n_max, n_min) == brute_subword(
+                w, n_max, n_min)
 
 
 class TestBalance:
