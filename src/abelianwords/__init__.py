@@ -16,7 +16,7 @@ from .contfrac import (AffineThreshold, ContinuedFraction, Convergent,
                        floor_scaled, frac_less_than)
 from .powers import (AbelianPowerOccurrence, CongoWeights, PeriodPair,
                      WeightsTooSmallError, congo_weights, min_abelian_period,
-                     sturmian_period_pair, sturmian_power_at,
+                     sturmian_period_pair, sturmian_power_at, sturmian_powers,
                      vdw_power_search, verify_abelian_power)
 from .words import (CONSTANT3, DOUBLING, FIBONACCI, THUE_MORSE, TRIBONACCI,
                     BudgetError, Champernowne, Characteristic, CompletePrefix,

@@ -80,7 +80,7 @@ _load_slope = partial(_load, "slope", SLOPE_PRESETS, ContinuedFraction.from_dict
 
 
 def _emit(text: str, out_path):
-    if out_path:
+    if out_path is not None:
         try:
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
@@ -199,7 +199,7 @@ def cmd_verify(args) -> int:
                          "(known: thue-morse, rauzy, periodicity)")
     for line in _report_lines(reports):
         print(line)
-    if args.out:
+    if args.out is not None:
         _emit(_report_csv(reports), args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 

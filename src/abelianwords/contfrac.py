@@ -17,11 +17,27 @@ c*alpha + e for integers c and e; every rational comparison clears its
 denominators once and calls it.  The kernel and the floor functions read
 (p_n, q_n) pairs straight from each instance's grow-only cache, so a
 warm comparison builds no ``Convergent`` and no ``Fraction``.
+
+Warm start.  ``_sign(c, e)`` and ``floor_scaled(n)`` do not walk the
+sandwich from index 0 when the cache already holds deeper pairs: they
+start at the deepest cached pair (p_{2m}/q_{2m}, p_{2m+1}/q_{2m+1}) with
+q_{2m} <= |c| (respectively <= n), found by bisection over the cache.
+The sandwiches nest, so a tighter one decides everything a looser one
+did, with the same answer; and since only cached pairs are skipped, a
+finite expansion runs out at exactly the same inputs as the cold walk.
+At convergent m a bound is off by
+|c*alpha + e - (c*p_m/q_m + e)| < |c|/(q_m*q_(m+1)).  Once the cache
+reaches past |c|, the pair after the start has q_m > |c|, so there both
+bounds are off by less than 1/q_(m+1) and share the sign of
+c*alpha + e unless that is smaller still: a warm call decides within
+two pairs of its start.
 """
 
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
@@ -190,15 +206,27 @@ class AffineThreshold:
 
     Used as the right-hand side of strict comparisons against fractional
     parts {i*alpha}; all the thresholds appearing in the Sturmian power
-    construction have this shape.
+    construction have this shape.  ``form`` holds the same number once
+    over integers, (U, V, D) with u + v*alpha = (U + V*alpha)/D and D > 0;
+    every exact test reads it, and so does the hash, so a cache keyed on
+    a threshold hashes no ``Fraction``.
     """
 
     u: Fraction
     v: Fraction
+    form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "u", Fraction(self.u))
-        object.__setattr__(self, "v", Fraction(self.v))
+        u, v = Fraction(self.u), Fraction(self.v)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "form", (u.numerator * v.denominator,
+                                          v.numerator * u.denominator,
+                                          u.denominator * v.denominator))
+
+    def __hash__(self):
+        # equal thresholds have equal reduced u and v, hence equal forms
+        return hash(self.form)
 
 
 def convergents(cf: ContinuedFraction, count: int) -> list[Convergent]:
@@ -224,6 +252,23 @@ def _pq_at(cf: ContinuedFraction, n: int) -> tuple[int, int]:
     return pq[n + 1]
 
 
+_DENOMINATOR = itemgetter(1)
+
+
+def _warm_start(cf: ContinuedFraction, bound: int) -> int:
+    """Even index 2m of the deepest pair whose two convergents are both
+    cached and whose q_{2m} <= bound; 0 on a cold cache.
+
+    Entries never change and denominators never decrease, so bisecting
+    up to a snapshot of the length needs no lock.
+    """
+    pq = cf._pq
+    # pq[j] is convergent j - 1, and convergent n has a cached successor
+    # iff n <= len(pq) - 3
+    n = bisect_right(pq, bound, 0, len(pq) - 1, key=_DENOMINATOR) - 2
+    return n - n % 2 if n > 0 else 0
+
+
 def _sign(cf: ContinuedFraction, c: int, e: int) -> int:
     """Exact sign of c*alpha + e for integers c and e.
 
@@ -233,13 +278,14 @@ def _sign(cf: ContinuedFraction, c: int, e: int) -> int:
     as soon as either bound has it (c < 0 is the mirror image).  Each
     bound is requested only when the previous one did not decide, so a
     finite stream runs out exactly where comparing alpha with the
-    rational -e/c would.
+    rational -e/c would.  The walk starts at the deepest cached pair with
+    q_{2m} <= |c| (see the module docstring for why that is exact).
     """
     if c == 0:
         return (e > 0) - (e < 0)
     t = 1 if c > 0 else -1
     c, e = c * t, e * t
-    n = 0
+    n = _warm_start(cf, c)
     while True:
         p, q = _pq_at(cf, n)
         if c * p + e * q >= 0:
@@ -255,13 +301,14 @@ def floor_scaled(cf: ContinuedFraction, n: int) -> int:
 
     Refines the sandwich p_{2m}/q_{2m} < alpha < p_{2m+1}/q_{2m+1} until
     both bounds land in the same unit interval, which must happen because
-    n*alpha is irrational for n >= 1.
+    n*alpha is irrational for n >= 1.  The walk starts at the deepest
+    cached pair with q_{2m} <= n (see the module docstring).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return 0
-    m = 0
+    m = _warm_start(cf, n)
     while True:
         p_lo, q_lo = _pq_at(cf, m)
         p_hi, q_hi = _pq_at(cf, m + 1)
@@ -311,16 +358,16 @@ def frac_less_than(cf: ContinuedFraction, i: int, t: AffineThreshold) -> bool:
     """Exact test of {i*alpha} < u + v*alpha.
 
     Rewrites the question as (i - v)*alpha - (u + floor(i*alpha)) < 0 and
-    clears the denominators of u and v.  When both sides collapse
-    ({i*alpha} equals u + v*alpha algebraically) there is nothing to refine
-    towards, so that identity case is rejected; the caller must exclude it.
+    clears the denominators of u and v through the threshold's integer
+    form.  When both sides collapse ({i*alpha} equals u + v*alpha
+    algebraically) there is nothing to refine towards, so that identity
+    case is rejected; the caller must exclude it.
     """
     if i < 1:
         raise ValueError("i must be >= 1")
     f = floor_scaled(cf, i)
-    bu, bv = t.u.denominator, t.v.denominator
-    c = bu * (i * bv - t.v.numerator)
-    e = -bv * (t.u.numerator + f * bu)
+    U, V, D = t.form
+    c, e = D * i - V, -(U + D * f)
     if c == 0 and e == 0:
         raise ValueError(
             "comparison is an exact identity ({i*alpha} = u + v*alpha); "

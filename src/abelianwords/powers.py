@@ -12,24 +12,36 @@ before it leaves this module:
   fractional part {i*alpha} and reads the Abelian period off a convergent
   denominator, so each position gets one of just two possible periods.
 
-The locator works on integers only: delta = u + v*alpha is written once
-as (U + V*alpha)/D, every threshold test becomes the sign of c*alpha + e
-for integers c, e (``contfrac._sign``), and the period pair is computed
-once per (slope, k, delta) and memoized.
+All three verify through one counting core, ``_common_parikh``: it
+counts all letters but the last in each block with ``bytes.count``,
+stops at the first block that differs, and returns the shared Parikh
+vector, which becomes the certificate's ``block_parikh``.
+
+The locator works on integers only: delta = u + v*alpha is held as
+(U + V*alpha)/D (``AffineThreshold.form``), and every threshold test
+becomes the sign of c*alpha + e for integers c, e (``contfrac._sign``).
+Everything that depends on (slope, k, delta) alone -- the flip to the
+complement above 1/2, the period pair, the integer form -- is one
+memoized locator, so a warm certificate costs one floor, at most three
+signs and one verification on the requested slope's cached
+characteristic word.  ``sturmian_powers`` certifies many positions with
+one locator and one growth of that word; ``sturmian_power_at`` is its
+one-position case.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Union
+from operator import index
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
 from .complexity import ParikhVector
 from .contfrac import (AffineThreshold, ContinuedFraction, _sign,
                        floor_scaled)
-from .words import WordPrefix, characteristic_prefix
+from .words import WordPrefix, _characteristic_word, _check_length
 
 __all__ = [
     "AbelianPowerOccurrence",
@@ -40,6 +52,7 @@ __all__ = [
     "min_abelian_period",
     "sturmian_period_pair",
     "sturmian_power_at",
+    "sturmian_powers",
     "vdw_power_search",
     "verify_abelian_power",
 ]
@@ -84,10 +97,26 @@ class CongoWeights:
     N: int
 
 
-def _block_parikh(w: WordPrefix, lo: int, ell: int) -> ParikhVector:
-    """Parikh vector of w[lo:lo + ell], counted in place."""
-    return tuple(w.symbols.count(a, lo, lo + ell)
-                 for a in range(w.alphabet_size))
+def _common_parikh(symbols: bytes, p: int, start: int, ell: int,
+                   k: int) -> Union[ParikhVector, None]:
+    """Parikh vector shared by the k length-ell blocks of ``symbols`` from
+    ``start``, or None as soon as one block differs from the first.
+
+    Counts each of the letters 0..p-2 block by block; the last letter's
+    count is ell minus theirs, which is exact because every symbol is
+    below p.
+    """
+    count = symbols.count
+    stop = start + k * ell
+    first = []
+    for a in range(p - 1):
+        c = count(a, start, start + ell)
+        for lo in range(start + ell, stop, ell):
+            if count(a, lo, lo + ell) != c:
+                return None
+        first.append(c)
+    first.append(ell - sum(first))
+    return tuple(first)
 
 
 def verify_abelian_power(w: WordPrefix, start: int, ell: int, k: int) -> bool:
@@ -97,9 +126,7 @@ def verify_abelian_power(w: WordPrefix, start: int, ell: int, k: int) -> bool:
     if start + k * ell > len(w):
         raise ValueError(
             f"occurrence [{start}, {start + k * ell}) exceeds prefix length {len(w)}")
-    first = _block_parikh(w, start, ell)
-    return all(_block_parikh(w, start + j * ell, ell) == first
-               for j in range(1, k))
+    return _common_parikh(w.symbols, w.alphabet_size, start, ell, k) is not None
 
 
 def min_abelian_period(w: WordPrefix, start: int, k: int,
@@ -157,6 +184,7 @@ def vdw_power_search(w: WordPrefix, k: int, weights: CongoWeights
         nu = np.zeros(L + 1, dtype=np.int64)
         np.cumsum(table[w.as_array()], out=nu[1:])
         nu %= weights.N
+        distinct = weights.N
     else:
         # exact sums in Python ints; the scan only tests nu values for
         # equality, so each distinct value is renamed to a small int
@@ -164,6 +192,10 @@ def vdw_power_search(w: WordPrefix, k: int, weights: CongoWeights
         names = {}
         nu = np.fromiter((names.setdefault(t % weights.N, len(names))
                           for t in sums), dtype=np.int64, count=L + 1)
+        distinct = len(names)
+    # the scan compares residues for equality only: the narrowest dtype
+    # that holds them all does the same work on fewer bytes
+    nu = nu.astype(np.min_scalar_type(distinct - 1))
     for s in range(1, L // k + 1):
         width = L - k * s + 1
         ok = nu[:width] == nu[s:s + width]
@@ -174,11 +206,12 @@ def vdw_power_search(w: WordPrefix, k: int, weights: CongoWeights
         hits = np.flatnonzero(ok)
         if hits.size:
             t0 = int(hits[0])
-            if not verify_abelian_power(w, t0, s, k):
+            block = _common_parikh(w.symbols, w.alphabet_size, t0, s, k)
+            if block is None:
                 raise WeightsTooSmallError(
                     f"nu-progression at (t0={t0}, s={s}) has non-equivalent "
                     f"blocks: M={weights.M} is below the word's balance constant")
-            return AbelianPowerOccurrence(t0, s, k, _block_parikh(w, t0, s))
+            return AbelianPowerOccurrence(t0, s, k, block)
     return None
 
 
@@ -190,12 +223,6 @@ class PeriodPair:
     ell1: int
     ell2: int
     n_even: int
-
-
-def _integer_form(delta: AffineThreshold) -> tuple[int, int, int]:
-    """(U, V, D) with delta = (U + V*alpha)/D and D > 0."""
-    bu, bv = delta.u.denominator, delta.v.denominator
-    return delta.u.numerator * bv, delta.v.numerator * bu, bu * bv
 
 
 def _check_delta(alpha: ContinuedFraction, U: int, V: int, D: int):
@@ -226,7 +253,7 @@ def _period_pair(alpha: ContinuedFraction, k: int,
                  delta: AffineThreshold) -> PeriodPair:
     if _sign(alpha, 2, -1) >= 0:
         raise ValueError("slope must be < 1/2; complement it first")
-    U, V, D = _integer_form(delta)
+    U, V, D = delta.form
     _check_delta(alpha, U, V, D)
     # D * min(delta, alpha - delta) = mu + mv*alpha
     if _sign(alpha, 2 * V - D, 2 * U) < 0:
@@ -248,6 +275,32 @@ def _complement(alpha: ContinuedFraction) -> ContinuedFraction:
     return alpha.complement()
 
 
+class _Locator(NamedTuple):
+    """What a certificate at (slope, k, delta) needs besides its position.
+
+    A slope above 1/2 is decided on its complement (``flipped``), whose
+    characteristic word is the letter exchange of the original; positions
+    and periods carry over unchanged.  The complement itself comes from
+    ``_complement``, the one instance per slope.
+    """
+
+    flipped: bool
+    ell1: int  # q_n, the period outside the critical windows (Case 1)
+    ell2: int  # q_{n+1}, the period inside them (Case 2)
+    U: int
+    V: int
+    D: int
+
+
+@lru_cache(maxsize=1024)
+def _locator(alpha: ContinuedFraction, k: int,
+             delta: AffineThreshold) -> _Locator:
+    flipped = _sign(alpha, 2, -1) >= 0
+    pair = sturmian_period_pair(_complement(alpha) if flipped else alpha,
+                                k, delta)
+    return _Locator(flipped, pair.ell1, pair.ell2, *delta.form)
+
+
 def _frac_lt(alpha: ContinuedFraction, i: int, f: int,
              tu: int, tv: int, d: int) -> bool:
     """{i*alpha} < (tu + tv*alpha)/d, given f = floor(i*alpha) and d > 0.
@@ -256,6 +309,72 @@ def _frac_lt(alpha: ContinuedFraction, i: int, f: int,
     """
     c, e = d * i - tv, -(d * f + tu)
     return not (c == 0 and e == 0) and _sign(alpha, c, e) < 0
+
+
+def _period_at(work: ContinuedFraction, loc: _Locator, i: int) -> int:
+    """The period of the certificate at 1-based position i, decided on the
+    working slope: q_n away from the critical points alpha and 1 (Case 1),
+    q_{n+1} inside the width-delta windows below them (Case 2)."""
+    U, V, D = loc.U, loc.V, loc.D
+    f = floor_scaled(work, i)
+    # interval boundaries, times D: alpha - delta, alpha, 1 - delta
+    if _frac_lt(work, i, f, -U, D - V, D):
+        return loc.ell1
+    if _frac_lt(work, i, f, 0, D, D):
+        return loc.ell2
+    if _frac_lt(work, i, f, D - U, -V, D):
+        return loc.ell1
+    return loc.ell2
+
+
+def _certify(alpha: ContinuedFraction, positions: tuple, k: int,
+             delta: AffineThreshold,
+             check_internal: bool) -> list[AbelianPowerOccurrence]:
+    """The kernel behind ``sturmian_powers`` and ``sturmian_power_at``.
+
+    Positions arrive through ``operator.index``, so numpy integers become
+    ints, whose exact products never wrap, and a float is refused.
+    """
+    if k < 1 or min(positions, default=1) < 1:
+        raise ValueError("need i >= 1 and k >= 1")
+    loc = _locator(alpha, k, delta)
+    if not positions:
+        return []
+    work = _complement(alpha) if loc.flipped else alpha
+    periods = [_period_at(work, loc, i) for i in positions]
+    end = max([i - 1 + k * ell for i, ell in zip(positions, periods)])
+    _check_length(end)
+    # verify on the requested slope's word, so block_parikh is in its letters
+    symbols = _characteristic_word(alpha, end)
+    marks = _characteristic_word(work, end) if loc.flipped else symbols
+    out = []
+    for i, ell in zip(positions, periods):
+        if check_internal and len(
+                {marks[i + j * ell - 2] for j in range(1, k + 1)}) > 1:
+            raise AssertionError(
+                "block-end letters along the progression disagree; "
+                "the case classification is inconsistent")
+        block = _common_parikh(symbols, 2, i - 1, ell, k)
+        if block is None:
+            raise AssertionError(
+                f"constructed occurrence failed verification at i={i}, k={k}, "
+                f"ell={ell}; exact-arithmetic invariant broken")
+        out.append(AbelianPowerOccurrence(i - 1, ell, k, block))
+    return out
+
+
+def sturmian_powers(alpha: ContinuedFraction, positions: Iterable[int], k: int,
+                    delta: AffineThreshold = DEFAULT_DELTA
+                    ) -> list[AbelianPowerOccurrence]:
+    """Verified Abelian k-powers at the given 1-based positions of the
+    characteristic word of slope alpha, in the order given.
+
+    Fetches the memoized locator of (alpha, k, delta) once, decides every
+    period exactly (see :func:`sturmian_power_at`), grows the slope's
+    cached characteristic word once to the furthest block end, and
+    verifies each certificate on it by counting.
+    """
+    return _certify(alpha, tuple(map(index, positions)), k, delta, False)
 
 
 def sturmian_power_at(alpha: ContinuedFraction, i: int, k: int,
@@ -269,35 +388,8 @@ def sturmian_power_at(alpha: ContinuedFraction, i: int, k: int,
     (Case 2) it is q_{n+1}, with n from :func:`sturmian_period_pair`.
     Slopes above 1/2 are handled on the complement, whose characteristic
     word is the letter-exchange of the original; positions and periods
-    carry over unchanged.
+    carry over unchanged.  ``check_internal`` also checks that the working
+    slope's word has one letter at every block end.  This is the
+    one-position case of :func:`sturmian_powers`.
     """
-    if i < 1 or k < 1:
-        raise ValueError("need i >= 1 and k >= 1")
-    work = alpha if _sign(alpha, 2, -1) < 0 else _complement(alpha)
-    pair = sturmian_period_pair(work, k, delta)
-    U, V, D = _integer_form(delta)
-    f = floor_scaled(work, i)
-    # interval boundaries, times D: alpha - delta, alpha, 1 - delta
-    if _frac_lt(work, i, f, -U, D - V, D):
-        case1 = True
-    elif _frac_lt(work, i, f, 0, D, D):
-        case1 = False
-    elif _frac_lt(work, i, f, D - U, -V, D):
-        case1 = True
-    else:
-        case1 = False
-    ell = pair.ell1 if case1 else pair.ell2
-    length = i - 1 + k * ell
-    word = characteristic_prefix(alpha, length)
-    if check_internal:
-        cw = word if work is alpha else characteristic_prefix(work, length)
-        marks = {cw.symbols[i + j * ell - 2] for j in range(1, k + 1)}
-        if len(marks) > 1:
-            raise AssertionError(
-                "block-end letters along the progression disagree; "
-                "the case classification is inconsistent")
-    if not verify_abelian_power(word, i - 1, ell, k):
-        raise AssertionError(
-            f"constructed occurrence failed verification at i={i}, k={k}, "
-            f"ell={ell}; exact-arithmetic invariant broken")
-    return AbelianPowerOccurrence(i - 1, ell, k, _block_parikh(word, i - 1, ell))
+    return _certify(alpha, (index(i),), k, delta, check_internal)[0]

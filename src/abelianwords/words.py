@@ -9,9 +9,11 @@ j+1.
 
 Each recipe kind is one row of the table ``_KINDS``: its wire name,
 serializer, parser, generator and factor-complete bound.  A row's
-generator produces the alphabet size and symbols; ``prefix_of`` alone
-checks the length against the fixed symbol budget and wraps them in a
-``WordPrefix``, and each public generator is ``prefix_of`` on its recipe.
+generator produces the alphabet size and symbols; ``prefix_of`` checks
+the length against the fixed symbol budget (``_check_length``, which the
+Sturmian certificates also call before they read a slope's cached word)
+and wraps them in a ``WordPrefix``, and each public generator is
+``prefix_of`` on its recipe.
 
 Generation does no per-symbol Python work.  A morphism is applied by
 gathering rows of its image table with numpy.  Both word families of the
@@ -19,7 +21,8 @@ paper are limits of recurrences in which each word extends the last, and
 their generators append only the new part:
 
 * a fixed point fills one buffer, appending to w_n = m(w_(n-1)) the image
-  of the letters w_n added to w_(n-1);
+  of the letters w_n added to w_(n-1); under a post-morphism whose images
+  differ in length it stops once the post images reach the length;
 * a characteristic word is the limit of the standard words
   s_n = s_(n-1)^(a_n) s_(n-2), built by bytes repetition.  Each slope
   keeps one grow-only prefix of its characteristic word beside its
@@ -400,37 +403,59 @@ def _fixed_point_row(r: FixedPoint, length: int) -> tuple[int, bytes]:
     """The fixed point of ``r.morphism`` from ``r.seed``, mapped through
     ``r.post`` when there is one.
 
-    The iterates w_0 = seed, w_(n+1) = m(w_n) each extend the last, and
-    m(w_n) = w_n m(w_n[|w_(n-1)|:]).  So one buffer is filled by mapping
-    only the letters the previous round added, and of those only as many
-    as the length still needs.  A post-morphism needs the first
-    ceil(length / its shortest image) letters of the fixed point.
+    The fixed point u satisfies u = m(u), so once u[:src] is known,
+    m(u[:src]) is a longer prefix of u.  One buffer is filled by mapping
+    only letters not yet mapped, and of those only as many as the length
+    still needs.  A post-morphism needs the shortest prefix of u whose
+    post images reach ``length``: ceil(length / image length) letters
+    when its images have one length; otherwise the buffer is grown to
+    ceil(length / longest image) letters, then by rounds, each adding
+    ceil(shortfall / longest image) letters, until they reach it.
     """
     m, post = r.morphism, r.post
     if not m.is_prolongable(r.seed):
         raise ValueError(f"morphism is not prolongable on letter {r.seed}")
-    need = length if post is None else -(-length // min(map(len, post.images)))
-    w = np.empty(need, dtype=np.uint8)
-    first = np.frombuffer(m.images[r.seed], dtype=np.uint8)[:need]
+    if post is None:
+        cap = need = length
+    else:
+        post_lens = np.array([len(img) for img in post.images])
+        longest = int(post_lens.max())
+        cap, need = -(-length // int(post_lens.min())), -(-length // longest)
+    # cap letters always suffice, so nothing past them is written
+    w = np.empty(cap, dtype=np.uint8)
+    first = np.frombuffer(m.images[r.seed], dtype=np.uint8)[:cap]
     w[:len(first)] = first
-    old, end = 1, len(first)  # w[:old] is w_(n-1), w[:end] is w_n
+    src, end = 1, len(first)  # w[:end] is m(w[:src]), cut at cap
     shortest = min(map(len, m.images))
-    while end < need:
-        take = min(end - old, -(-(need - end) // shortest))
-        image = m._gather(w[old:old + take])[:need - end]
-        w[end:end + len(image)] = image
-        old, end = end, end + len(image)
+    reached = counted = 0  # post image length of w[:counted]
+    while True:
+        while end < need:
+            take = min(end - src, -(-(need - end) // shortest))
+            image = m._gather(w[src:src + take])[:cap - end]
+            w[end:end + len(image)] = image
+            src, end = src + take, end + len(image)
+        if need == cap:  # no post, or post images of one length
+            break
+        reached += int(np.bincount(w[counted:end],
+                                   minlength=len(post_lens)) @ post_lens)
+        counted = end
+        if reached >= length:
+            break
+        need = end + -(-(length - reached) // longest)
     if post is None:
         return m.alphabet_size, w.tobytes()
-    return post.image_alphabet_size, post._gather(w)[:length].tobytes()
+    return post.image_alphabet_size, post._gather(w[:end])[:length].tobytes()
 
 
 def _characteristic_symbols(alpha: ContinuedFraction, length: int) -> bytes:
-    """The first ``length`` symbols of the characteristic word of alpha:
-    a slice of the slope's grow-only cache, which at least doubles
-    whenever it grows."""
-    if length == 0:
-        return b""
+    """The first ``length`` symbols of the characteristic word of alpha."""
+    return _characteristic_word(alpha, length)[:length] if length else b""
+
+
+def _characteristic_word(alpha: ContinuedFraction, length: int) -> bytes:
+    """The slope's grow-only cache of its characteristic word, grown to
+    more than ``length`` symbols first; it at least doubles whenever it
+    grows.  It holds only the letters 0 and 1."""
     need = length + 3  # some q_n > length + 2, the finite-expansion rule
     word = alpha._word[0]
     if len(word) < need:
@@ -441,7 +466,7 @@ def _characteristic_symbols(alpha: ContinuedFraction, length: int) -> bytes:
                 # asks for no term the length does not need
                 want = max(need, 2 * len(word)) if alpha.is_unbounded else need
                 word = alpha._word[0] = _grow_characteristic(alpha, word, want)
-    return word[:length]
+    return word
 
 
 def _grow_characteristic(alpha: ContinuedFraction, word: bytes,
@@ -740,12 +765,19 @@ def prefix_of(recipe: WordRecipe, length: int) -> WordPrefix:
     """Generate the length-``length`` prefix described by ``recipe``; a
     length over ``DEFAULT_SYMBOL_BUDGET`` raises BudgetError before any
     symbol is built."""
+    _check_length(length)
+    return WordPrefix(*_kind_of(recipe).generate(recipe, length))
+
+
+def _check_length(length: int):
+    """The symbol budget, checked before any symbol is built: by
+    ``prefix_of`` and by the Sturmian certificates, which read the
+    characteristic-word cache directly."""
     if length < 0:
         raise ValueError("length must be >= 0")
     if length > DEFAULT_SYMBOL_BUDGET:
         raise BudgetError(
             f"requested {length} symbols, budget is {DEFAULT_SYMBOL_BUDGET}")
-    return WordPrefix(*_kind_of(recipe).generate(recipe, length))
 
 
 def complete_prefix_length(recipe: WordRecipe,

@@ -18,7 +18,8 @@ from abelianwords.complexity import (abelian_profile, balance_bound,
                                      max_abelian_complexity, subword_profile)
 from abelianwords.powers import (congo_weights, min_abelian_period,
                                  sturmian_period_pair, sturmian_power_at,
-                                 vdw_power_search, verify_abelian_power)
+                                 sturmian_powers, vdw_power_search,
+                                 verify_abelian_power)
 from abelianwords.words import (CONSTANT3, FIBONACCI, THUE_MORSE, WordPrefix,
                                 apply_morphism, champernowne_prefix,
                                 characteristic_prefix, fixed_point,
@@ -123,8 +124,9 @@ def test_criterion_07_sturmian_two_period_law(golden):
     for k in range(2, 9):
         pair = sturmian_period_pair(golden, k)
         prefix = characteristic_prefix(golden, 500 + k * pair.ell2)
-        for i in range(1, 501):
-            occ = sturmian_power_at(golden, i, k)
+        batch = sturmian_powers(golden, range(1, 501), k)
+        for i, occ in enumerate(batch, 1):
+            assert occ == sturmian_power_at(golden, i, k)
             assert occ.start == i - 1 and occ.exponent == k
             assert occ.period in (pair.ell1, pair.ell2)
             assert verify_abelian_power(prefix, occ.start, occ.period, k)

@@ -346,6 +346,29 @@ class TestVerify:
         assert err.count("\n") == 1
 
 
+class TestEmptyOutPath:
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--recipe", "tm", "--len", "4"],
+        ["profile", "--recipe", "tm", "--nmax", "4"],
+        ["powers", "sturmian", "--slope", "golden", "--k", "2"],
+    ], ids=["generate", "profile", "powers"])
+    def test_empty_out_path_is_usage_error(self, capsys, argv):
+        # an empty path names no file: it must not fall back to stdout
+        code, out, err = run(capsys, *argv, "--out", "")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write : ")
+        assert err.count("\n") == 1
+
+    def test_empty_report_path_is_usage_error(self, capsys):
+        # verify prints its verdict lines first, as with any unwritable path
+        _, report, _ = run(capsys, "verify", "thue-morse", "--nmax", "16")
+        code, out, err = run(capsys, "verify", "thue-morse", "--nmax", "16",
+                             "--out", "")
+        assert code == 2 and out == report
+        assert err.startswith("error: cannot write : ")
+        assert err.count("\n") == 1
+
+
 class TestExitCodes:
     def test_precision_exhaustion_is_exit_3(self, capsys):
         recipe = ('{"kind": "characteristic", '

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abelianwords.contfrac import (AffineThreshold, ContinuedFraction,
-                                   InsufficientPrecisionError, affine_sign,
+                                   InsufficientPrecisionError, _sign,
+                                   _warm_start, affine_sign,
                                    compare_with_rational, convergents,
                                    floor_range, floor_scaled, frac_less_than)
 
@@ -89,6 +90,40 @@ def oracle_frac_less_than(cf, i, t):
     if w > 0:
         return oracle_compare_with_rational(cf, s / w) < 0
     return oracle_compare_with_rational(cf, s / w) > 0
+
+
+# -- cold walks ------------------------------------------------------------
+# _sign and floor_scaled as they were before the warm start: every walk
+# begins at the pair (p_0/q_0, p_1/q_1), whatever the cache holds.
+
+def cold_sign(cf, c, e):
+    if c == 0:
+        return (e > 0) - (e < 0)
+    t = 1 if c > 0 else -1
+    c, e = c * t, e * t
+    n = 0
+    while True:
+        lo = cf.convergent(n)
+        if c * lo.p + e * lo.q >= 0:
+            return t
+        hi = cf.convergent(n + 1)
+        if c * hi.p + e * hi.q <= 0:
+            return -t
+        n += 2
+
+
+def cold_floor_scaled(cf, n):
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return 0
+    m = 0
+    while True:
+        lo, hi = cf.convergent(m), cf.convergent(m + 1)
+        f_lo = (n * lo.p) // lo.q
+        if f_lo == (n * hi.p) // hi.q:
+            return f_lo
+        m += 2
 
 
 def outcome(fn, *args):
@@ -196,6 +231,83 @@ class TestIntegerKernelAgainstFractionOracles:
         assert got == [outcome(oracle, cf, *args) for _, oracle, args in cases]
         assert got == [1, InsufficientPrecisionError, -1, 1,
                        InsufficientPrecisionError, InsufficientPrecisionError]
+
+
+def fresh_copy(cf, warm_to):
+    """An equal expansion with its own cache, grown to convergent
+    ``warm_to`` (or as far as a finite expansion goes); None leaves it
+    cold."""
+    out = ContinuedFraction(cf.preperiod, cf.period)
+    if warm_to is not None:
+        try:
+            out.convergent(warm_to)
+        except InsufficientPrecisionError:
+            pass
+    return out
+
+
+WARMTH = st.one_of(st.none(), st.integers(0, 60))
+
+
+class TestWarmStart:
+    @settings(max_examples=400, deadline=None)
+    @given(any_expansion, WARMTH, st.data())
+    def test_sign_matches_cold_walk(self, cf, warm_to, data):
+        if data.draw(st.booleans()):
+            r = draw_rational(data, cf)
+            c, e = r.denominator, -r.numerator
+            if data.draw(st.booleans()):
+                c, e = -c, -e
+        else:  # |c| up to 10**6 against an e next to -c*alpha
+            c = data.draw(st.integers(-10**6, 10**6))
+            f = outcome(cold_floor_scaled, fresh_copy(cf, None), abs(c))
+            f = 0 if isinstance(f, type) else f
+            e = (-f if c >= 0 else f) + data.draw(st.integers(-2, 2))
+        assert outcome(_sign, fresh_copy(cf, warm_to), c, e) == \
+            outcome(cold_sign, fresh_copy(cf, None), c, e)
+
+    @settings(max_examples=400, deadline=None)
+    @given(any_expansion, WARMTH, st.integers(0, 10**12))
+    def test_floor_scaled_matches_cold_walk(self, cf, warm_to, n):
+        assert outcome(floor_scaled, fresh_copy(cf, warm_to), n) == \
+            outcome(cold_floor_scaled, fresh_copy(cf, None), n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_expansion, st.integers(0, 10**12), st.data())
+    def test_a_cold_cache_grows_exactly_as_the_cold_walk_does(self, cf, n,
+                                                               data):
+        # from a cold cache the warm start is index 0, so both walks
+        # request the same convergents
+        c = data.draw(st.integers(1, 10**9))
+        for fn, cold, args in ((floor_scaled, cold_floor_scaled, (n,)),
+                               (_sign, cold_sign, (c, -n))):
+            ours, theirs = fresh_copy(cf, None), fresh_copy(cf, None)
+            assert outcome(fn, ours, *args) == outcome(cold, theirs, *args)
+            assert ours._pq == theirs._pq
+
+    def test_start_is_deepest_cached_pair_within_bound(self, golden):
+        cf = ContinuedFraction(golden.preperiod, golden.period)
+        assert _warm_start(cf, 10**9) == 0  # cold: nothing cached
+        cf.convergent(20)  # q_0..q_20 = 1, 2, 3, 5, 8, 13, 21, ...
+        assert [_warm_start(cf, b) for b in (1, 2, 3, 7, 8, 12, 13, 21)] == \
+            [0, 0, 2, 2, 4, 4, 4, 6]
+        # convergent 20 has no cached successor, so 18 is the deepest pair
+        assert _warm_start(cf, 10**30) == 18
+
+    def test_finite_expansion_warm_cache_raises_where_cold_does(self):
+        # [0; 2, 3] = 3/7, fully cached: floor(7*alpha) and comparing
+        # alpha with a rational just above 3/7 still need the missing
+        # fourth convergent; just below 3/7 is decided by 3/7 itself
+        warm = ContinuedFraction((2, 3))
+        warm.convergent(2)
+        above, below = Fraction(3, 7) + Fraction(1, 10**20), \
+            Fraction(3, 7) - Fraction(1, 10**20)
+        with pytest.raises(InsufficientPrecisionError):
+            floor_scaled(warm, 7)
+        with pytest.raises(InsufficientPrecisionError):
+            _sign(warm, above.denominator, -above.numerator)
+        assert _sign(warm, below.denominator, -below.numerator) == 1
+        assert floor_scaled(warm, 1) == 0
 
 
 class TestConvergents:

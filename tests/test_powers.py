@@ -2,8 +2,9 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,10 +17,10 @@ from abelianwords.contfrac import AffineThreshold, ContinuedFraction
 from abelianwords.powers import (AbelianPowerOccurrence, PeriodPair,
                                  WeightsTooSmallError, congo_weights,
                                  min_abelian_period, sturmian_period_pair,
-                                 sturmian_power_at, vdw_power_search,
-                                 verify_abelian_power)
-from abelianwords.words import (THUE_MORSE, WordPrefix, characteristic_prefix,
-                                fixed_point)
+                                 sturmian_power_at, sturmian_powers,
+                                 vdw_power_search, verify_abelian_power)
+from abelianwords.words import (DEFAULT_SYMBOL_BUDGET, THUE_MORSE, BudgetError,
+                                WordPrefix, characteristic_prefix, fixed_point)
 
 HALF_ALPHA = AffineThreshold(0, Fraction(1, 2))
 
@@ -84,6 +85,36 @@ def reference_vdw(symbols, k, weights):
             if nu[t0 + s] == nu[t0] and all(
                     nu[t0 + j * s] == nu[t0] for j in range(2, k + 1)):
                 return t0, s
+    return None
+
+
+def int64_vdw(w, k, weights):
+    """The nu-progression scan as it was before residues were narrowed:
+    every nu value held in int64 (renamed to small ints past N*L = 2**63).
+    Returns (t0, s) or None."""
+    L = len(w)
+    if L < k:
+        return None
+    if weights.N * L < 2**63:
+        table = np.asarray(weights.alphas, dtype=np.int64)
+        nu = np.zeros(L + 1, dtype=np.int64)
+        np.cumsum(table[w.as_array()], out=nu[1:])
+        nu %= weights.N
+    else:
+        sums = accumulate(map(weights.alphas.__getitem__, w.symbols), initial=0)
+        names = {}
+        nu = np.fromiter((names.setdefault(t % weights.N, len(names))
+                          for t in sums), dtype=np.int64, count=L + 1)
+    for s in range(1, L // k + 1):
+        width = L - k * s + 1
+        ok = nu[:width] == nu[s:s + width]
+        for j in range(2, k + 1):
+            if not ok.any():
+                break
+            ok &= nu[j * s:j * s + width] == nu[:width]
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            return int(hits[0]), s
     return None
 
 
@@ -179,6 +210,24 @@ class TestVdwSearch:
             assert found == reference_vdw(w.symbols, k, weights), (length, k)
             if M > 10**9:  # N = (M + 1)**2 outweighs any block here
                 assert found is None
+
+    @pytest.mark.parametrize("M", [1, 15, 16, 255, 256, 3 * 10**9, 10**11])
+    def test_narrow_residues_match_int64_scan(self, M, golden):
+        # N = (M + 1)**2 for two letters: up to M = 15 the residues fit
+        # uint8, up to M = 255 uint16, then uint32; from M = 3 * 10**9 on,
+        # N * L passes 2**63 and the Python-int path renames the residues
+        weights = congo_weights(M, 2)
+        length = 20000 if M < 100 else 3000  # large N: whole scans, no hit
+        prefixes = [characteristic_prefix(golden, length)]
+        if M > 1:  # M = 1 is admissible only for balance-1 words
+            prefixes.append(fixed_point(THUE_MORSE, 0, length))
+        for w in prefixes:
+            for k in range(2, 6):
+                for start in (0, 1, 7):
+                    shifted = w.shift(start)
+                    occ = vdw_power_search(shifted, k, weights)
+                    found = None if occ is None else (occ.start, occ.period)
+                    assert found == int64_vdw(shifted, k, weights), (M, k)
 
     def test_alphabet_mismatch(self, tm4096):
         with pytest.raises(ValueError, match="letters"):
@@ -279,18 +328,29 @@ class TestSturmianPowerAt:
             occ = sturmian_power_at(comp, i, 3, check_internal=True)
             assert verify_abelian_power(w, occ.start, occ.period, 3)
 
-    def test_internal_check_below_half_builds_one_prefix(self, golden,
-                                                          monkeypatch):
-        calls = []
+    def test_internal_check_below_half_builds_one_prefix(self, monkeypatch):
+        # below 1/2 the working slope is the slope itself, so the internal
+        # check reads the word the verification reads: no complement is
+        # built and no second characteristic word is grown
+        made, grown = [], []
+        complement, grow = ContinuedFraction.complement, words._grow_characteristic
 
-        def counting(alpha, length, *args):
-            calls.append(alpha)
-            return characteristic_prefix(alpha, length, *args)
+        def counting_complement(alpha):
+            made.append(alpha)
+            return complement(alpha)
 
-        monkeypatch.setattr(powers, "characteristic_prefix", counting)
+        def counting_grow(alpha, word, want):
+            grown.append(alpha)
+            return grow(alpha, word, want)
+
+        monkeypatch.setattr(ContinuedFraction, "complement", counting_complement)
+        monkeypatch.setattr(words, "_grow_characteristic", counting_grow)
+        powers._complement.cache_clear()
+        alpha = ContinuedFraction((2,), (1,))  # golden, with fresh caches
         for i in range(1, 41):
-            sturmian_power_at(golden, i, 3, check_internal=True)
-        assert calls == [golden] * 40
+            sturmian_power_at(alpha, i, 3, check_internal=True)
+        assert made == []
+        assert grown and all(a is alpha for a in grown)
 
     def test_complement_is_built_once_per_slope(self, monkeypatch):
         made = []
@@ -358,10 +418,98 @@ class TestSturmianAgainstFractionOracle:
                 assert sturmian_power_at(alpha, i, k, d, check_internal=True) \
                     == oracle_power_at(alpha, i, k, d), (i, k)
 
+    @pytest.mark.parametrize("delta", DELTAS, ids=list(DELTAS))
+    @pytest.mark.parametrize("slope", SLOPES, ids=list(SLOPES))
+    def test_batch_matches_positions_one_by_one(self, slope, delta):
+        # the batch runs on an equal slope with cold caches, in an order
+        # with repeats, so it grows the word itself and keeps the order
+        alpha, d = self.SLOPES[slope], self.DELTAS[delta]
+        fresh = ContinuedFraction(alpha.preperiod, alpha.period)
+        positions = self.POSITIONS[::-1] + self.POSITIONS[:5]
+        for k in range(1, 9):
+            batch = sturmian_powers(fresh, positions, k, d)
+            assert batch == [sturmian_power_at(alpha, i, k, d)
+                             for i in positions], k
+            assert batch == [oracle_power_at(alpha, i, k, d)
+                             for i in positions], k
+
     def test_period_pair_is_computed_once_per_slope(self, golden):
         first = sturmian_period_pair(golden, 5)
         assert sturmian_period_pair(ContinuedFraction((2,), (1,)), 5) is first
         assert first == oracle_period_pair(golden, 5, HALF_ALPHA)
+
+
+class TestSturmianBatch:
+    def test_empty_batch(self, golden):
+        assert sturmian_powers(golden, [], 3) == []
+
+    def test_accepts_any_iterable(self, golden):
+        assert sturmian_powers(golden, (i for i in (5, 1, 5)), 2) == \
+            [sturmian_power_at(golden, i, 2) for i in (5, 1, 5)]
+
+    def test_numpy_positions_become_ints(self, golden):
+        # numpy integers would make the exact products wrap at 2**63
+        batch = sturmian_powers(golden, np.arange(1, 400), 5)
+        assert batch == [sturmian_power_at(golden, i, 5) for i in range(1, 400)]
+        assert all(type(o.start) is int for o in batch)
+        assert sturmian_power_at(golden, np.int64(77), 5) == batch[76]
+        with pytest.raises(TypeError):
+            sturmian_powers(golden, [1.0], 2)
+        with pytest.raises(TypeError):
+            sturmian_power_at(golden, 1.0, 2)
+
+    @pytest.mark.parametrize("positions, k", [([1, 0], 2), ([3], 0), ([-2], 1)])
+    def test_bad_arguments(self, golden, positions, k):
+        with pytest.raises(ValueError, match="i >= 1 and k >= 1"):
+            sturmian_powers(golden, positions, k)
+
+    def test_bad_delta_even_when_empty(self, golden):
+        with pytest.raises(ValueError, match="< alpha"):
+            sturmian_powers(golden, [], 2, AffineThreshold(0, 2))
+
+    def test_past_the_symbol_budget(self, golden):
+        # the certificate's last block would end past the budget: refused
+        # before the word grows, as a prefix of that length would be
+        before = len(golden._word[0])
+        with pytest.raises(BudgetError):
+            sturmian_powers(golden, [1, DEFAULT_SYMBOL_BUDGET], 2)
+        with pytest.raises(BudgetError):
+            sturmian_power_at(golden, DEFAULT_SYMBOL_BUDGET, 2)
+        assert len(golden._word[0]) == before
+
+    def test_word_grows_once_per_batch(self, monkeypatch):
+        grown = []
+        grow = words._grow_characteristic
+
+        def counting(alpha, word, want):
+            grown.append(want)
+            return grow(alpha, word, want)
+
+        monkeypatch.setattr(words, "_grow_characteristic", counting)
+        alpha = ContinuedFraction((2,), (1,))  # fresh caches
+        batch = sturmian_powers(alpha, range(1, 3001), 8)
+        assert len(grown) == 1
+        assert grown[0] >= max(o.start + 8 * o.period for o in batch)
+
+    @pytest.mark.parametrize("slope", [ContinuedFraction((2,), (1,)),
+                                       ContinuedFraction((1, 1), (1,))],
+                             ids=["golden", "golden-complement"])
+    def test_tampered_verification_raises(self, slope, monkeypatch):
+        monkeypatch.setattr(powers, "_common_parikh", lambda *args: None)
+        with pytest.raises(AssertionError, match="failed verification"):
+            sturmian_power_at(slope, 4, 3)
+        with pytest.raises(AssertionError, match="failed verification"):
+            sturmian_powers(slope, [1, 2, 3], 2)
+
+    def test_block_parikh_is_in_the_requested_slopes_letters(self):
+        # above 1/2 the periods are decided on the complement, but the
+        # certificate counts the requested slope's word
+        comp = ContinuedFraction((1, 1), (1,))
+        w = characteristic_prefix(comp, 5000)
+        for occ in sturmian_powers(comp, range(1, 200), 4):
+            block = w.symbols[occ.start:occ.start + occ.period]
+            assert occ.block_parikh == (block.count(0), block.count(1))
+            assert occ.block_parikh[1] > occ.block_parikh[0]
 
 
 class TestSturmianSharedSlope:
@@ -398,6 +546,40 @@ class TestSturmianSharedSlope:
                     t.join(timeout=60)
                 assert not any(t.is_alive() for t in threads)
                 assert results == [expected] * 8
+        finally:
+            sys.setswitchinterval(old)
+
+
+    def test_threads_batching_one_fresh_slope_match_serial(self):
+        # four threads certify the same fresh slope at once through the
+        # batch: they build its locator, grow its convergents and its word
+        positions = list(range(1, 400)) + [4000, 777, 3]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for a in (21, 22, 23):
+                serial = ContinuedFraction((a, 2, 7), (2, 7))
+                expected = [sturmian_powers(serial, positions, k)
+                            for k in range(1, 9)]
+                shared = ContinuedFraction((a,), (2, 7))
+                barrier = threading.Barrier(4)
+                results = [None] * 4
+
+                def run(slot):
+                    barrier.wait()
+                    order = random.Random(slot).sample(range(1, 9), 8)
+                    got = {k: sturmian_powers(shared, positions, k)
+                           for k in order}
+                    results[slot] = [got[k] for k in range(1, 9)]
+
+                threads = [threading.Thread(target=run, args=(slot,))
+                           for slot in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert results == [expected] * 4
         finally:
             sys.setswitchinterval(old)
 

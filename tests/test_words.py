@@ -80,6 +80,43 @@ def whole_word_fixed_point(m, seed, length):
     return w[:length].tobytes()
 
 
+def oracle_fixed_point_row(r, length):
+    """The fixed-point row before mixed-length post-morphisms were sized
+    by their longest image: it grows the inner word to
+    ceil(length / shortest post image) letters."""
+    m, post = r.morphism, r.post
+    need = length if post is None else -(-length // min(map(len, post.images)))
+    w = np.empty(need, dtype=np.uint8)
+    first = np.frombuffer(m.images[r.seed], dtype=np.uint8)[:need]
+    w[:len(first)] = first
+    old, end = 1, len(first)
+    shortest = min(map(len, m.images))
+    while end < need:
+        take = min(end - old, -(-(need - end) // shortest))
+        image = m._gather(w[old:old + take])[:need - end]
+        w[end:end + len(image)] = image
+        old, end = end, end + len(image)
+    if post is None:
+        return m.alphabet_size, w.tobytes()
+    return post.image_alphabet_size, post._gather(w)[:length].tobytes()
+
+
+def post_mapped_letters(monkeypatch, r, length):
+    """How many inner letters the row maps through ``r.post``."""
+    mapped = []
+    gather = Morphism._gather
+
+    def counting(self, arr):
+        if self is r.post:
+            mapped.append(len(arr))
+        return gather(self, arr)
+
+    monkeypatch.setattr(Morphism, "_gather", counting)
+    words._fixed_point_row(r, length)
+    monkeypatch.setattr(Morphism, "_gather", gather)
+    return sum(mapped)
+
+
 def floor_characteristic(cf, length):
     """Characteristic prefix from floor((j+2)*alpha) - floor((j+1)*alpha),
     or "raises" where floor_range runs out of terms."""
@@ -227,6 +264,49 @@ class TestFixedPoint:
     def test_matches_whole_word_iteration(self, m, length):
         assert fixed_point(m, 0, length).symbols == \
             whole_word_fixed_point(m, 0, length)
+
+
+class TestPostMorphismSizing:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(fixed_points_with_post(),
+                     prolongable_morphisms().map(lambda m: FixedPoint(m, 0))),
+           st.integers(0, 3000))
+    def test_matches_shortest_image_row(self, r, length):
+        assert words._fixed_point_row(r, length) == \
+            oracle_fixed_point_row(r, length)
+
+    @pytest.mark.parametrize("post", [{"0": "0", "1": "1111"},
+                                      {"0": "1111", "1": "0"},
+                                      {"0": "012", "1": "021"},
+                                      {"0": "10", "1": "2", "2": "0"}])
+    def test_fibonacci_at_every_small_length(self, post):
+        r = FixedPoint(FIBONACCI, 0, Morphism.from_strings(post))
+        for length in range(200):
+            assert words._fixed_point_row(r, length) == \
+                oracle_fixed_point_row(r, length), length
+        for length in (1 << 16, (1 << 16) + 1, 99991):
+            assert words._fixed_point_row(r, length) == \
+                oracle_fixed_point_row(r, length), length
+
+    def test_mixed_lengths_map_only_the_letters_needed(self, monkeypatch):
+        # Fibonacci has about 0.382 ones, so this post averages about 2.15
+        # symbols a letter; the shortest-image row mapped `length` letters.
+        # The last round of the inner iteration may overshoot by a letter
+        # or two (its images have lengths 1 and 2).
+        r = FixedPoint(FIBONACCI, 0, Morphism.from_strings({"0": "0",
+                                                            "1": "1111"}))
+        inner = words.prefix_of(FixedPoint(FIBONACCI, 0), 1 << 17).symbols
+        reached = np.cumsum(np.array([1, 4])[np.frombuffer(inner, np.uint8)])
+        for length in (7, 50, 2999, 1 << 16, 99991):
+            fewest = int(np.searchsorted(reached, length)) + 1
+            mapped = post_mapped_letters(monkeypatch, r, length)
+            assert fewest <= mapped <= fewest + 2, length
+
+    def test_one_image_length_maps_the_exact_ceiling(self, monkeypatch):
+        r = FixedPoint(FIBONACCI, 0, CONSTANT3)
+        for length in (1, 2, 3, 4, 1 << 16, (1 << 16) + 1):
+            assert post_mapped_letters(monkeypatch, r, length) == \
+                -(-length // 3)
 
 
 class TestApplyMorphism:
