@@ -158,6 +158,34 @@ def congo_weights(M: int, r: int) -> CongoWeights:
     return CongoWeights(M, r, tuple(alphas), M * sum(alphas) + 1)
 
 
+@lru_cache(maxsize=4)
+def _vdw_residues(symbols: bytes, weights: CongoWeights) -> np.ndarray:
+    """nu(t) for t = 0..len(symbols), read-only: the running weight sums
+    mod N, renamed to small ints past N*L = 2**63, in the narrowest dtype.
+    Memoized per word and weights, which one search per exponent k
+    shares; a few entries suffice."""
+    L = len(symbols)
+    if weights.N * L < 2**63:  # every running sum fits in int64
+        table = np.asarray(weights.alphas, dtype=np.int64)
+        nu = np.zeros(L + 1, dtype=np.int64)
+        np.cumsum(table[np.frombuffer(symbols, dtype=np.uint8)], out=nu[1:])
+        nu %= weights.N
+        distinct = weights.N
+    else:
+        # exact sums in Python ints; the scan only tests nu values for
+        # equality, so each distinct value is renamed to a small int
+        sums = accumulate(map(weights.alphas.__getitem__, symbols), initial=0)
+        names = {}
+        nu = np.fromiter((names.setdefault(t % weights.N, len(names))
+                          for t in sums), dtype=np.int64, count=L + 1)
+        distinct = len(names)
+    # the scan compares residues for equality only: the narrowest dtype
+    # that holds them all does the same work on fewer bytes
+    nu = nu.astype(np.min_scalar_type(distinct - 1))
+    nu.flags.writeable = False
+    return nu
+
+
 def vdw_power_search(w: WordPrefix, k: int, weights: CongoWeights
                      ) -> Union[AbelianPowerOccurrence, None]:
     """Abelian k-power via a monochromatic progression of running sums.
@@ -179,23 +207,7 @@ def vdw_power_search(w: WordPrefix, k: int, weights: CongoWeights
     L = len(w)
     if L < k:
         return None
-    if weights.N * L < 2**63:  # every running sum fits in int64
-        table = np.asarray(weights.alphas, dtype=np.int64)
-        nu = np.zeros(L + 1, dtype=np.int64)
-        np.cumsum(table[w.as_array()], out=nu[1:])
-        nu %= weights.N
-        distinct = weights.N
-    else:
-        # exact sums in Python ints; the scan only tests nu values for
-        # equality, so each distinct value is renamed to a small int
-        sums = accumulate(map(weights.alphas.__getitem__, w.symbols), initial=0)
-        names = {}
-        nu = np.fromiter((names.setdefault(t % weights.N, len(names))
-                          for t in sums), dtype=np.int64, count=L + 1)
-        distinct = len(names)
-    # the scan compares residues for equality only: the narrowest dtype
-    # that holds them all does the same work on fewer bytes
-    nu = nu.astype(np.min_scalar_type(distinct - 1))
+    nu = _vdw_residues(w.symbols, weights)
     for s in range(1, L // k + 1):
         width = L - k * s + 1
         ok = nu[:width] == nu[s:s + width]

@@ -15,21 +15,23 @@ Sturmian certificates also call before they read a slope's cached word)
 and wraps them in a ``WordPrefix``, and each public generator is
 ``prefix_of`` on its recipe.
 
-Generation does no per-symbol Python work.  A morphism is applied by
-gathering rows of its image table with numpy.  Both word families of the
-paper are limits of recurrences in which each word extends the last, and
-their generators append only the new part:
+Generation does no per-symbol Python work: the two word families of the
+paper are built by copying whole blocks of bytes.
 
-* a fixed point fills one buffer, appending to w_n = m(w_(n-1)) the image
-  of the letters w_n added to w_(n-1); under a post-morphism whose images
-  differ in length it stops once the post images reach the length;
-* a characteristic word is the limit of the standard words
+* A fixed point u = m(u) is also the fixed point of a power M = m^J
+  whose images are tens to thousands of symbols long.  The images of M,
+  or post(M(b)) under a post-morphism, are built once per prefix by
+  concatenation; the prefix is the join of those images over the first
+  letters of u, and u itself grows from M(seed) by the same joins, only
+  as far as the length needs.
+* A characteristic word is the limit of the standard words
   s_n = s_(n-1)^(a_n) s_(n-2), built by bytes repetition.  Each slope
   keeps one grow-only prefix of its characteristic word beside its
   grow-only convergent cache (both on the ``ContinuedFraction``, grown
   under one lock), and every characteristic prefix is a slice of it.
 
-The other generators build their prefixes from whole-array operations.
+The Hubert recoding and the other generators use whole-array operations;
+``Morphism.apply_raw`` gathers rows of the morphism's image table.
 
 Where the recipe's word is uniformly recurrent with a known recurrence
 bound, a computable prefix already holds every factor of length <= n of
@@ -138,10 +140,12 @@ def _format_digits(symbols: bytes) -> str:
 class Morphism:
     """A non-erasing substitution letter -> word over {0..p-1}.
 
-    The images are also held as a read-only ``(p, longest image)`` table,
-    zero-padded, with a mask of the cells that belong to an image (None
-    when every image has the same length).  Both are built once, are not
-    dataclass fields and never change, so a morphism is safe to share.
+    For ``apply_raw`` the images are also held as a read-only
+    ``(p, longest image)`` table, zero-padded, with a mask of the cells
+    that belong to an image (None when every image has the same length).
+    Both are built once, are not dataclass fields and never change, so a
+    morphism is safe to share.  Fixed points do not use them: they join
+    the images of a power of the morphism as bytes.
     """
 
     images: tuple[bytes, ...]
@@ -399,52 +403,120 @@ def hubert_ternary(inner: ContinuedFraction, length: int) -> WordPrefix:
 # parsers, Morphism.from_strings and ContinuedFraction.from_dict are where
 # wire types are checked.
 
+# A fixed point is copied in images of a power of its morphism: the least
+# power whose shortest image has _BLOCK_MIN symbols, or whose longest
+# reaches _BLOCK_CAP (a letter that never grows keeps images of one symbol).
+_BLOCK_MIN, _BLOCK_CAP = 64, 4096
+
+
 def _fixed_point_row(r: FixedPoint, length: int) -> tuple[int, bytes]:
-    """The fixed point of ``r.morphism`` from ``r.seed``, mapped through
+    """The fixed point u of ``r.morphism`` from ``r.seed``, mapped through
     ``r.post`` when there is one.
 
-    The fixed point u satisfies u = m(u), so once u[:src] is known,
-    m(u[:src]) is a longer prefix of u.  One buffer is filled by mapping
-    only letters not yet mapped, and of those only as many as the length
-    still needs.  A post-morphism needs the shortest prefix of u whose
-    post images reach ``length``: ceil(length / image length) letters
-    when its images have one length; otherwise the buffer is grown to
-    ceil(length / longest image) letters, then by rounds, each adding
-    ceil(shortfall / longest image) letters, until they reach it.
+    u is also the fixed point of the power M of ``_power_images``, so the
+    word is the join of the images M(b), or post(M(b)) under a
+    post-morphism, over the letters b of u (``_fixed_point_join``).  M's
+    images are needed to ceil(length / shortest post image) symbols.
     """
     m, post = r.morphism, r.post
     if not m.is_prolongable(r.seed):
         raise ValueError(f"morphism is not prolongable on letter {r.seed}")
     if post is None:
-        cap = need = length
-    else:
-        post_lens = np.array([len(img) for img in post.images])
-        longest = int(post_lens.max())
-        cap, need = -(-length // int(post_lens.min())), -(-length // longest)
-    # cap letters always suffice, so nothing past them is written
-    w = np.empty(cap, dtype=np.uint8)
-    first = np.frombuffer(m.images[r.seed], dtype=np.uint8)[:cap]
-    w[:len(first)] = first
-    src, end = 1, len(first)  # w[:end] is m(w[:src]), cut at cap
-    shortest = min(map(len, m.images))
-    reached = counted = 0  # post image length of w[:counted]
-    while True:
-        while end < need:
-            take = min(end - src, -(-(need - end) // shortest))
-            image = m._gather(w[src:src + take])[:cap - end]
-            w[end:end + len(image)] = image
-            src, end = src + take, end + len(image)
-        if need == cap:  # no post, or post images of one length
-            break
-        reached += int(np.bincount(w[counted:end],
-                                   minlength=len(post_lens)) @ post_lens)
-        counted = end
-        if reached >= length:
-            break
-        need = end + -(-(length - reached) // longest)
-    if post is None:
-        return m.alphabet_size, w.tobytes()
-    return post.image_alphabet_size, post._gather(w[:end])[:length].tobytes()
+        powers = _power_images(m, length)
+        return m.alphabet_size, _fixed_point_join(powers, powers, r.seed,
+                                                  length)
+    powers = _power_images(m, -(-length // min(map(len, post.images))))
+    images = [b"".join(map(post.images.__getitem__, img))[:length]
+              for img in powers]
+    return post.image_alphabet_size, _fixed_point_join(powers, images, r.seed,
+                                                       length)
+
+
+def _power_images(m: Morphism, cut: int) -> list:
+    """The image of every letter under M = m^J, each cut at ``cut``
+    symbols, with J the least power whose shortest image has _BLOCK_MIN
+    symbols or whose longest reaches min(cut, _BLOCK_CAP).
+
+    m^(j+1)(a) is the join of m^j(b) over the letters b of m(a).  A cut
+    image is ``cut`` symbols long, so the join of cut images, cut again,
+    is still the image cut at ``cut``.
+    """
+    images = [img[:cut] for img in m.images]
+    stop = min(cut, _BLOCK_CAP)
+    while (min(map(len, images)) < _BLOCK_MIN
+           and max(map(len, images)) < stop):
+        images = [b"".join(map(images.__getitem__, img))[:cut]
+                  for img in m.images]
+    return images
+
+
+def _fixed_point_join(powers: list, images: list, seed: int,
+                      length: int) -> bytes:
+    """``images`` joined over the letters of the fixed point u = M(u) from
+    ``seed``, cut at ``length``; ``powers`` are M's images, cut at no
+    fewer symbols than u needs letters.
+
+    u[:cap] always holds the letters the length needs, for cap =
+    ceil(length / shortest image).  Once u[:src] is known, M(u[:src]) is a
+    longer prefix of u, so a buffer of cap letters is filled by copying
+    the M-images of letters not yet mapped, only as many as cap still
+    needs, and only until the images of the letters known reach the
+    length.  The word itself is one join at the end.
+    """
+    if length == 0:
+        return b""
+    lens = [len(img) for img in images]
+    power_lens = [len(img) for img in powers]
+    cap = -(-length // min(lens))
+    u = bytearray(cap)
+    first = powers[seed][:cap]
+    u[:len(first)] = first
+    src, end = 1, len(first)  # u[:end] is M(u[:src]), cut at cap
+    reached = _images_length(first, lens)  # of the images over u[:end]
+    while reached < length:
+        take = min(end - src, -(-(cap - end) // min(power_lens)))
+        piece, read = _join_images(powers, power_lens, u[src:src + take],
+                                   cap - end)
+        u[end:end + len(piece)] = piece
+        reached += _images_length(piece, lens)
+        src, end = src + read, end + len(piece)
+    return _join_images(images, lens, u[:end], length)[0]
+
+
+def _images_length(letters: bytes, lens: list) -> int:
+    """The summed image length of ``letters``, one count per letter."""
+    return sum(n * letters.count(a) for a, n in enumerate(lens))
+
+
+def _join_images(images: list, lens: list, letters: bytes,
+                 need: int) -> tuple[bytes, int]:
+    """The images of the fewest leading ``letters`` whose lengths
+    (``lens``) reach ``need`` (of all of them when they fall short),
+    joined and cut at ``need``, and how many letters that reads.
+
+    The count is bisected between ``read`` letters known to fall short
+    and ``hi`` letters known to reach ``need`` (or all of them), each
+    probe counting only the letters past ``read``.  A probe is never
+    placed before ceil(shortfall / longest image) more letters, as fewer
+    cannot close the shortfall: with one image length the first probe
+    settles the count.
+    """
+    longest = max(lens)
+    read = total = 0  # the image length of letters[:read], below need
+    hi = min(len(letters), -(-need // min(lens)))
+    while hi - read > 1:
+        k = min(max(read + -(-(need - total) // longest), (read + hi) // 2),
+                hi - 1)
+        reached = total + _images_length(letters[read:k], lens)
+        if reached < need:
+            read, total = k, reached
+        else:
+            hi = k
+    total += _images_length(letters[read:hi], lens)
+    pieces = list(map(images.__getitem__, letters[:hi]))
+    if total > need:
+        pieces[-1] = pieces[-1][:need - total]
+    return b"".join(pieces), hi
 
 
 def _characteristic_symbols(alpha: ContinuedFraction, length: int) -> bytes:
@@ -501,17 +573,22 @@ def _grow_characteristic(alpha: ContinuedFraction, word: bytes,
     return bytes(out)
 
 
+_HUBERT_BLOCK = 1 << 16
+
+
 def _hubert_symbols(symbols: bytes) -> bytes:
-    """The Hubert recoding (see hubert_transform) of binary ``symbols``."""
+    """The Hubert recoding (see hubert_transform) of binary ``symbols``:
+    each letter doubled (0 stays 0, 1 becomes 2), then 1 written at every
+    0 with an odd occurrence index.  The 0s are found one block of
+    _HUBERT_BLOCK symbols at a time, so the index arrays stay small, and
+    the parity of the 0s in earlier blocks is carried over."""
     arr = np.frombuffer(symbols, dtype=np.uint8)
-    # one buffer, worked in place: 1 at each 0, then the count of 0s so
-    # far (mod 256, which keeps its parity), then the parity of the 0-based
-    # occurrence index; the letters 1, read as a bool mask, become 2
-    out = np.subtract(1, arr, dtype=np.uint8)
-    np.cumsum(out, dtype=np.uint8, out=out)
-    out -= 1
-    out &= 1
-    np.copyto(out, 2, where=arr.view(bool))
+    out = arr << 1
+    odd = 1  # position, among this block's 0s, of the first odd-indexed one
+    for lo in range(0, len(arr), _HUBERT_BLOCK):
+        zeros = np.flatnonzero(arr[lo:lo + _HUBERT_BLOCK] == 0)
+        out[lo:lo + _HUBERT_BLOCK][zeros[odd::2]] = 1
+        odd ^= len(zeros) & 1
     return out.tobytes()
 
 

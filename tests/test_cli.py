@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -113,6 +114,53 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "--recipe", "nonsense",
                            "--len", "4")
         assert code == 2 and "recipe" in err
+
+
+# SHA-256 of `generate --recipe <preset> --len 1048576` stdout, frozen at
+# commit d0d6127 (fixed points by per-letter gathers, the Hubert recoding
+# by a cumulative sum) before both were rebuilt from block copies; the
+# generated words must stay byte for byte the same.
+MIXED_POST = json.dumps({"kind": "fixed-point",
+                         "morphism": {"0": "01", "1": "0"}, "seed": "0",
+                         "post": {"0": "0", "1": "1111"}})
+GENERATE_DIGESTS = {
+    "tm": "54d1a9940153c4de3d924efa06da454c1b9f9da25c7d909e429092c46f0792c1",
+    "fibonacci":
+        "55bada84559327145bf8b8f4219981e1f31418f594273247f206da2bd95fe878",
+    "sqrt2-characteristic":
+        "c17da6583f8599b166791869245ad5ed558e9eaf88a178afe764d8168325c2fb",
+    "champernowne":
+        "e76b299f801dd66b20a9bc269d250ab459eb219ec596bfe97b208708e06bb952",
+    "max-complexity":
+        "a20f1f00612d811d0cbecc5697db6cd27fc63051735f97b7fb9cb007784f1895",
+    "periodic01":
+        "e46167bf5e829a4604b27f4a3a8ebe74922fa78a2dba32994b80366c752e128b",
+    "const0":
+        "a505bd26785ac7e8b70970d10e3a9d1e689b6e4014d3a5669580e222f4d139b4",
+    "hubert-golden":
+        "7a0d24a21ee7693bcfc28e2fc3ab0f1180f3174825b6f88e3dccc2a1a2d51229",
+    "rauzy-morphism":
+        "d001b10c40789ac1355f1530e87c9f15c6d457fd54a5eb5004dfd338d20c04dd",
+    "tribonacci":
+        "a0f428141ee0c9a2e12315c42888568028c9558e9e9ffe7838d559026f45f5ee",
+    MIXED_POST:
+        "41f79c80334467cb4126d47a0c632ae2f0a0fcd0ce97b0b9155144d75d859592",
+}
+
+
+class TestGenerateDigests:
+    def test_every_preset_is_frozen(self):
+        assert set(RECIPE_PRESETS) == set(GENERATE_DIGESTS) - {MIXED_POST}
+
+    @pytest.mark.parametrize(
+        "spec", GENERATE_DIGESTS,
+        ids=lambda s: "mixed-post" if s == MIXED_POST else s)
+    def test_stdout_digest(self, capsys, spec):
+        code, out, err = run(capsys, "generate", "--recipe", spec,
+                             "--len", str(1 << 20))
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == GENERATE_DIGESTS[spec]
 
 
 class TestProfile:

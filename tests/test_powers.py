@@ -229,6 +229,22 @@ class TestVdwSearch:
                     found = None if occ is None else (occ.start, occ.period)
                     assert found == int64_vdw(shifted, k, weights), (M, k)
 
+    @pytest.mark.parametrize("M", [2, 10**11])
+    def test_running_sums_built_once_per_word(self, M):
+        # k = 2..5 on one word and one set of weights share one residue
+        # array; M = 10**11 takes the Python-int path (N * L >= 2**63)
+        w = fixed_point(THUE_MORSE, 0, 3000)
+        weights = congo_weights(M, 2)
+        powers._vdw_residues.cache_clear()
+        for k in range(2, 6):
+            occ = vdw_power_search(w, k, weights)
+            found = None if occ is None else (occ.start, occ.period)
+            assert found == int64_vdw(w, k, weights), k
+        info = powers._vdw_residues.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        nu = powers._vdw_residues(w.symbols, weights)
+        assert not nu.flags.writeable
+
     def test_alphabet_mismatch(self, tm4096):
         with pytest.raises(ValueError, match="letters"):
             vdw_power_search(tm4096, 2, congo_weights(2, 3))

@@ -101,20 +101,30 @@ def oracle_fixed_point_row(r, length):
     return post.image_alphabet_size, post._gather(w)[:length].tobytes()
 
 
-def post_mapped_letters(monkeypatch, r, length):
-    """How many inner letters the row maps through ``r.post``."""
-    mapped = []
-    gather = Morphism._gather
+def post_read_letters(monkeypatch, r, length):
+    """The letters of u the row's post path reads: its last join of block
+    images post(M(b)) gets the images and the letters of u; returns
+    those, as bytes, and how many of the letters it read."""
+    calls = []
+    join = words._join_images
 
-    def counting(self, arr):
-        if self is r.post:
-            mapped.append(len(arr))
-        return gather(self, arr)
+    def spying(images, lens, letters, need):
+        joined, read = join(images, lens, letters, need)
+        calls.append((images, bytes(letters), need, read))
+        return joined, read
 
-    monkeypatch.setattr(Morphism, "_gather", counting)
+    monkeypatch.setattr(words, "_join_images", spying)
     words._fixed_point_row(r, length)
-    monkeypatch.setattr(Morphism, "_gather", gather)
-    return sum(mapped)
+    monkeypatch.setattr(words, "_join_images", join)
+    images, letters, need, read = calls[-1]
+    assert need == length
+    return images, letters, read
+
+
+def fewest_reaching(images, letters, length):
+    """How many leading letters have images whose lengths reach length."""
+    reached = np.cumsum([len(images[a]) for a in letters])
+    return int(np.searchsorted(reached, length)) + 1
 
 
 def floor_characteristic(cf, length):
@@ -289,24 +299,115 @@ class TestPostMorphismSizing:
                 oracle_fixed_point_row(r, length), length
 
     def test_mixed_lengths_map_only_the_letters_needed(self, monkeypatch):
-        # Fibonacci has about 0.382 ones, so this post averages about 2.15
-        # symbols a letter; the shortest-image row mapped `length` letters.
-        # The last round of the inner iteration may overshoot by a letter
-        # or two (its images have lengths 1 and 2).
+        # The post path copies one image post(M(b)) per letter b of u, so
+        # the bound is on letters of u: it reads exactly the fewest whose
+        # images reach the length, and builds u no further than the
+        # shortest image allows.
         r = FixedPoint(FIBONACCI, 0, Morphism.from_strings({"0": "0",
                                                             "1": "1111"}))
-        inner = words.prefix_of(FixedPoint(FIBONACCI, 0), 1 << 17).symbols
-        reached = np.cumsum(np.array([1, 4])[np.frombuffer(inner, np.uint8)])
+        u = words.prefix_of(FixedPoint(FIBONACCI, 0), 1 << 17).symbols
         for length in (7, 50, 2999, 1 << 16, 99991):
-            fewest = int(np.searchsorted(reached, length)) + 1
-            mapped = post_mapped_letters(monkeypatch, r, length)
-            assert fewest <= mapped <= fewest + 2, length
+            images, letters, read = post_read_letters(monkeypatch, r, length)
+            assert letters == u[:len(letters)], length
+            assert read == fewest_reaching(images, letters, length), length
+            assert len(letters) <= -(-length // min(map(len, images))), length
 
     def test_one_image_length_maps_the_exact_ceiling(self, monkeypatch):
+        # every image is 3 |M(b)| symbols long, so the letters read are the
+        # fewest whose M-images hold ceil(length / 3) letters of the word
         r = FixedPoint(FIBONACCI, 0, CONSTANT3)
         for length in (1, 2, 3, 4, 1 << 16, (1 << 16) + 1):
-            assert post_mapped_letters(monkeypatch, r, length) == \
-                -(-length // 3)
+            images, letters, read = post_read_letters(monkeypatch, r, length)
+            assert all(len(img) % 3 == 0 or len(img) == length
+                       for img in images)
+            sizes = [-(-len(images[a]) // 3) for a in letters[:read]]
+            assert sum(sizes) >= -(-length // 3) > sum(sizes[:-1]), length
+
+
+# Morphisms that stress the power images: letters that never grow (their
+# images stay one symbol long at every power, so the longest image sets
+# the power), one letter per image length (DOUBLING: each letter only
+# repeats itself) and three letters of unequal growth (Tribonacci).
+SLOW_GROWTH = {
+    "0-01-1": Morphism.from_strings({"0": "01", "1": "1"}),
+    "0-012-1-2": Morphism.from_strings({"0": "012", "1": "1", "2": "2"}),
+    "0-001-1": Morphism.from_strings({"0": "001", "1": "1"}),
+    "doubling": DOUBLING,
+    "tribonacci": TRIBONACCI,
+}
+POSTS = [None, CONSTANT3,
+         Morphism.from_strings({"0": "0", "1": "1111", "2": "22"}),
+         Morphism.from_strings({"0": "21", "1": "0", "2": "1012"})]
+
+
+def power_boundaries(m, seed, limit):
+    """|m^j(seed)| for j <= 12 and |M^i(seed)| for the row's power
+    M = m^J, up to limit, with their neighbours, and the block size
+    thresholds."""
+    sizes = set(iterate_lengths(m, seed, limit)[:13])
+    power = Morphism(tuple(words._power_images(m, limit)))
+    sizes |= set(iterate_lengths(power, seed, limit))
+    sizes |= {words._BLOCK_MIN, words._BLOCK_CAP}
+    return sorted({n + d for n in sizes for d in (-1, 0, 1)
+                   if 0 <= n + d <= limit})
+
+
+class TestPowerImages:
+    @pytest.mark.parametrize("name", SLOW_GROWTH)
+    def test_matches_row_at_power_boundaries(self, name):
+        m = SLOW_GROWTH[name]
+        # a letter that never grows makes the oracle slow; 9000 is past
+        # the second power image of either such morphism's seed
+        limit = 9000 if name.startswith("0-") else 1 << 17
+        for length in power_boundaries(m, 0, limit):
+            r = FixedPoint(m, 0)
+            assert words._fixed_point_row(r, length) == \
+                oracle_fixed_point_row(r, length), length
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(SLOW_GROWTH)), st.sampled_from(POSTS),
+           st.integers(0, 5000))
+    def test_matches_row_with_and_without_post(self, name, post, length):
+        m = SLOW_GROWTH[name]
+        if post is not None and post.alphabet_size < m.alphabet_size:
+            post = CONSTANT3 if m.alphabet_size <= 2 else POSTS[2]
+        r = FixedPoint(m, 0, post)
+        assert words._fixed_point_row(r, length) == \
+            oracle_fixed_point_row(r, length)
+
+    @pytest.mark.parametrize("name", SLOW_GROWTH)
+    def test_power_images_are_iterates(self, name):
+        # one power J for every letter, cut at the requested length
+        m = SLOW_GROWTH[name]
+        for cut in (1, 5, 64, 5000):
+            images = words._power_images(m, cut)
+            iterates = list(m.images)
+            while [img[:cut] for img in iterates] != images:
+                assert max(map(len, iterates)) < max(cut, words._BLOCK_CAP)
+                iterates = [join_images(m, img) for img in iterates]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.binary(min_size=1, max_size=300), min_size=1,
+                    max_size=4).flatmap(lambda images: st.tuples(
+                        st.just(images),
+                        st.binary(max_size=80).map(lambda raw: bytes(
+                            b % len(images) for b in raw)),
+                        st.integers(1, 3000))))
+    def test_join_images_reads_the_fewest_letters(self, case):
+        images, letters, need = case
+        lens = [len(img) for img in images]
+        joined, read = words._join_images(images, lens, letters, need)
+        assert joined == join_images(Morphism(tuple(images)), letters)[:need]
+        whole = sum(lens[a] for a in letters)
+        assert read == (len(letters) if whole < need
+                        else fewest_reaching(images, letters, need))
+
+    def test_seed_one_and_doubling(self):
+        for m in (THUE_MORSE, DOUBLING):
+            for length in (0, 1, 63, 64, 65, 4097, 99991):
+                r = FixedPoint(m, 1)
+                assert words._fixed_point_row(r, length) == \
+                    oracle_fixed_point_row(r, length)
 
 
 class TestApplyMorphism:
@@ -486,6 +587,19 @@ class TestHubert:
         for zero_share in (0.5, 0.9, 0.99):
             inners.append(bytes(int(rng.random() >= zero_share)
                                 for _ in range(2000)))
+        for symbols in inners:
+            assert hubert_transform(WordPrefix(2, symbols)).symbols == \
+                loop_hubert(symbols)
+
+    @pytest.mark.parametrize("length", [(1 << 16) - 1, 1 << 16,
+                                        (1 << 16) + 1, 3 * (1 << 16) + 5])
+    def test_matches_loop_across_blocks(self, length):
+        # the 0s are found one block of 2^16 symbols at a time; an odd count
+        # of 0s in a block must flip the phase of the next
+        rng = random.Random(length)
+        inners = [characteristic_prefix(GOLDEN, length).symbols,
+                  bytes(rng.random() < 0.3 for _ in range(length)),
+                  bytes(length - 1) + bytes([1])]
         for symbols in inners:
             assert hubert_transform(WordPrefix(2, symbols)).symbols == \
                 loop_hubert(symbols)
