@@ -17,7 +17,7 @@ Champernowne, max-complexity) keep the margin.
 """
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -65,6 +65,18 @@ class CheckReport:
         return "pass" if self.passed else "fail"
 
 
+def _profile_report(w: WordPrefix, n_max: int, claim: str,
+                    expected: Callable[[int], int]) -> CheckReport:
+    """``claim`` checked as rho_ab(n) = expected(n) for n = 1..n_max; the
+    witness of a failure is the first n that differs."""
+    for n, actual in enumerate(abelian_profile(w, n_max), 1):
+        if actual != expected(n):
+            return CheckReport(claim, f"1..{n_max}", False,
+                               {"n": n, "expected": expected(n),
+                                "actual": actual})
+    return CheckReport(claim, f"1..{n_max}", True)
+
+
 def tm_profile_check(w: WordPrefix, n_max: int,
                      margin: int = DEFAULT_MARGIN) -> CheckReport:
     """Check the alternating profile rho_ab(n) = 2 (n odd) / 3 (n even)."""
@@ -72,14 +84,8 @@ def tm_profile_check(w: WordPrefix, n_max: int,
         raise ValueError(
             f"prefix of {len(w)} symbols is shorter than the required "
             f"margin {margin} * {n_max}")
-    prof = abelian_profile(w, n_max)
-    for n in range(1, n_max + 1):
-        expected = 2 if n % 2 else 3
-        if prof[n - 1] != expected:
-            return CheckReport(
-                "thue-morse-profile", f"1..{n_max}", False,
-                {"n": n, "expected": expected, "actual": prof[n - 1]})
-    return CheckReport("thue-morse-profile", f"1..{n_max}", True)
+    return _profile_report(w, n_max, "thue-morse-profile",
+                           lambda n: 2 if n % 2 else 3)
 
 
 @dataclass(frozen=True)
@@ -176,11 +182,5 @@ def rauzy_constant3_check(recipe: WordRecipe, n_max: int,
     default of ``inspected_length(recipe, n_max, margin)`` symbols."""
     if prefix_len is None:
         prefix_len = inspected_length(recipe, n_max, margin)
-    w = prefix_of(recipe, prefix_len)
-    prof = abelian_profile(w, n_max)
-    for n in range(1, n_max + 1):
-        if prof[n - 1] != 3:
-            return CheckReport(
-                "constant-abelian-3", f"1..{n_max}", False,
-                {"n": n, "expected": 3, "actual": prof[n - 1]})
-    return CheckReport("constant-abelian-3", f"1..{n_max}", True)
+    return _profile_report(prefix_of(recipe, prefix_len), n_max,
+                           "constant-abelian-3", lambda n: 3)

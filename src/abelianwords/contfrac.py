@@ -14,9 +14,12 @@ under-approximate alpha and odd-indexed ones over-approximate it, so
 refining the sandwich decides any comparison that is not an exact
 algebraic identity.  One integer kernel, ``_sign``, decides the sign of
 c*alpha + e for integers c and e; every rational comparison clears its
-denominators once and calls it.  The kernel and the floor functions read
-(p_n, q_n) pairs straight from each instance's grow-only cache, so a
-warm comparison builds no ``Convergent`` and no ``Fraction``.
+denominators once and calls it.  Every test of a fractional part against
+a threshold, {i*alpha} < (U + V*alpha)/D, goes through one more kernel on
+top of it, ``_frac_sign``, which ``frac_less_than`` and the Sturmian
+locator of :mod:`abelianwords.powers` share.  The kernels and the floor
+functions read (p_n, q_n) pairs straight from each instance's grow-only
+cache, so a warm comparison builds no ``Convergent`` and no ``Fraction``.
 
 Warm start.  ``_sign(c, e)`` and ``floor_scaled(n)`` do not walk the
 sandwich from index 0 when the cache already holds deeper pairs: they
@@ -354,22 +357,31 @@ def affine_sign(cf: ContinuedFraction, coeff, const) -> int:
                  const.numerator * coeff.denominator)
 
 
+def _frac_sign(cf: ContinuedFraction, i: int, f: int,
+               U: int, V: int, D: int) -> int:
+    """Exact sign of {i*alpha} - (U + V*alpha)/D for D > 0, given
+    f = floor(i*alpha).
+
+    Times D this is (D*i - V)*alpha - (D*f + U), one ``_sign``; it is 0
+    exactly when both sides are equal algebraically, where there is
+    nothing to refine towards.
+    """
+    return _sign(cf, D * i - V, -(D * f + U))
+
+
 def frac_less_than(cf: ContinuedFraction, i: int, t: AffineThreshold) -> bool:
     """Exact test of {i*alpha} < u + v*alpha.
 
-    Rewrites the question as (i - v)*alpha - (u + floor(i*alpha)) < 0 and
-    clears the denominators of u and v through the threshold's integer
-    form.  When both sides collapse ({i*alpha} equals u + v*alpha
-    algebraically) there is nothing to refine towards, so that identity
-    case is rejected; the caller must exclude it.
+    Decided by ``_frac_sign`` on the threshold's integer form.  When both
+    sides collapse ({i*alpha} equals u + v*alpha algebraically) there is
+    nothing to refine towards, so that identity case is rejected; the
+    caller must exclude it.
     """
     if i < 1:
         raise ValueError("i must be >= 1")
-    f = floor_scaled(cf, i)
-    U, V, D = t.form
-    c, e = D * i - V, -(U + D * f)
-    if c == 0 and e == 0:
+    sign = _frac_sign(cf, i, floor_scaled(cf, i), *t.form)
+    if sign == 0:
         raise ValueError(
             "comparison is an exact identity ({i*alpha} = u + v*alpha); "
             "the identity case must be excluded by the caller")
-    return _sign(cf, c, e) < 0
+    return sign < 0

@@ -17,16 +17,16 @@ counts all letters but the last in each block with ``bytes.count``,
 stops at the first block that differs, and returns the shared Parikh
 vector, which becomes the certificate's ``block_parikh``.
 
-The locator works on integers only: delta = u + v*alpha is held as
-(U + V*alpha)/D (``AffineThreshold.form``), and every threshold test
-becomes the sign of c*alpha + e for integers c, e (``contfrac._sign``).
-Everything that depends on (slope, k, delta) alone -- the flip to the
-complement above 1/2, the period pair, the integer form -- is one
-memoized locator, so a warm certificate costs one floor, at most three
-signs and one verification on the requested slope's cached
-characteristic word.  ``sturmian_powers`` certifies many positions with
-one locator and one growth of that word; ``sturmian_power_at`` is its
-one-position case.
+The locator works on integers only: delta = u + v*alpha is read as
+(U + V*alpha)/D (``AffineThreshold.form``), and every threshold test is
+the sign of {i*alpha} minus such a form (``contfrac._frac_sign``).  What
+depends on (slope, k, delta) alone is one memoized locator, which holds
+two things: the working slope (the slope itself below 1/2, its
+complement above) and the working slope's period pair.  A warm
+certificate then costs one floor, at most three signs and one
+verification on the requested slope's cached characteristic word.
+``sturmian_powers`` certifies many positions with one locator and one
+growth of that word; ``sturmian_power_at`` is its one-position case.
 """
 
 from dataclasses import dataclass
@@ -39,8 +39,8 @@ from typing import Iterable, NamedTuple, Union
 import numpy as np
 
 from .complexity import ParikhVector
-from .contfrac import (AffineThreshold, ContinuedFraction, _sign,
-                       floor_scaled)
+from .contfrac import (AffineThreshold, ContinuedFraction, _frac_sign,
+                       _pq_at, _sign, floor_scaled)
 from .words import WordPrefix, _characteristic_word, _check_length
 
 __all__ = [
@@ -237,12 +237,9 @@ class PeriodPair:
     n_even: int
 
 
-def _check_delta(alpha: ContinuedFraction, U: int, V: int, D: int):
-    # 0 < delta < alpha, with delta = (U + V*alpha)/D
-    if _sign(alpha, V, U) <= 0:
-        raise ValueError("delta must be positive")
-    if _sign(alpha, V - D, U) >= 0:
-        raise ValueError("delta must be < alpha")
+def _above_half(alpha: ContinuedFraction) -> bool:
+    """alpha >= 1/2, decided exactly."""
+    return _sign(alpha, 2, -1) >= 0
 
 
 def sturmian_period_pair(alpha: ContinuedFraction, k: int,
@@ -257,27 +254,9 @@ def sturmian_period_pair(alpha: ContinuedFraction, k: int,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _period_pair(alpha, k, delta)
-
-
-@lru_cache(maxsize=1024)
-def _period_pair(alpha: ContinuedFraction, k: int,
-                 delta: AffineThreshold) -> PeriodPair:
-    if _sign(alpha, 2, -1) >= 0:
+    if _above_half(alpha):
         raise ValueError("slope must be < 1/2; complement it first")
-    U, V, D = delta.form
-    _check_delta(alpha, U, V, D)
-    # D * min(delta, alpha - delta) = mu + mv*alpha
-    if _sign(alpha, 2 * V - D, 2 * U) < 0:
-        mu, mv = U, V
-    else:
-        mu, mv = -U, D - V
-    n = 0
-    while True:
-        q_next = alpha.convergent(n + 1).q
-        if _sign(alpha, q_next * mv, q_next * mu - k * D) > 0:
-            return PeriodPair(alpha.convergent(n).q, q_next, n)
-        n += 2
+    return _locator(alpha, k, delta).pair
 
 
 @lru_cache(maxsize=1024)
@@ -290,53 +269,54 @@ def _complement(alpha: ContinuedFraction) -> ContinuedFraction:
 class _Locator(NamedTuple):
     """What a certificate at (slope, k, delta) needs besides its position.
 
-    A slope above 1/2 is decided on its complement (``flipped``), whose
-    characteristic word is the letter exchange of the original; positions
-    and periods carry over unchanged.  The complement itself comes from
-    ``_complement``, the one instance per slope.
+    Every period is decided on the working slope: the slope itself below
+    1/2, its complement from ``_complement`` above.  The complement's
+    characteristic word is the letter exchange of the original, so
+    positions and periods carry over unchanged.
     """
 
-    flipped: bool
-    ell1: int  # q_n, the period outside the critical windows (Case 1)
-    ell2: int  # q_{n+1}, the period inside them (Case 2)
-    U: int
-    V: int
-    D: int
+    work: ContinuedFraction
+    pair: PeriodPair
 
 
 @lru_cache(maxsize=1024)
 def _locator(alpha: ContinuedFraction, k: int,
              delta: AffineThreshold) -> _Locator:
-    flipped = _sign(alpha, 2, -1) >= 0
-    pair = sturmian_period_pair(_complement(alpha) if flipped else alpha,
-                                k, delta)
-    return _Locator(flipped, pair.ell1, pair.ell2, *delta.form)
+    work = _complement(alpha) if _above_half(alpha) else alpha
+    U, V, D = delta.form
+    # 0 < delta < alpha, with delta = (U + V*alpha)/D
+    if _sign(work, V, U) <= 0:
+        raise ValueError("delta must be positive")
+    if _sign(work, V - D, U) >= 0:
+        raise ValueError("delta must be < alpha")
+    # D * min(delta, alpha - delta) = mu + mv*alpha
+    if _sign(work, 2 * V - D, 2 * U) < 0:
+        mu, mv = U, V
+    else:
+        mu, mv = -U, D - V
+    n = 0
+    while True:
+        q_next = _pq_at(work, n + 1)[1]
+        if _sign(work, q_next * mv, q_next * mu - k * D) > 0:
+            return _Locator(work, PeriodPair(_pq_at(work, n)[1], q_next, n))
+        n += 2
 
 
-def _frac_lt(alpha: ContinuedFraction, i: int, f: int,
-             tu: int, tv: int, d: int) -> bool:
-    """{i*alpha} < (tu + tv*alpha)/d, given f = floor(i*alpha) and d > 0.
-
-    An exact identity (both sides equal algebraically) counts as 'not less'.
-    """
-    c, e = d * i - tv, -(d * f + tu)
-    return not (c == 0 and e == 0) and _sign(alpha, c, e) < 0
-
-
-def _period_at(work: ContinuedFraction, loc: _Locator, i: int) -> int:
-    """The period of the certificate at 1-based position i, decided on the
-    working slope: q_n away from the critical points alpha and 1 (Case 1),
-    q_{n+1} inside the width-delta windows below them (Case 2)."""
-    U, V, D = loc.U, loc.V, loc.D
+def _period_at(loc: _Locator, U: int, V: int, D: int, i: int) -> int:
+    """The period of the certificate at 1-based position i, for the
+    threshold (U + V*alpha)/D: q_n away from the critical points alpha
+    and 1 (Case 1), q_{n+1} inside the width-delta windows below them
+    (Case 2)."""
+    work, pair = loc
     f = floor_scaled(work, i)
     # interval boundaries, times D: alpha - delta, alpha, 1 - delta
-    if _frac_lt(work, i, f, -U, D - V, D):
-        return loc.ell1
-    if _frac_lt(work, i, f, 0, D, D):
-        return loc.ell2
-    if _frac_lt(work, i, f, D - U, -V, D):
-        return loc.ell1
-    return loc.ell2
+    if _frac_sign(work, i, f, -U, D - V, D) < 0:
+        return pair.ell1
+    if _frac_sign(work, i, f, 0, D, D) < 0:
+        return pair.ell2
+    if _frac_sign(work, i, f, D - U, -V, D) < 0:
+        return pair.ell1
+    return pair.ell2
 
 
 def _certify(alpha: ContinuedFraction, positions: tuple, k: int,
@@ -352,13 +332,15 @@ def _certify(alpha: ContinuedFraction, positions: tuple, k: int,
     loc = _locator(alpha, k, delta)
     if not positions:
         return []
-    work = _complement(alpha) if loc.flipped else alpha
-    periods = [_period_at(work, loc, i) for i in positions]
+    periods = [_period_at(loc, *delta.form, i) for i in positions]
     end = max([i - 1 + k * ell for i, ell in zip(positions, periods)])
     _check_length(end)
-    # verify on the requested slope's word, so block_parikh is in its letters
+    # verify on the requested slope's word, so block_parikh is in its
+    # letters; below 1/2 loc.work may be an equal but distinct instance
+    # of alpha (the cache keeps the first one), so compare by value
     symbols = _characteristic_word(alpha, end)
-    marks = _characteristic_word(work, end) if loc.flipped else symbols
+    marks = (_characteristic_word(loc.work, end)
+             if check_internal and loc.work != alpha else symbols)
     out = []
     for i, ell in zip(positions, periods):
         if check_internal and len(

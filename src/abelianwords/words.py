@@ -576,12 +576,13 @@ def _grow_characteristic(alpha: ContinuedFraction, word: bytes,
 _HUBERT_BLOCK = 1 << 16
 
 
-def _hubert_symbols(symbols: bytes) -> bytes:
-    """The Hubert recoding (see hubert_transform) of binary ``symbols``:
-    each letter doubled (0 stays 0, 1 becomes 2), then 1 written at every
-    0 with an odd occurrence index.  The 0s are found one block of
-    _HUBERT_BLOCK symbols at a time, so the index arrays stay small, and
-    the parity of the 0s in earlier blocks is carried over."""
+def _hubert_symbols(symbols) -> bytes:
+    """The Hubert recoding (see hubert_transform) of binary ``symbols``,
+    any bytes-like object: each letter doubled (0 stays 0, 1 becomes 2),
+    then 1 written at every 0 with an odd occurrence index.  The 0s are
+    found one block of _HUBERT_BLOCK symbols at a time, so the index
+    arrays stay small, and the parity of the 0s in earlier blocks is
+    carried over."""
     arr = np.frombuffer(symbols, dtype=np.uint8)
     out = arr << 1
     odd = 1  # position, among this block's 0s, of the first odd-indexed one
@@ -590,6 +591,15 @@ def _hubert_symbols(symbols: bytes) -> bytes:
         out[lo:lo + _HUBERT_BLOCK][zeros[odd::2]] = 1
         odd ^= len(zeros) & 1
     return out.tobytes()
+
+
+def _hubert_row(r: Hubert, length: int) -> tuple[int, bytes]:
+    # reads a view of the slope's cached word, so the inner prefix is
+    # never copied
+    if not length:
+        return 3, b""
+    word = memoryview(_characteristic_word(r.slope, length))
+    return 3, _hubert_symbols(word[:length])
 
 
 def _champernowne_symbols(length: int) -> bytes:
@@ -618,12 +628,16 @@ def _champernowne_symbols(length: int) -> bytes:
 
 
 def _max_complexity_symbols(length: int) -> bytes:
-    out = bytearray(b"\x00")
-    run = 1
-    while len(out) < length:
-        out += b"\x01" * run + b"\x00" * run
+    # 0, then 1^r 0^r for r = 1, 3, 9, ...; each run is cut at what the
+    # prefix still needs, so the join of the runs is the prefix itself
+    runs = [b"\x00"[:length]]
+    total, run = len(runs[0]), 1
+    while total < length:
+        for letter in (b"\x01", b"\x00"):
+            runs.append(letter * min(run, length - total))
+            total += len(runs[-1])
         run *= 3
-    return bytes(out[:length])
+    return b"".join(runs)
 
 
 def _periodic_row(r: Periodic, length: int) -> tuple[int, bytes]:
@@ -820,8 +834,7 @@ _KINDS = (
           lambda r, n: (2, _max_complexity_symbols(n)), _no_bound),
     _Kind(Hubert, "hubert", lambda r: {"slope": r.slope.to_dict()},
           lambda d: Hubert(ContinuedFraction.from_dict(d["slope"])),
-          lambda r, n: (3, _hubert_symbols(_characteristic_symbols(r.slope, n))),
-          _no_bound),
+          _hubert_row, _no_bound),
     _Kind(LiteralPrepend, "literal-prepend",
           lambda r: {"prefix": _format_digits(r.prefix), "inner": r.inner},
           lambda d: LiteralPrepend(_parse_digits(d["prefix"]), d["inner"]),

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from test_contfrac import (oracle_affine_sign, oracle_floor_scaled,
                            oracle_frac_less_than)
 
-from abelianwords import powers, words
+from abelianwords import contfrac, powers, words
 from abelianwords.complexity import abelian_equivalent, balance_bound, parikh
-from abelianwords.contfrac import AffineThreshold, ContinuedFraction
+from abelianwords.contfrac import (AffineThreshold, ContinuedFraction,
+                                   frac_less_than)
 from abelianwords.powers import (AbelianPowerOccurrence, PeriodPair,
                                  WeightsTooSmallError, congo_weights,
                                  min_abelian_period, sturmian_period_pair,
@@ -316,6 +317,46 @@ class TestSturmianPeriodPair:
         # min(1/3, alpha - 1/3) = alpha - 1/3 ~ 0.0486; need q > 3/0.0486
         assert pair.ell2 == 89
 
+    def test_slope_error_comes_before_delta_error(self, golden):
+        # above 1/2 and with a delta out of range: the slope is refused
+        # first, whichever bound delta breaks
+        for delta in (AffineThreshold(0, 0), AffineThreshold(0, 2)):
+            with pytest.raises(ValueError, match="slope must be < 1/2"):
+                sturmian_period_pair(golden.complement(), 2, delta)
+
+
+class TestFracSign:
+    """``contfrac._frac_sign``, the one kernel behind ``frac_less_than``
+    and the locator's threshold tests, against the Fraction oracle."""
+
+    SLOPES = [ContinuedFraction((2,), (1,)), ContinuedFraction((), (2,))]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(SLOPES), st.integers(1, 10**4), st.integers(1, 6),
+           st.data())
+    def test_matches_oracle(self, alpha, i, D, data):
+        f = oracle_floor_scaled(alpha, i)
+        if data.draw(st.booleans()):
+            U = data.draw(st.integers(-12, 12))
+            V = data.draw(st.integers(-12, 12))
+        else:
+            # near the identity: V = D*i - c and U = -D*f + r for small
+            # c, r; c = r = 0 is the identity itself
+            V = D * i - data.draw(st.integers(-2, 2))
+            U = -D * f + data.draw(st.integers(-2, 2))
+        sign = contfrac._frac_sign(alpha, i, f, U, V, D)
+        assert (sign == 0) == (D * i == V and D * f + U == 0)
+        assert (sign < 0) == oracle_frac_lt(alpha, i, Fraction(U, D),
+                                            Fraction(V, D))
+
+    @pytest.mark.parametrize("alpha", SLOPES, ids=["golden", "sqrt2"])
+    def test_identity_is_zero(self, alpha):
+        # {1*alpha} = alpha, over D = 1 and D = 3: floor(alpha) = 0
+        assert contfrac._frac_sign(alpha, 1, 0, 0, 1, 1) == 0
+        assert contfrac._frac_sign(alpha, 1, 0, 0, 3, 3) == 0
+        with pytest.raises(ValueError, match="identity"):
+            frac_less_than(alpha, 1, AffineThreshold(0, 1))
+
 
 class TestSturmianPowerAt:
     def test_position_one_square(self, golden):
@@ -367,6 +408,16 @@ class TestSturmianPowerAt:
             sturmian_power_at(alpha, i, 3, check_internal=True)
         assert made == []
         assert grown and all(a is alpha for a in grown)
+
+    def test_above_half_grows_the_complement_word_for_the_check_only(self):
+        # only the internal check reads the working slope's word; a slope
+        # no other test uses, so its locator is fresh
+        alpha = ContinuedFraction((1, 3), (1, 2))
+        sturmian_power_at(alpha, 5, 3)
+        work = powers._locator(alpha, 3, powers.DEFAULT_DELTA).work
+        assert work == alpha.complement() and work._word[0] == b""
+        sturmian_power_at(alpha, 5, 3, check_internal=True)
+        assert len(work._word[0]) >= len(alpha._word[0]) > 0
 
     def test_complement_is_built_once_per_slope(self, monkeypatch):
         made = []
