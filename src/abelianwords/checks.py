@@ -21,7 +21,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .complexity import abelian_profile, parikh
+from .complexity import _require_range, abelian_profile, parikh
 from .words import WordPrefix, WordRecipe, complete_prefix_length, prefix_of
 
 __all__ = [
@@ -179,8 +179,11 @@ def rauzy_constant3_check(recipe: WordRecipe, n_max: int,
                           prefix_len: Union[int, None] = None,
                           margin: int = DEFAULT_MARGIN) -> CheckReport:
     """Check rho_ab(n) = 3 for n = 1..n_max on a prefix of the recipe, by
-    default of ``inspected_length(recipe, n_max, margin)`` symbols."""
+    default of ``inspected_length(recipe, n_max, margin)`` symbols.  A
+    window range the window pass would refuse is refused before the
+    prefix is built."""
     if prefix_len is None:
         prefix_len = inspected_length(recipe, n_max, margin)
+    _require_range(n_max, prefix_len)
     return _profile_report(prefix_of(recipe, prefix_len), n_max,
                            "constant-abelian-3", lambda n: 3)

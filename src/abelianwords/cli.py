@@ -180,11 +180,13 @@ def cmd_verify(args) -> int:
     if args.claim == "thue-morse":
         recipe = _load_recipe("tm")
         length = checks.inspected_length(recipe, n_max)
+        # a window range the check would refuse is refused before the
+        # prefix is built
+        complexity._require_range(n_max, length)
         w = words.prefix_of(recipe, length)
         # the prefix is factor-complete or has the full margin, either way
         # long enough: its own length is the margin it is checked with
-        # (an n_max below 1 is refused by the check itself)
-        margin = length // max(n_max, 1)
+        margin = length // n_max
         reports = [checks.tm_profile_check(w, n_max, margin=margin)]
     elif args.claim == "rauzy":
         preset = "hubert-golden" if args.variant == "hubert" else "rauzy-morphism"

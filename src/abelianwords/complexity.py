@@ -10,10 +10,16 @@ convention.
 Abelian complexity, balance and Parikh classes all read one window pass:
 prefix sums built once per word give each length-n window's letter counts,
 and each letter's minimum and radix (max - min + 1) over those windows.
+On words of p >= 3 letters, ``abelian_profile``, ``balance_per_length``
+and ``profile`` read one window per distinct top-level window of the
+subword kernel's rank levels (length 2^top >= n_max) while those number
+at most L/8; binary words, single lengths (``parikh_classes``) and words
+with more distinct windows read every window.  Both passes see the same
+Parikh vectors, so the results are the same (see ``_window_stats``).
 
 A window pass or subword pass over more than 2^32 window steps (prefix
-length times the number of window lengths) raises BudgetError before it
-allocates anything.
+length times the number of window lengths, whichever windows it reads)
+raises BudgetError before it allocates anything.
 """
 
 from collections import namedtuple
@@ -93,37 +99,120 @@ def _require_range(n_max: int, length: int, n_min: int = 1):
             f"{length * lengths} window steps, bound is {_WORK_BOUND}")
 
 
-def _window_stats(w: Wordlike, n_max: int, n_min: int = 1):
-    """The window pass over ``w``: ``(symbols, p, stats)``.
-
-    ``stats`` yields ``(counts, lo, radix, scratch)`` for n = n_min..n_max:
-    the tracked letters' counts in each length-n window (one reused
-    buffer), their minima, their radices, and the scratch buffers the
-    class count works in.  A binary word's two counts sum to n and share
-    one radix, so for p <= 2 only the last letter is tracked.  The sums
-    wrap in the narrowest unsigned dtype holding n_max + 1, which leaves
-    every window's count, a difference of two sums, exact.
-    """
+def _checked(w: Wordlike, n_max: int, n_min: int = 1) -> tuple[bytes, int]:
+    """``w`` as (symbols, alphabet_size), its window range checked by
+    ``_require_range``."""
     symbols, p = _coerce(w)
+    _require_range(n_max, len(symbols), n_min)
+    return symbols, p
+
+
+def _window_positions(symbols: bytes, p: int, n_max: int, n_min: int,
+                      top_level=None):
+    """Sorted positions of one window per distinct top-level window, for
+    the window pass to read instead of every position, or None where it
+    keeps the contiguous pass.
+
+    The top level is j = (n_max - 1).bit_length(), so 2^j >= n_max.  The
+    positions are used only for p >= 3 letters and more than one window
+    length, and only while the top level has R <= L/8 distinct windows:
+    below three letters, for a single length, or with many distinct
+    windows, the gathers cost more than the contiguous slices they save.
+    R only grows from level to level, so the doubling stops as soon as it
+    passes L/8, and only the last level is kept.  ``top_level`` is level j
+    and its R where the caller has built them.
+    """
+    if p < 3 or n_min == n_max:
+        return None
     L = len(symbols)
-    _require_range(n_max, L, n_min)
+    levels = [top_level] if top_level else _doubled_ranks(symbols, _top(n_max))
+    for lev, R in levels:
+        if 8 * R > L:
+            return None
+    return np.sort(_representatives(lev, R, L))
+
+
+def _window_stats(symbols: bytes, p: int, n_max: int, n_min: int = 1,
+                  positions=None):
+    """The window pass over a range-checked word: yields
+    ``(counts, lo, radix, scratch)`` for n = n_min..n_max.
+
+    Those are the tracked letters' counts in each length-n window (one
+    reused buffer), their minima, their radices, and the scratch buffers
+    the class count works in.  A binary word's two counts sum to n and
+    share one radix, so for p <= 2 only the last letter is tracked.  The
+    sums wrap in the narrowest unsigned dtype holding n_max + 1, which
+    leaves every window's count, a difference of two sums, exact.
+
+    Without ``positions`` every window is read, as contiguous slices of
+    the prefix sums.  With sorted ``positions`` from ``_window_positions``
+    only the windows there are read: at length n those at positions
+    <= L - n.  Each letter's sums are gathered row by row into C-contiguous
+    blocks, one row per length and about L windows per block, as per-row
+    minima and maxima are slow on a strided array and one call per length
+    over a few windows costs more in overhead than in work.
+    That is exact.  Two positions with one top-level rank have equal
+    windows of every length <= n_max, and a window running past the end
+    of the prefix at the top level equals no other, so it is its own
+    representative.  The windows read at each n thus carry every Parikh
+    vector of the length-n windows, and per-letter minima and maxima
+    are unchanged.
+    """
+    L = len(symbols)
     arr = np.frombuffer(symbols, dtype=np.uint8)
     letters = range(p) if p > 2 else [p - 1]
     cum = np.zeros((len(letters), L + 1), dtype=np.min_scalar_type(n_max + 1))
     for row, a in zip(cum, letters):
         np.cumsum(arr == a, dtype=cum.dtype, out=row[1:])
-    buf = np.empty((len(letters), L), dtype=cum.dtype)
+    width = L if positions is None else len(positions)
     # allocated once per pass; pages no step touches are never faulted in
-    scratch = _Scratch(np.empty(L, dtype=np.int64),
-                       np.empty(_FLAG_SPACE * L, dtype=bool))
-
-    def stats():
+    scratch = _Scratch(np.empty(width, dtype=np.int64),
+                       np.empty(_FLAG_SPACE * width, dtype=bool))
+    if positions is None:
+        buf = np.empty((len(letters), L), dtype=cum.dtype)
         for n in range(n_min, n_max + 1):
             k = L - n + 1
             counts = np.subtract(cum[:, n:], cum[:, :k], out=buf[:, :k])
             lo = counts.min(axis=1)
             yield counts, lo, counts.max(axis=1) - lo + 1, scratch
-    return symbols, p, stats()
+        return
+    # lengths are gathered a batch at a time, one row of a (batch, k)
+    # block per length, so each numpy call covers about L windows
+    batch = max(1, L // width)
+    lengths = np.arange(n_min, n_max + 1)
+    fits = np.searchsorted(positions, L - lengths, side="right").tolist()
+    at, ends = np.empty((2, batch * width), dtype=np.int64)
+    starts = np.empty(batch * width, dtype=cum.dtype)
+    flat = np.empty(len(letters) * batch * width, dtype=cum.dtype)
+    for i in range(0, len(lengths), batch):
+        ns = lengths[i:i + batch, None]
+        k = fits[i]  # the windows read at the first length of the batch
+        shape = (len(ns), k)
+        block = at[:ns.size * k].reshape(shape)
+        block[:] = positions[:k]
+        # a window that does not fit at a longer length of the batch is
+        # read as the window at 0 instead, whose vector is counted anyway
+        for row, fit in zip(block, fits[i:i + batch]):
+            row[fit:] = 0
+        end = np.add(block, ns, out=ends[:block.size].reshape(shape))
+        start = starts[:block.size].reshape(shape)
+        counts = flat[:len(letters) * block.size].reshape((-1,) + shape)
+        for row, out in zip(cum, counts):
+            np.take(row, end, out=out, mode="clip")
+            np.take(row, block, out=start, mode="clip")
+            out -= start
+        lo = counts.min(axis=2)
+        radix = counts.max(axis=2) - lo + 1
+        for j in range(len(ns)):
+            yield counts[:, j], lo[:, j], radix[:, j], scratch
+
+
+def _pass(w: Wordlike, n_max: int, n_min: int = 1):
+    """``(p, stats)``: the window pass over ``w``, reading the positions
+    ``_window_positions`` picks."""
+    symbols, p = _checked(w, n_max, n_min)
+    positions = _window_positions(symbols, p, n_max, n_min)
+    return p, _window_stats(symbols, p, n_max, n_min, positions)
 
 
 # ``codes`` holds one int64 class code per window, ``flags`` one bool per
@@ -179,16 +268,18 @@ def abelian_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
     a single tracked count (p <= 2) takes every value in its range and the
     class count is its radix.  For p >= 3 the class codes are counted by
     marking a flag per code while their space is a small multiple of the
-    window count, and by an in-place sort beyond it.
+    window count, and by an in-place sort beyond it.  Over several lengths
+    with at most L/8 distinct top-level windows, the pass reads one window
+    per distinct top-level window only (``_window_positions``).
     """
-    _, _, stats = _window_stats(w, n_max, n_min)
+    _, stats = _pass(w, n_max, n_min)
     return [_class_count(*step) for step in stats]
 
 
 def parikh_classes(w: Wordlike, n: int) -> set[ParikhVector]:
     """The exact set of Parikh vectors of the length-n windows, each read
     off the first window of its class."""
-    _, p, stats = _window_stats(w, n, n)
+    p, stats = _pass(w, n, n)
     counts, lo, radix, scratch = next(stats)
     code, _ = _class_codes(counts, lo, radix, scratch)
     _, first = np.unique(code, return_index=True)
@@ -198,7 +289,8 @@ def parikh_classes(w: Wordlike, n: int) -> set[ParikhVector]:
     return set(map(tuple, vectors.T.tolist()))
 
 
-def subword_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
+def subword_profile(w: Wordlike, n_max: int, n_min: int = 1, *,
+                    levels=None) -> list[int]:
     """Number of distinct length-n factors, n = n_min..n_max.
 
     One set of rank levels serves every n: dense, order-preserving ranks
@@ -219,15 +311,13 @@ def subword_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
     begins no new factor of length <= n_max, and its LCP with any other
     window and its ``min(m, n_max)`` (which is n_max) are the
     representative's.  Exact: equal ranks mean equal windows, no hashing
-    involved.
+    involved.  ``levels`` is ``_rank_levels`` of ``w`` at that top where
+    the caller has built it.
     """
-    symbols, _ = _coerce(w)
+    symbols, _ = _checked(w, n_max, n_min)
     L = len(symbols)
-    _require_range(n_max, L, n_min)
-    levels, R = _rank_levels(symbols, (n_max - 1).bit_length())
-    rep = np.empty(R + 1, dtype=np.int64)
-    rep[levels[-1][:L]] = np.arange(L)  # any copy of a rank serves
-    rep = rep[1:]
+    levels, R = levels or _rank_levels(symbols, _top(n_max))
+    rep = _representatives(levels[-1], R, L)
     a, b = rep[:-1], rep[1:]
     # binary lifting over scratch buffers reused at every level: at each
     # pair's current LCP, add 2^j where the next 2^j symbols agree too.
@@ -250,9 +340,31 @@ def subword_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
     return np.cumsum(starts)[n_min:n_max + 1].tolist()
 
 
+def _top(n_max: int) -> int:
+    """The least level j with 2^j >= n_max."""
+    return (n_max - 1).bit_length()
+
+
+def _representatives(top_level: np.ndarray, R: int, L: int) -> np.ndarray:
+    """One position per top-level rank 1..R, in rank order; any copy of a
+    rank serves."""
+    rep = np.empty(R + 1, dtype=np.int64)
+    rep[top_level[:L]] = np.arange(L)
+    return rep[1:]
+
+
 def _rank_levels(symbols: bytes, top: int) -> tuple[list[np.ndarray], int]:
     """Dense order-preserving ranks of every window of length 2^j,
-    j = 0..top, and the number R of distinct windows at level ``top``.
+    j = 0..top, and the number R of distinct windows at level ``top``
+    (see ``_doubled_ranks``)."""
+    levels = list(_doubled_ranks(symbols, top))
+    return [lev for lev, _ in levels], levels[-1][1]
+
+
+def _doubled_ranks(symbols: bytes, top: int):
+    """Yields ``(levels[j], R_j)`` for j = 0..top: the rank level of the
+    windows of length 2^j and its number of distinct windows, each level
+    built from the one before alone.
 
     ``levels[j][i]`` ranks the window of length 2^j at position i, padded
     past the end with a sentinel below every letter; index L holds the
@@ -271,6 +383,7 @@ def _rank_levels(symbols: bytes, top: int) -> tuple[list[np.ndarray], int]:
     its first half does, so the further levels repeat that one.
     Every buffer but the argsort result and the levels themselves is
     allocated once; pages a level never touches are never faulted in.
+    A caller that keeps only the last level holds two levels at a time.
     """
     L = len(symbols)
     dtype = np.int32 if L < 2**31 - 2 else np.int64  # holds 0..L+1
@@ -281,13 +394,13 @@ def _rank_levels(symbols: bytes, top: int) -> tuple[list[np.ndarray], int]:
     lev = np.zeros(L + 1, dtype=dtype)
     np.take(dense, arr, out=lev[:L], mode="clip")
     R = int(dense[-1])
-    levels = [lev]
+    yield lev, R
     codes, ranks = np.empty((2, L), dtype=np.int64)
     flags = np.empty(_FLAG_SPACE * L, dtype=bool)
     numbers = np.empty(_FLAG_SPACE * L, dtype=dtype)
     for j in range(1, top + 1):
         if R == L:  # all distinct: a window ranks as its first half does
-            levels.append(lev)
+            yield lev, R
             continue
         half = 1 << (j - 1)
         # a window's code: its first half's rank, then its second half's
@@ -313,13 +426,12 @@ def _rank_levels(symbols: bytes, top: int) -> tuple[list[np.ndarray], int]:
             np.cumsum(changes, out=ranks)
             lev[order] = ranks
             R = int(ranks[-1])
-        levels.append(lev)
-    return levels, R
+        yield lev, R
 
 
 def balance_per_length(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
     """For each n, the largest per-letter count spread over length-n windows."""
-    _, _, stats = _window_stats(w, n_max, n_min)
+    _, stats = _pass(w, n_max, n_min)
     return [int(radix.max()) - 1 for _, _, radix, _ in stats]
 
 
@@ -354,17 +466,25 @@ class ComplexityProfile:
 
 def profile(w: Wordlike, n_max: int) -> ComplexityProfile:
     """Assemble the Abelian profile, subword profile, and running balance
-    of one prefix; one window pass gives both rho_ab and balance.
+    of one prefix; one window pass gives both rho_ab and balance.  The rank
+    levels are built once: the subword pass reads them, and so does the
+    window pass where ``_window_positions`` picks representatives.
     """
-    symbols, _, stats = _window_stats(w, n_max)
+    symbols, p = _checked(w, n_max)
+    levels = _rank_levels(symbols, _top(n_max))
+    positions = _window_positions(symbols, p, n_max, 1,
+                                  (levels[0][-1], levels[1]))
+    rho = subword_profile(symbols, n_max, levels=levels)
+    del levels  # freed before the window pass allocates its buffers
     rho_ab, per_length = zip(*[(_class_count(counts, lo, radix, scratch),
                                 int(radix.max()) - 1)
-                               for counts, lo, radix, scratch in stats])
+                               for counts, lo, radix, scratch
+                               in _window_stats(symbols, p, n_max, 1, positions)])
     running = np.maximum.accumulate(per_length)
     return ComplexityProfile(
         n_max=n_max,
         prefix_len=len(symbols),
         rho_ab=tuple(rho_ab),
-        rho=tuple(subword_profile(symbols, n_max)),
+        rho=tuple(rho),
         balance_running=tuple(int(x) for x in running),
     )

@@ -163,6 +163,30 @@ class TestGenerateDigests:
         assert digest == GENERATE_DIGESTS[spec]
 
 
+# SHA-256 of the stdout of Abelian-kernel commands on ternary words,
+# frozen at commit 6d9233d, before the window pass read one window per
+# distinct factor; profiles and verdicts must stay byte for byte the same.
+KERNEL_DIGESTS = {
+    "profile --recipe hubert-golden --nmax 256":
+        "4f61e4a738247da898ef2d1c819d2c338e3a93f5c55d85a65bb988257783cb0e",
+    "profile --recipe rauzy-morphism --nmax 256":
+        "1ccf97fff7737a214c79d0076fbcb6558f8708d5691235961b7dc478074ab36c",
+    "profile --recipe tribonacci --nmax 256":
+        "19efc2d6553835b9e6c93a564736bffbd19fdc4a3268c15c983bdc85234fef37",
+    "verify rauzy --variant hubert --nmax 512":
+        "61a7ab2b226c59e53c2054cf56481a3047ede4f9396df673fce6f94649e5619e",
+    "verify rauzy --variant morphism --nmax 512":
+        "61a7ab2b226c59e53c2054cf56481a3047ede4f9396df673fce6f94649e5619e",
+}
+
+
+@pytest.mark.parametrize("command", KERNEL_DIGESTS)
+def test_kernel_stdout_digest(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == KERNEL_DIGESTS[command]
+
+
 class TestProfile:
     def test_thue_morse_rows(self, capsys):
         code, out, _ = run(capsys, "profile", "--recipe", "tm", "--nmax", "4")
@@ -442,6 +466,28 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert code == 3 and out == ""
         assert err.startswith("error: ") and "window steps" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["rauzy", "--variant", "hubert", "--nmax", "1000000"], 3,
+         "window steps"),
+        (["rauzy", "--variant", "morphism", "--nmax", "1000000"], 3,
+         "window steps"),
+        (["thue-morse", "--nmax", "1000000"], 3, "window steps"),
+        (["rauzy", "--nmax", "-3"], 2, "window lengths must satisfy"),
+        (["thue-morse", "--nmax", "-3"], 2, "window lengths must satisfy"),
+    ], ids=["rauzy-hubert", "rauzy-morphism", "thue-morse",
+            "rauzy-negative", "thue-morse-negative"])
+    def test_verify_refuses_before_building(self, capsys, monkeypatch,
+                                            argv, code, message):
+        # a 64M-symbol Hubert prefix takes 321 MiB; none may be built
+        def refuse(*args):
+            raise AssertionError("prefix_of called")
+        monkeypatch.setattr(abelianwords.words, "prefix_of", refuse)
+        monkeypatch.setattr(checks, "prefix_of", refuse)
+        got, out, err = run(capsys, "verify", *argv)
+        assert (got, out) == (code, "")
+        assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
 
     def test_usage_error_from_argparse(self):

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from abelianwords.complexity import (_rank_levels, abelian_equivalent,
-                                     abelian_profile, balance_bound,
-                                     balance_per_length,
+from abelianwords import complexity
+from abelianwords.complexity import (_doubled_ranks, _rank_levels,
+                                     _representatives, _top,
+                                     _window_positions, _window_stats,
+                                     abelian_equivalent, abelian_profile,
+                                     balance_bound, balance_per_length,
                                      max_abelian_complexity, parikh,
                                      parikh_classes, profile, subword_profile)
 from abelianwords.contfrac import ContinuedFraction
 from abelianwords.words import (DEFAULT_SYMBOL_BUDGET, THUE_MORSE, TRIBONACCI,
-                                BudgetError, FixedPoint, Morphism, Periodic,
-                                WordPrefix, _is_primitive,
+                                BudgetError, FixedPoint, Hubert, Morphism,
+                                Periodic, WordPrefix, _is_primitive,
                                 champernowne_prefix, characteristic_prefix,
                                 complete_prefix_length, fixed_point,
                                 max_complexity_prefix, prefix_of)
@@ -544,3 +547,151 @@ class TestProfileBundle:
         for n in range(1, 17):
             assert prof.rho_ab[n - 1] <= prof.rho[n - 1]
             assert prof.rho_ab[n - 1] <= max_abelian_complexity(n, 2)
+
+
+def brute_vectors(w, n_max, n_min=1):
+    """Reference: per n = n_min..n_max, the set of Parikh vectors of the
+    length-n windows, each window recounted."""
+    symbols, p = w.symbols, w.alphabet_size
+    return [{tuple(symbols[i:i + n].count(a) for a in range(p))
+             for i in range(len(symbols) - n + 1)}
+            for n in range(n_min, n_max + 1)]
+
+
+def force_pass(monkeypatch, reps):
+    """Make every window pass read one window per distinct top-level
+    window (``reps``) or every window, whatever the guard would pick."""
+    def positions(symbols, p, n_max, n_min, top_level=None):
+        if not reps:
+            return None
+        lev, R = top_level or list(_doubled_ranks(symbols, _top(n_max)))[-1]
+        return np.sort(_representatives(lev, R, len(symbols)))
+    monkeypatch.setattr(complexity, "_window_positions", positions)
+
+
+def check_window_kernels(w, n_max, n_min, monkeypatch):
+    """The window kernels against the recount, with the guard's pass and
+    with each pass forced."""
+    vectors = brute_vectors(w, n_max, n_min)
+    rho_ab = [len(vs) for vs in vectors]
+    spreads = [max(max(v[a] for v in vs) - min(v[a] for v in vs)
+                   for a in range(w.alphabet_size)) for vs in vectors]
+    sampled = {0, len(vectors) // 2, len(vectors) - 1}
+    for reps in (None, False, True):
+        if reps is not None:
+            force_pass(monkeypatch, reps)
+        assert abelian_profile(w, n_max, n_min) == rho_ab
+        assert balance_per_length(w, n_max, n_min) == spreads
+        for i in sampled:
+            assert parikh_classes(w, n_min + i) == vectors[i]
+        if n_min == 1:
+            prof = profile(w, n_max)
+            assert list(prof.rho_ab) == rho_ab
+            assert list(prof.balance_running) == (
+                np.maximum.accumulate(spreads).tolist())
+            assert list(prof.rho) == brute_subword(w, n_max)
+
+
+class TestRepresentativePass:
+    """The window pass over one window per distinct top-level window,
+    against the contiguous pass and the recount."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_fixed_points_of_primitive_morphisms(self, data):
+        p = data.draw(st.integers(3, 4))
+        letter = st.integers(0, p - 1)
+        images = [bytes([0] + data.draw(st.lists(letter, min_size=1,
+                                                 max_size=2)))]
+        images += [bytes(data.draw(st.lists(letter, min_size=1, max_size=3)))
+                   for _ in range(1, p)]
+        m = Morphism(tuple(images))
+        assume(_is_primitive(m))
+        post = None
+        if data.draw(st.booleans()):
+            q = data.draw(st.integers(3, 4))
+            post = Morphism(tuple(
+                bytes(data.draw(st.lists(st.integers(0, q - 1), min_size=1,
+                                         max_size=3)))
+                for _ in range(p)))
+        w = prefix_of(FixedPoint(m, 0, post), data.draw(st.integers(2, 1500)))
+        n_max = data.draw(st.integers(2, min(24, len(w))))
+        n_min = data.draw(st.integers(1, n_max))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            check_window_kernels(w, n_max, n_min, monkeypatch)
+
+    @pytest.mark.parametrize("slope", [GOLDEN, ContinuedFraction((), (2,))],
+                             ids=["golden", "sqrt2"])
+    def test_hubert_prefixes(self, slope, monkeypatch):
+        w = prefix_of(Hubert(slope), 64 * 32)
+        assert _window_positions(w.symbols, 3, 32, 1) is not None
+        check_window_kernels(w, 32, 1, monkeypatch)
+
+    @pytest.mark.parametrize("pattern, length, n_max, n_min", [
+        (bytes([0, 1, 2]), 600, 50, 1),
+        (bytes([0, 1, 0, 2, 3]), 900, 60, 1),
+        (bytes([2, 0, 1, 1]), 1200, 40, 17),       # n_min > 1
+        # windows running past the end at the top level (2^9) are read
+        (bytes([0, 1, 2]), 4800, 300, 290),
+    ], ids=["period-3", "period-5", "n_min-17", "past-the-end"])
+    def test_periodic_words(self, pattern, length, n_max, n_min, monkeypatch):
+        w = prefix_of(Periodic(pattern), length)
+        assert _window_positions(w.symbols, w.alphabet_size,
+                                 n_max, n_min) is not None
+        check_window_kernels(w, n_max, n_min, monkeypatch)
+
+    @pytest.mark.parametrize("length, n_max, n_min", [
+        (50, 50, 1),    # n_max = L
+        (50, 50, 44),
+        (100, 70, 1),   # 2^top = 128 > L: every top-level window padded
+        (300, 200, 150),
+    ])
+    def test_edges(self, length, n_max, n_min, monkeypatch):
+        w = random_word(random.Random(length + n_max), 3, length)
+        check_window_kernels(w, n_max, n_min, monkeypatch)
+
+    def test_last_window_alone_holds_a_letter(self, monkeypatch):
+        # only windows reaching the last symbol count a 3, and at each n
+        # the one window at L - n is the only one that fits
+        w = WordPrefix(4, bytes([0, 1, 2]) * 666 + bytes([3]))
+        assert _window_positions(w.symbols, 4, 40, 1) is not None
+        check_window_kernels(w, 40, 1, monkeypatch)
+
+    def test_reads_only_representatives(self):
+        w = prefix_of(Hubert(GOLDEN), 1 << 14)
+        positions = _window_positions(w.symbols, 3, 256, 1)
+        assert len(positions) <= len(w) // 8
+        widths = {counts.shape[1] for counts, _, _, _
+                  in _window_stats(w.symbols, 3, 256, 1, positions)}
+        assert max(widths) <= len(positions)
+
+    @pytest.mark.parametrize("symbols, p, n_max, n_min", [
+        (fixed_point(THUE_MORSE, 0, 4096).symbols, 2, 64, 1),
+        (prefix_of(Hubert(GOLDEN), 4096).symbols, 3, 64, 64),
+        (random_word(random.Random(9), 4, 1 << 12).symbols, 4, 64, 1),
+    ], ids=["binary", "single-length", "many-distinct"])
+    def test_guard_keeps_the_contiguous_pass(self, symbols, p, n_max, n_min):
+        assert _window_positions(symbols, p, n_max, n_min) is None
+
+    def test_doubling_stops_once_past_the_cap(self, monkeypatch):
+        symbols = random_word(random.Random(10), 4, 1 << 12).symbols
+        built = []
+
+        def doubled_ranks(*args):
+            for lev, R in _doubled_ranks(*args):
+                built.append(R)
+                yield lev, R
+        monkeypatch.setattr(complexity, "_doubled_ranks", doubled_ranks)
+        assert _window_positions(symbols, 4, 64, 1) is None
+        # 4, 16, 256 distinct windows, then past 2^12 / 8 = 512
+        assert len(built) == 4 and built[-1] > len(symbols) // 8
+
+    def test_profile_builds_the_levels_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(complexity, "_doubled_ranks",
+                            lambda *a: calls.append(a) or _doubled_ranks(*a))
+        w = prefix_of(Hubert(GOLDEN), 4096)
+        assert _window_positions(w.symbols, 3, 64, 1) is not None
+        calls.clear()
+        profile(w, 64)
+        assert len(calls) == 1
