@@ -119,17 +119,48 @@ def _window_positions(symbols: bytes, p: int, n_max: int, n_min: int,
     below three letters, for a single length, or with many distinct
     windows, the gathers cost more than the contiguous slices they save.
     R only grows from level to level, so the doubling stops as soon as it
-    passes L/8, and only the last level is kept.  ``top_level`` is level j
-    and its R where the caller has built them.
+    passes L/8, and only the last level is kept; before it,
+    ``_many_windows`` turns away most words with R near L for a fraction
+    of the doubling's cost.  ``top_level`` is level j and its R where the
+    caller has built them.
     """
     if p < 3 or n_min == n_max:
         return None
     L = len(symbols)
-    levels = [top_level] if top_level else _doubled_ranks(symbols, _top(n_max))
+    if top_level:
+        levels = [top_level]
+    elif _many_windows(symbols, p, _top(n_max)):
+        return None
+    else:
+        levels = _doubled_ranks(symbols, _top(n_max))
     for lev, R in levels:
         if 8 * R > L:
             return None
     return np.sort(_representatives(lev, R, L))
+
+
+def _many_windows(symbols: bytes, p: int, top: int) -> bool:
+    """True when more than L/8 distinct windows of one length m <= 2^top
+    start in the first L/4 positions, so that the top level has R > L/8:
+    windows differing in their first m symbols differ at the top level.
+    m is the longest with p^m <= ``_FLAG_SPACE`` * L, and the windows are
+    told apart by marking their base-p codes.  False says nothing.  As
+    p >= 3, m <= log_3(4L) <= 3L/4 + 1, so every window read fits."""
+    L = len(symbols)
+    m, space = 0, 1
+    while m < 1 << top and space * p <= _FLAG_SPACE * L:
+        m, space = m + 1, space * p
+    if 8 * space <= L:
+        return False
+    k = L // 4
+    arr = np.frombuffer(symbols, dtype=np.uint8)
+    code = np.zeros(k, dtype=np.min_scalar_type(space))
+    for i in range(m):
+        code *= p
+        code += arr[i:i + k]
+    seen = np.zeros(space, dtype=bool)
+    seen[code] = True
+    return 8 * int(np.count_nonzero(seen)) > L
 
 
 def _window_stats(symbols: bytes, p: int, n_max: int, n_min: int = 1,
@@ -148,9 +179,10 @@ def _window_stats(symbols: bytes, p: int, n_max: int, n_min: int = 1,
     the prefix sums.  With sorted ``positions`` from ``_window_positions``
     only the windows there are read: at length n those at positions
     <= L - n.  Each letter's sums are gathered row by row into C-contiguous
-    blocks, one row per length and about L windows per block, as per-row
-    minima and maxima are slow on a strided array and one call per length
-    over a few windows costs more in overhead than in work.
+    blocks, one row per length and about L windows per block: per-row
+    minima and maxima are slow on the column-ordered array a 2-D fancy
+    index returns, and on a Hubert prefix, with some 1,500 windows per
+    length, one gather per length instead took 1.1 to 2.4 times as long.
     That is exact.  Two positions with one top-level rank have equal
     windows of every length <= n_max, and a window running past the end
     of the prefix at the top level equals no other, so it is its own
@@ -289,8 +321,7 @@ def parikh_classes(w: Wordlike, n: int) -> set[ParikhVector]:
     return set(map(tuple, vectors.T.tolist()))
 
 
-def subword_profile(w: Wordlike, n_max: int, n_min: int = 1, *,
-                    levels=None) -> list[int]:
+def subword_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
     """Number of distinct length-n factors, n = n_min..n_max.
 
     One set of rank levels serves every n: dense, order-preserving ranks
@@ -311,12 +342,18 @@ def subword_profile(w: Wordlike, n_max: int, n_min: int = 1, *,
     begins no new factor of length <= n_max, and its LCP with any other
     window and its ``min(m, n_max)`` (which is n_max) are the
     representative's.  Exact: equal ranks mean equal windows, no hashing
-    involved.  ``levels`` is ``_rank_levels`` of ``w`` at that top where
-    the caller has built it.
+    involved.
     """
     symbols, _ = _checked(w, n_max, n_min)
-    L = len(symbols)
-    levels, R = levels or _rank_levels(symbols, _top(n_max))
+    return _subword_counts(len(symbols), n_max, n_min,
+                           *_rank_levels(symbols, _top(n_max)))
+
+
+def _subword_counts(L: int, n_max: int, n_min: int,
+                    levels: list[np.ndarray], R: int) -> list[int]:
+    """``subword_profile`` of a range-checked word of length L, read off
+    its ``_rank_levels`` at top ``_top(n_max)``, with R distinct top-level
+    windows."""
     rep = _representatives(levels[-1], R, L)
     a, b = rep[:-1], rep[1:]
     # binary lifting over scratch buffers reused at every level: at each
@@ -471,10 +508,9 @@ def profile(w: Wordlike, n_max: int) -> ComplexityProfile:
     window pass where ``_window_positions`` picks representatives.
     """
     symbols, p = _checked(w, n_max)
-    levels = _rank_levels(symbols, _top(n_max))
-    positions = _window_positions(symbols, p, n_max, 1,
-                                  (levels[0][-1], levels[1]))
-    rho = subword_profile(symbols, n_max, levels=levels)
+    levels, R = _rank_levels(symbols, _top(n_max))
+    positions = _window_positions(symbols, p, n_max, 1, (levels[-1], R))
+    rho = _subword_counts(len(symbols), n_max, 1, levels, R)
     del levels  # freed before the window pass allocates its buffers
     rho_ab, per_length = zip(*[(_class_count(counts, lo, radix, scratch),
                                 int(radix.max()) - 1)

@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from abelianwords import complexity
-from abelianwords.complexity import (_doubled_ranks, _rank_levels,
-                                     _representatives, _top,
+from abelianwords.complexity import (_doubled_ranks, _many_windows,
+                                     _rank_levels, _representatives, _top,
                                      _window_positions, _window_stats,
                                      abelian_equivalent, abelian_profile,
                                      balance_bound, balance_per_length,
@@ -673,8 +673,8 @@ class TestRepresentativePass:
     def test_guard_keeps_the_contiguous_pass(self, symbols, p, n_max, n_min):
         assert _window_positions(symbols, p, n_max, n_min) is None
 
-    def test_doubling_stops_once_past_the_cap(self, monkeypatch):
-        symbols = random_word(random.Random(10), 4, 1 << 12).symbols
+    @staticmethod
+    def record_doubling(monkeypatch):
         built = []
 
         def doubled_ranks(*args):
@@ -682,9 +682,51 @@ class TestRepresentativePass:
                 built.append(R)
                 yield lev, R
         monkeypatch.setattr(complexity, "_doubled_ranks", doubled_ranks)
+        return built
+
+    def test_doubling_stops_once_past_the_cap(self, monkeypatch):
+        symbols = random_word(random.Random(10), 4, 1 << 12).symbols
+        built = self.record_doubling(monkeypatch)
+        monkeypatch.setattr(complexity, "_many_windows", lambda *a: False)
         assert _window_positions(symbols, 4, 64, 1) is None
         # 4, 16, 256 distinct windows, then past 2^12 / 8 = 512
         assert len(built) == 4 and built[-1] > len(symbols) // 8
+
+    def test_many_windows_turned_away_before_the_doubling(self, monkeypatch):
+        symbols = random_word(random.Random(10), 4, 1 << 12).symbols
+        built = self.record_doubling(monkeypatch)
+        assert _many_windows(symbols, 4, _top(64))
+        assert _window_positions(symbols, 4, 64, 1) is None
+        assert built == []
+
+    @pytest.mark.parametrize("length, many", [(71, True), (72, False)])
+    def test_many_windows_cap(self, length, many):
+        # the cyclic 2-windows of the period 001102122 all differ, so the
+        # first quarter shows 9 distinct windows, and 8 * 9 > L below 72
+        w = prefix_of(Periodic(bytes([0, 0, 1, 1, 0, 2, 1, 2, 2])), length)
+        assert _many_windows(w.symbols, 3, 10) is many
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_many_windows_against_the_recount(self, data):
+        p = data.draw(st.integers(3, 5))
+        length = data.draw(st.integers(1, 3000))
+        rng = random.Random(data.draw(st.integers(0, 99)))
+        if data.draw(st.booleans()):
+            w = random_word(rng, p, length)
+        else:  # periods near L/8 put the distinct count near the cap
+            period = max(1, length // data.draw(st.integers(4, 20)))
+            w = prefix_of(Periodic(random_word(rng, p, period).symbols),
+                          length)
+        top = data.draw(st.integers(0, 12))
+        m = max(m for m in range(min(1 << top, 40) + 1)
+                if p ** m <= 4 * length)
+        starts = {w.symbols[i:i + m] for i in range(length // 4)}
+        many = _many_windows(w.symbols, p, top)
+        assert many == (8 * len(starts) > length)
+        # a True is a proof that the top level has R > L/8
+        if many:
+            assert 8 * _rank_levels(w.symbols, top)[1] > length
 
     def test_profile_builds_the_levels_once(self, monkeypatch):
         calls = []
