@@ -30,7 +30,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .words import (DEFAULT_SYMBOL_BUDGET, BudgetError, WordPrefix,
-                    _max_letter, _parse_digits)
+                    _check_alphabet, _max_letter, _parse_digits)
 
 __all__ = [
     "ComplexityProfile",
@@ -66,8 +66,7 @@ def _coerce(word: Wordlike, alphabet_size=None) -> tuple[bytes, int]:
         symbols = _parse_digits(word) if isinstance(word, str) else bytes(word)
         p = max(_max_letter(symbols) + 1, 1)
     if alphabet_size is not None:
-        if _max_letter(symbols) >= alphabet_size:
-            raise ValueError("symbol out of range for requested alphabet")
+        _check_alphabet(alphabet_size, symbols)
         p = alphabet_size
     return symbols, p
 

@@ -41,7 +41,8 @@ import numpy as np
 from .complexity import ParikhVector
 from .contfrac import (AffineThreshold, ContinuedFraction, _frac_sign,
                        _pq_at, _sign, floor_scaled)
-from .words import WordPrefix, _characteristic_word, _check_length
+from .words import (_MAX_ALPHABET, WordPrefix, _characteristic_word,
+                    _check_length)
 
 __all__ = [
     "AbelianPowerOccurrence",
@@ -150,8 +151,8 @@ def min_abelian_period(w: WordPrefix, start: int, k: int,
 def congo_weights(M: int, r: int) -> CongoWeights:
     """Minimal admissible weights: each is one more than M times the sum of
     the previous ones, and so is the modulus."""
-    if M < 1 or r < 1:
-        raise ValueError("need M >= 1 and r >= 1")
+    if M < 1 or not 1 <= r <= _MAX_ALPHABET:
+        raise ValueError(f"need M >= 1 and 1 <= r <= {_MAX_ALPHABET}")
     alphas = [1]
     for _ in range(r - 1):
         alphas.append(M * sum(alphas) + 1)

@@ -1,11 +1,11 @@
 """Finite prefixes of infinite words, built from declarative recipes.
 
 Alphabets are always {0, ..., p-1}; symbols are stored as ``bytes`` so
-prefixes are compact, immutable and hashable, and two prefixes are equal
-when their alphabets and symbols are.  All public indexing is 0-based; the
-characteristic word's classical 1-based positions are shifted internally,
-so public position j holds the letter the classical definition assigns to
-j+1.
+prefixes are compact, immutable and hashable (and p is at most 256), and
+two prefixes are equal when their alphabets and symbols are.  All public
+indexing is 0-based; the characteristic word's classical 1-based
+positions are shifted internally, so public position j holds the letter
+the classical definition assigns to j+1.
 
 Each recipe kind is one row of the table ``_KINDS``: its wire name,
 serializer, parser, generator and factor-complete bound.  A row's
@@ -22,8 +22,11 @@ paper are built by copying whole blocks of bytes.
   whose images are tens to thousands of symbols long.  The images of M,
   or post(M(b)) under a post-morphism, are built once per prefix by
   concatenation; the prefix is the join of those images over the first
-  letters of u, and u itself grows from M(seed) by the same joins, only
-  as far as the length needs.
+  letters of u.  A join is one cut: the running sum of the image lengths
+  and one search in it find the fewest letters whose images reach the
+  length, and the last image is cut to fit.  u itself starts as M(seed)
+  and grows by M of its letters not yet mapped, while the images of its
+  letters fall short of the length.
 * A characteristic word is the limit of the standard words
   s_n = s_(n-1)^(a_n) s_(n-2), built by bytes repetition.  Each slope
   keeps one grow-only prefix of its characteristic word beside its
@@ -85,6 +88,9 @@ __all__ = [
 
 DEFAULT_SYMBOL_BUDGET = 1 << 26
 
+# symbols are bytes, so no alphabet holds more letters
+_MAX_ALPHABET = 256
+
 _TO_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 _FROM_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
@@ -111,11 +117,12 @@ def _parse_letter(value) -> int:
     return int(value)
 
 
-def _positive_int(d: dict, key: str) -> int:
-    if not _is_json_int(d[key]) or d[key] < 1:
-        raise ValueError(
-            f"{key} must be a positive JSON integer, got {d[key]!r}")
-    return d[key]
+def _wire_alphabet_size(d: dict) -> int:
+    size = d["alphabet_size"]
+    if not _is_json_int(size) or not 1 <= size <= _MAX_ALPHABET:
+        raise ValueError("alphabet_size must be a JSON integer from 1 to "
+                         f"{_MAX_ALPHABET}, got {size!r}")
+    return size
 
 
 def _max_letter(symbols: bytes) -> int:
@@ -124,8 +131,9 @@ def _max_letter(symbols: bytes) -> int:
 
 
 def _check_alphabet(alphabet_size: int, symbols: bytes):
-    if alphabet_size < 1:
-        raise ValueError("alphabet size must be >= 1")
+    if not 1 <= alphabet_size <= _MAX_ALPHABET:
+        raise ValueError(f"alphabet size must be 1..{_MAX_ALPHABET}, "
+                         f"got {alphabet_size}")
     if _max_letter(symbols) >= alphabet_size:
         raise ValueError("symbol out of alphabet range")
 
@@ -456,31 +464,26 @@ def _fixed_point_join(powers: list, images: list, seed: int,
     ``seed``, cut at ``length``; ``powers`` are M's images, cut at no
     fewer symbols than u needs letters.
 
-    u[:cap] always holds the letters the length needs, for cap =
-    ceil(length / shortest image).  Once u[:src] is known, M(u[:src]) is a
-    longer prefix of u, so a buffer of cap letters is filled by copying
-    the M-images of letters not yet mapped, only as many as cap still
-    needs, and only until the images of the letters known reach the
-    length.  The word itself is one join at the end.
+    u[:cap] holds the letters the length needs, for cap = ceil(length /
+    shortest image).  u starts as M(seed); once u[:src] is mapped,
+    M(u[src:]) is the next stretch of u, so u grows by it, cut at cap,
+    while the images of the letters known fall short of the length.  The
+    word itself is one join at the end.
     """
     if length == 0:
         return b""
     lens = [len(img) for img in images]
     power_lens = [len(img) for img in powers]
     cap = -(-length // min(lens))
-    u = bytearray(cap)
-    first = powers[seed][:cap]
-    u[:len(first)] = first
-    src, end = 1, len(first)  # u[:end] is M(u[:src]), cut at cap
-    reached = _images_length(first, lens)  # of the images over u[:end]
+    u = bytearray(powers[seed][:cap])
+    src, reached = 1, _images_length(u, lens)  # u is M(u[:src]), cut at cap
     while reached < length:
-        take = min(end - src, -(-(cap - end) // min(power_lens)))
-        piece, read = _join_images(powers, power_lens, u[src:src + take],
-                                   cap - end)
-        u[end:end + len(piece)] = piece
-        reached += _images_length(piece, lens)
-        src, end = src + read, end + len(piece)
-    return _join_images(images, lens, u[:end], length)[0]
+        # a view of the letters not yet mapped, released before u grows
+        piece, read = _join_images(powers, power_lens, memoryview(u)[src:],
+                                   cap - len(u))
+        u += piece
+        src, reached = src + read, reached + _images_length(piece, lens)
+    return _join_images(images, lens, u, length)[0]
 
 
 def _images_length(letters: bytes, lens: list) -> int:
@@ -494,29 +497,19 @@ def _join_images(images: list, lens: list, letters: bytes,
     (``lens``) reach ``need`` (of all of them when they fall short),
     joined and cut at ``need``, and how many letters that reads.
 
-    The count is bisected between ``read`` letters known to fall short
-    and ``hi`` letters known to reach ``need`` (or all of them), each
-    probe counting only the letters past ``read``.  A probe is never
-    placed before ceil(shortfall / longest image) more letters, as fewer
-    cannot close the shortfall: with one image length the first probe
-    settles the count.
+    One cut: the running sum of the image lengths, over no more letters
+    than ceil(need / shortest image), and one search in it for the first
+    that reaches ``need``; the last image is cut to fit.
     """
-    longest = max(lens)
-    read = total = 0  # the image length of letters[:read], below need
-    hi = min(len(letters), -(-need // min(lens)))
-    while hi - read > 1:
-        k = min(max(read + -(-(need - total) // longest), (read + hi) // 2),
-                hi - 1)
-        reached = total + _images_length(letters[read:k], lens)
-        if reached < need:
-            read, total = k, reached
-        else:
-            hi = k
-    total += _images_length(letters[read:hi], lens)
-    pieces = list(map(images.__getitem__, letters[:hi]))
-    if total > need:
-        pieces[-1] = pieces[-1][:need - total]
-    return b"".join(pieces), hi
+    letters = letters[:-(-need // min(lens))]
+    ends = np.asarray(lens)[np.frombuffer(letters, dtype=np.uint8)]
+    np.cumsum(ends, out=ends)
+    read = min(int(np.searchsorted(ends, need)) + 1, len(letters))
+    over = int(ends[read - 1]) - need if read else 0
+    pieces = list(map(images.__getitem__, letters[:read]))
+    if over > 0:
+        pieces[-1] = pieces[-1][:-over]
+    return b"".join(pieces), read
 
 
 def _characteristic_symbols(alpha: ContinuedFraction, length: int) -> bytes:
@@ -823,7 +816,7 @@ _KINDS = (
           lambda r: {"symbols": _format_digits(r.symbols),
                      "alphabet_size": r.alphabet_size},
           lambda d: Explicit(_parse_digits(d["symbols"]),
-                             _positive_int(d, "alphabet_size")
+                             _wire_alphabet_size(d)
                              if "alphabet_size" in d else None),
           _explicit_row, _no_bound),
     _Kind(Champernowne, "champernowne",

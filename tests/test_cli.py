@@ -455,6 +455,22 @@ class TestExitCodes:
         assert code == 3 and "budget" in err
 
     @pytest.mark.parametrize("argv", [
+        ["profile", "--nmax", "2", "--prefix-len", "4"],
+        ["powers", "vdw", "--k", "2", "--prefix-len", "4"],
+    ], ids=["profile", "powers-vdw"])
+    def test_alphabet_beyond_bytes_is_exit_2(self, capsys, argv):
+        # symbols are bytes, so a declared alphabet over 256 letters is
+        # refused before any pass that loops once per letter
+        recipe = ('{"kind": "explicit", "symbols": "0101", '
+                  '"alphabet_size": 100000000}')
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--recipe", recipe)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "256" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
         ["profile", "--recipe", "tm", "--nmax", "2000000"],
         ["verify", "thue-morse", "--nmax", "2000000"],
     ], ids=["profile", "verify"])

@@ -135,6 +135,11 @@ class TestParikh:
     def test_empty_over_ternary(self):
         assert parikh("", alphabet_size=3) == (0, 0, 0)
 
+    def test_declared_alphabet_is_bounded(self):
+        assert len(parikh("", alphabet_size=256)) == 256
+        with pytest.raises(ValueError, match="1..256"):
+            parikh("", alphabet_size=257)
+
     def test_012(self):
         assert parikh("012") == (1, 1, 1)
 
@@ -344,8 +349,9 @@ class TestSubwordKernel:
         fixed_point(THUE_MORSE, 0, 4096).symbols,
         champernowne_prefix(3000).symbols,
         bytes([0, 5, 1, 0]) * 300,                 # absent letters 2..4
-        bytes(random.Random(7).choice([2, 7, 200]) for _ in range(2000)),
-        bytes(random.Random(8).randrange(4) for _ in range(1 << 12)),
+        # one generator per word (a fresh one per symbol repeats one letter)
+        bytes(map(random.Random(7).choice, [[2, 7, 200]] * 2000)),
+        random_word(random.Random(8), 4, 1 << 12).symbols,
         bytes([3]) * 100,
         bytes([9]),
     ])

@@ -164,6 +164,12 @@ class TestCongoWeights:
         cw = congo_weights(1, 1)
         assert cw.alphas == (1,) and cw.N == 2
 
+    @pytest.mark.parametrize("M, r", [(0, 2), (1, 0), (1, 257)])
+    def test_out_of_range_is_refused(self, M, r):
+        # r is a letter count, and letters are bytes
+        with pytest.raises(ValueError, match="r <= 256"):
+            congo_weights(M, r)
+
     @pytest.mark.parametrize("M", [1, 2, 3])
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_only_zero_combination_vanishes(self, M, r):

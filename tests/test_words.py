@@ -402,6 +402,14 @@ class TestPowerImages:
         assert read == (len(letters) if whole < need
                         else fewest_reaching(images, letters, need))
 
+    def test_growth_by_one_stretch_per_round(self):
+        # M(1) = 1 at every power, so u grows by the 4095 ones of M(0)'s
+        # tail a round: about 256 rounds, where TestPowerImages stops at
+        # 9000 symbols for such morphisms
+        m = Morphism.from_strings({"0": "01", "1": "1"})
+        assert prefix_of(FixedPoint(m, 0), 1 << 20).symbols == \
+            b"\0" + b"\1" * ((1 << 20) - 1)
+
     def test_seed_one_and_doubling(self):
         for m in (THUE_MORSE, DOUBLING):
             for length in (0, 1, 63, 64, 65, 4097, 99991):
@@ -892,6 +900,7 @@ class TestRecipeSchema:
         {"kind": "explicit", "symbols": "0110", "alphabet_size": 2.5},
         {"kind": "explicit", "symbols": "0110", "alphabet_size": "3"},
         {"kind": "explicit", "symbols": "0110", "alphabet_size": None},
+        {"kind": "explicit", "symbols": "0110", "alphabet_size": 257},
         {"kind": "literal-prepend", "prefix": "2", "inner": "x"},
     ])
     def test_wrong_wire_type_is_value_error(self, d):
@@ -964,6 +973,14 @@ class TestWordPrefix:
     def test_symbol_validation(self):
         with pytest.raises(ValueError, match="alphabet"):
             WordPrefix(2, bytes([0, 2]))
+
+    @pytest.mark.parametrize("size", [0, 257, 10**8])
+    def test_alphabet_beyond_bytes(self, size):
+        # symbols are bytes: 256 letters at most, checked before any work
+        with pytest.raises(ValueError, match="alphabet size must be 1..256"):
+            WordPrefix(size, bytes([0]))
+        with pytest.raises(ValueError, match="alphabet size must be 1..256"):
+            prefix_of(Explicit(bytes([0]), size), 1)
 
     def test_shift(self, tm4096):
         assert tm4096.shift(5).symbols == tm4096.symbols[5:]
