@@ -7,15 +7,18 @@ word shows up.  Profiles are reported for lengths n = 1..n_max; the empty
 length would contribute the constant 1 and is omitted, matching the usual
 convention.
 
-Abelian complexity, balance and Parikh classes all read one window pass:
-prefix sums built once per word give each length-n window's letter counts,
-and each letter's minimum and radix (max - min + 1) over those windows.
-On words of p >= 3 letters, ``abelian_profile``, ``balance_per_length``
-and ``profile`` read one window per distinct top-level window of the
-subword kernel's rank levels (length 2^top >= n_max) while those number
-at most L/8; binary words, single lengths (``parikh_classes``) and words
-with more distinct windows read every window.  Both passes see the same
-Parikh vectors, so the results are the same (see ``_window_stats``).
+Abelian complexity, balance and Parikh classes all read one window pass
+over prefix sums built once per word.  Balance reads only each letter's
+least and greatest count at every length (``_extremes``); so does the
+Abelian complexity of a word of p <= 2 letters, which is the spread of
+one letter's count plus one.  On p >= 3 letters the Abelian complexity
+counts the classes of each length's windows (``_window_stats``), and
+``profile`` takes the balance from that same pass.  Over several lengths
+both passes read one window per distinct top-level window of the subword
+kernel's rank levels (length 2^top >= n_max) while those number at most
+L/2 (p <= 2) or L/4 (p >= 3); single lengths (``parikh_classes``) and
+words with more distinct windows read every window.  Both ways see the
+same Parikh vectors, so the results are the same (see ``_window_stats``).
 
 A window pass or subword pass over more than 2^32 window steps (prefix
 length times the number of window lengths, whichever windows it reads)
@@ -56,6 +59,10 @@ _FLAG_SPACE = 4
 # the most window steps, prefix length times the number of window lengths,
 # one window pass or subword pass may take
 _WORK_BOUND = DEFAULT_SYMBOL_BUDGET * 64
+
+
+# elements per row gather of the extremes pass
+_GATHER = 1 << 16
 
 
 def _coerce(word: Wordlike, alphabet_size=None) -> tuple[bytes, int]:
@@ -106,26 +113,35 @@ def _checked(w: Wordlike, n_max: int, n_min: int = 1) -> tuple[bytes, int]:
     return symbols, p
 
 
+def _most_representatives(p: int, L: int) -> int:
+    """The most distinct top-level windows for which a window pass over
+    several lengths reads one window each.  With one tracked letter
+    (p <= 2) the rows cost less than the contiguous pass up to L/2; where
+    every letter is counted they may cost more from L/4 on."""
+    return L // (2 if p <= 2 else 4)
+
+
 def _window_positions(symbols: bytes, p: int, n_max: int, n_min: int,
                       top_level=None):
     """Sorted positions of one window per distinct top-level window, for
-    the window pass to read instead of every position, or None where it
+    a window pass to read instead of every position, or None where it
     keeps the contiguous pass.
 
     The top level is j = (n_max - 1).bit_length(), so 2^j >= n_max.  The
-    positions are used only for p >= 3 letters and more than one window
-    length, and only while the top level has R <= L/8 distinct windows:
-    below three letters, for a single length, or with many distinct
-    windows, the gathers cost more than the contiguous slices they save.
-    R only grows from level to level, so the doubling stops as soon as it
-    passes L/8, and only the last level is kept; before it,
-    ``_many_windows`` turns away most words with R near L for a fraction
-    of the doubling's cost.  ``top_level`` is level j and its R where the
-    caller has built them.
+    positions are used on any alphabet, for more than one window length,
+    while the top level has at most ``_most_representatives`` distinct
+    windows: for a single length, or with more distinct windows, the
+    gathers cost more than the contiguous slices they save.  R only grows
+    from level to level, so the doubling stops as soon as it passes the
+    cap, and only the last level is kept; before it, ``_many_windows``
+    turns away most words with R near L for a fraction of the doubling's
+    cost.
+    ``top_level`` is level j and its R where the caller has built them.
     """
-    if p < 3 or n_min == n_max:
+    if n_min == n_max:
         return None
     L = len(symbols)
+    most = _most_representatives(p, L)
     if top_level:
         levels = [top_level]
     elif _many_windows(symbols, p, _top(n_max)):
@@ -133,25 +149,26 @@ def _window_positions(symbols: bytes, p: int, n_max: int, n_min: int,
     else:
         levels = _doubled_ranks(symbols, _top(n_max))
     for lev, R in levels:
-        if 8 * R > L:
+        if R > most:
             return None
     return np.sort(_representatives(lev, R, L))
 
 
 def _many_windows(symbols: bytes, p: int, top: int) -> bool:
-    """True when more than L/8 distinct windows of one length m <= 2^top
-    start in the first L/4 positions, so that the top level has R > L/8:
+    """True when more than ``_most_representatives`` distinct windows of
+    one length m <= 2^top occur, so that the top level has that many too:
     windows differing in their first m symbols differ at the top level.
-    m is the longest with p^m <= ``_FLAG_SPACE`` * L, and the windows are
-    told apart by marking their base-p codes.  False says nothing.  As
-    p >= 3, m <= log_3(4L) <= 3L/4 + 1, so every window read fits."""
+    m is the longest with p^m <= ``_FLAG_SPACE`` * L and m <= L, every
+    window of length m is read, and the windows are told apart by marking
+    their base-p codes.  False says nothing."""
     L = len(symbols)
+    most = _most_representatives(p, L)
     m, space = 0, 1
-    while m < 1 << top and space * p <= _FLAG_SPACE * L:
+    while m < min(1 << top, L) and space * p <= _FLAG_SPACE * L:
         m, space = m + 1, space * p
-    if 8 * space <= L:
+    if space <= most:
         return False
-    k = L // 4
+    k = L - m + 1
     arr = np.frombuffer(symbols, dtype=np.uint8)
     code = np.zeros(k, dtype=np.min_scalar_type(space))
     for i in range(m):
@@ -159,7 +176,7 @@ def _many_windows(symbols: bytes, p: int, top: int) -> bool:
         code += arr[i:i + k]
     seen = np.zeros(space, dtype=bool)
     seen[code] = True
-    return 8 * int(np.count_nonzero(seen)) > L
+    return int(np.count_nonzero(seen)) > most
 
 
 def _window_stats(symbols: bytes, p: int, n_max: int, n_min: int = 1,
@@ -170,9 +187,11 @@ def _window_stats(symbols: bytes, p: int, n_max: int, n_min: int = 1,
     Those are the tracked letters' counts in each length-n window (one
     reused buffer), their minima, their radices, and the scratch buffers
     the class count works in.  A binary word's two counts sum to n and
-    share one radix, so for p <= 2 only the last letter is tracked.  The
-    sums wrap in the narrowest unsigned dtype holding n_max + 1, which
-    leaves every window's count, a difference of two sums, exact.
+    share one radix, so for p <= 2 only the last letter is tracked; the
+    class count of such a word is read off ``_extremes`` instead, and
+    this pass serves it only for ``parikh_classes``.  The sums wrap in the
+    narrowest unsigned dtype holding n_max + 1, which leaves every
+    window's count, a difference of two sums, exact.
 
     Without ``positions`` every window is read, as contiguous slices of
     the prefix sums.  With sorted ``positions`` from ``_window_positions``
@@ -191,7 +210,7 @@ def _window_stats(symbols: bytes, p: int, n_max: int, n_min: int = 1,
     """
     L = len(symbols)
     arr = np.frombuffer(symbols, dtype=np.uint8)
-    letters = range(p) if p > 2 else [p - 1]
+    letters = _tracked(p)
     cum = np.zeros((len(letters), L + 1), dtype=np.min_scalar_type(n_max + 1))
     for row, a in zip(cum, letters):
         np.cumsum(arr == a, dtype=cum.dtype, out=row[1:])
@@ -238,12 +257,91 @@ def _window_stats(symbols: bytes, p: int, n_max: int, n_min: int = 1,
             yield counts[:, j], lo[:, j], radix[:, j], scratch
 
 
-def _pass(w: Wordlike, n_max: int, n_min: int = 1):
-    """``(p, stats)``: the window pass over ``w``, reading the positions
-    ``_window_positions`` picks."""
+def _tracked(p: int):
+    """The letters a window pass counts: all of them, except that a
+    binary word's two counts sum to n, so only its last letter is."""
+    return range(p) if p > 2 else [p - 1]
+
+
+def _extremes(symbols: bytes, p: int, n_max: int, n_min: int = 1,
+              positions=None):
+    """``(lo, hi)``, each of shape (tracked letters, lengths): the least
+    and greatest count of each tracked letter over the length-n windows
+    of a range-checked word, n = n_min..n_max.
+
+    Without ``positions`` every window is read, as contiguous slices of
+    the prefix sums, one length at a time.  With sorted ``positions`` from
+    ``_window_positions`` the windows there are read as rows.  The row of
+    the window at i is one run of a letter's prefix sums, those at
+    i + n_min..i + n_max, less the sum at i: rows of the sums' sliding-
+    window view, gathered about ``_GATHER`` counts at a time and reduced
+    to running minima and maxima at every length at once.  A row starting
+    past L - n_max runs into a pad past L; at each length whose window
+    does not fit, it holds the count of the window at 0 instead.  That is
+    exact: the positions carry every Parikh vector of the length-n
+    windows (see ``_window_stats``), and the window at 0 is one of them.
+    The sums wrap as in ``_window_stats``.
+    """
+    L = len(symbols)
+    arr = np.frombuffer(symbols, dtype=np.uint8)
+    letters = _tracked(p)
+    dtype = np.min_scalar_type(n_max + 1)
+    pad = 0 if positions is None else n_max - 1
+    cum = np.zeros((len(letters), L + 1 + pad), dtype=dtype)
+    for row, a in zip(cum, letters):
+        np.cumsum(arr == a, dtype=dtype, out=row[1:L + 1])
+    if positions is None:
+        lo, hi = np.empty((2, len(letters), n_max - n_min + 1), dtype=dtype)
+        buf = np.empty((len(letters), L), dtype=dtype)
+        for j, n in enumerate(range(n_min, n_max + 1)):
+            k = L - n + 1
+            counts = np.subtract(cum[:, n:], cum[:, :k], out=buf[:, :k])
+            lo[:, j] = counts.min(axis=1)
+            hi[:, j] = counts.max(axis=1)
+        return lo, hi
+    # the counts of the window at 0 start every minimum and maximum
+    lo, hi = cum[:, n_min:n_max + 1].copy(), cum[:, n_min:n_max + 1].copy()
+    ns = np.arange(n_min, n_max + 1)
+    height = max(1, _GATHER // len(ns))
+    for sums, row_lo, row_hi in zip(cum, lo, hi):
+        rows = np.lib.stride_tricks.sliding_window_view(sums[n_min:], len(ns))
+        for i in range(0, len(positions), height):
+            at = positions[i:i + height]
+            counts = rows[at]
+            counts -= sums[at, None]
+            if at[-1] + n_max > L:  # some of these windows do not fit
+                np.putmask(counts, at[:, None] + ns > L, sums[n_min:n_max + 1])
+            np.minimum(row_lo, counts.min(axis=0), out=row_lo)
+            np.maximum(row_hi, counts.max(axis=0), out=row_hi)
+    return lo, hi
+
+
+def _positioned(w: Wordlike, n_max: int, n_min: int = 1):
+    """``(symbols, p, positions)``: ``w`` range-checked, and the positions
+    ``_window_positions`` picks for a window pass over it."""
     symbols, p = _checked(w, n_max, n_min)
-    positions = _window_positions(symbols, p, n_max, n_min)
-    return p, _window_stats(symbols, p, n_max, n_min, positions)
+    return symbols, p, _window_positions(symbols, p, n_max, n_min)
+
+
+def _abelian_and_balance(symbols: bytes, p: int, n_max: int, n_min: int,
+                         positions) -> tuple[list[int], list[int]]:
+    """rho_ab and the largest per-letter count spread at n = n_min..n_max,
+    from one window pass over a range-checked word.
+
+    A count moves by at most one per slide, so a single tracked count
+    (p <= 2) takes every value between its extremes, and rho_ab is its
+    spread plus one: the extremes pass (``_extremes``) gives both.  For
+    p >= 3 the classes are counted per length off ``_window_stats``."""
+    if p <= 2:
+        lo, hi = _extremes(symbols, p, n_max, n_min, positions)
+        spread = (hi[0] - lo[0]).tolist()
+        return [s + 1 for s in spread], spread
+    rho_ab, radices = [], []
+    for counts, lo, radix, scratch in _window_stats(symbols, p, n_max, n_min,
+                                                    positions):
+        rho_ab.append(_class_count(counts, lo, radix, scratch))
+        radices.append(radix)
+    return rho_ab, (np.max(radices, axis=1) - 1).tolist()
 
 
 # ``codes`` holds one int64 class code per window, ``flags`` one bool per
@@ -279,8 +377,6 @@ def _class_count(counts, lo, radix, scratch) -> int:
     A code space at most ``_FLAG_SPACE`` times the window count is
     counted by marking each code in ``scratch.flags``; a larger one by
     sorting the codes in place and counting where neighbours differ."""
-    if len(counts) == 1:
-        return int(radix[0])
     code, space = _class_codes(counts, lo, radix, scratch)
     if space <= _FLAG_SPACE * code.size:
         seen = scratch.flags[:space]
@@ -295,23 +391,24 @@ def _class_count(counts, lo, radix, scratch) -> int:
 def abelian_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
     """Number of distinct Parikh vectors among length-n windows, n = n_min..n_max.
 
-    Read off the window pass.  A count moves by at most one per slide, so
-    a single tracked count (p <= 2) takes every value in its range and the
-    class count is its radix.  For p >= 3 the class codes are counted by
-    marking a flag per code while their space is a small multiple of the
-    window count, and by an in-place sort beyond it.  Over several lengths
-    with at most L/8 distinct top-level windows, the pass reads one window
-    per distinct top-level window only (``_window_positions``).
+    Read off one window pass (``_abelian_and_balance``).  On p <= 2
+    letters it is the spread of one letter's count plus one, from the
+    extremes pass.  For p >= 3 the class codes are counted by marking a
+    flag per code while their space is a small multiple of the window
+    count, and by an in-place sort beyond it.  Over several lengths with
+    few distinct top-level windows (``_most_representatives``), either
+    pass reads one window per distinct top-level window only
+    (``_window_positions``).
     """
-    _, stats = _pass(w, n_max, n_min)
-    return [_class_count(*step) for step in stats]
+    symbols, p, positions = _positioned(w, n_max, n_min)
+    return _abelian_and_balance(symbols, p, n_max, n_min, positions)[0]
 
 
 def parikh_classes(w: Wordlike, n: int) -> set[ParikhVector]:
     """The exact set of Parikh vectors of the length-n windows, each read
     off the first window of its class."""
-    p, stats = _pass(w, n, n)
-    counts, lo, radix, scratch = next(stats)
+    symbols, p, positions = _positioned(w, n, n)
+    counts, lo, radix, scratch = next(_window_stats(symbols, p, n, n, positions))
     code, _ = _class_codes(counts, lo, radix, scratch)
     _, first = np.unique(code, return_index=True)
     vectors = counts[:, first]
@@ -355,17 +452,15 @@ def _subword_counts(L: int, n_max: int, n_min: int,
     windows."""
     rep = _representatives(levels[-1], R, L)
     a, b = rep[:-1], rep[1:]
-    # binary lifting over scratch buffers reused at every level: at each
-    # pair's current LCP, add 2^j where the next 2^j symbols agree too.
-    # Adjacent representatives differ at the top level, which is skipped.
-    # Every index is at most L, so "clip" never clips; it only spares take
-    # a buffered copy of its output
+    # binary lifting: at each pair's current LCP, add 2^j where the next
+    # 2^j symbols agree too.  Adjacent representatives differ at the top
+    # level, which is skipped.  Every index is at most L, so "clip" never
+    # clips; it only spares take a check
     lcp = np.zeros(R - 1, dtype=np.int64)
     at_a, at_b = np.empty_like(lcp), np.empty_like(lcp)
-    rank_a, rank_b = np.empty((2, R - 1), dtype=levels[0].dtype)
     for j in range(len(levels) - 2, -1, -1):
-        np.take(levels[j], np.add(a, lcp, out=at_a), out=rank_a, mode="clip")
-        np.take(levels[j], np.add(b, lcp, out=at_b), out=rank_b, mode="clip")
+        rank_a = levels[j].take(np.add(a, lcp, out=at_a), mode="clip")
+        rank_b = levels[j].take(np.add(b, lcp, out=at_b), mode="clip")
         agree = np.equal(rank_a, rank_b, out=at_a)  # at_a is free again
         agree <<= j
         lcp += agree
@@ -417,21 +512,34 @@ def _doubled_ranks(symbols: bytes, top: int):
     sorted codes change and scattered back.  Both give the same ranks.
     Once all L windows of a level are distinct, every longer window ranks as
     its first half does, so the further levels repeat that one.
-    Every buffer but the argsort result and the levels themselves is
-    allocated once; pages a level never touches are never faulted in.
-    A caller that keeps only the last level holds two levels at a time.
+    Each level is held in the narrowest signed integer type holding its
+    ranks: the levels of low-complexity words are int8 and int16.
+    The pair codes and their sorted ranks are held in int32 while the
+    code space is below 2^31, and in int64 buffers, allocated at the first
+    level that needs them, beyond it.  Every buffer but the argsort result
+    and the levels themselves is allocated once; pages a level never
+    touches are never faulted in.  A caller that keeps only the last level
+    holds two levels at a time.
     """
     L = len(symbols)
     dtype = np.int32 if L < 2**31 - 2 else np.int64  # holds 0..L+1
+
+    def level(R):
+        """A zeroed level in the narrowest signed type holding 0..R."""
+        for t in (np.int8, np.int16, np.int32):
+            if R <= np.iinfo(t).max:
+                return np.zeros(L + 1, dtype=t)
+        return np.zeros(L + 1, dtype=np.int64)
+
     arr = np.frombuffer(symbols, dtype=np.uint8)
     present = np.zeros(256, dtype=bool)
     present[arr] = True
     dense = np.cumsum(present, dtype=dtype)
-    lev = np.zeros(L + 1, dtype=dtype)
-    np.take(dense, arr, out=lev[:L], mode="clip")
     R = int(dense[-1])
+    lev = level(R)
+    np.take(dense, arr, out=lev[:L], mode="clip")
     yield lev, R
-    codes, ranks = np.empty((2, L), dtype=np.int64)
+    narrow, wide = np.empty((2, L), dtype=np.int32), None
     flags = np.empty(_FLAG_SPACE * L, dtype=bool)
     numbers = np.empty(_FLAG_SPACE * L, dtype=dtype)
     for j in range(1, top + 1):
@@ -439,19 +547,25 @@ def _doubled_ranks(symbols: bytes, top: int):
             yield lev, R
             continue
         half = 1 << (j - 1)
+        space = (R + 1) ** 2
+        if space < 2**31:
+            codes, ranks = narrow
+        else:
+            if wide is None:
+                wide = np.empty((2, L), dtype=np.int64)
+            codes, ranks = wide
         # a window's code: its first half's rank, then its second half's
         codes[:] = lev[:L]
         codes *= R + 1
         codes[:L - half] += lev[half:L]
-        space = (R + 1) ** 2
-        lev = np.zeros(L + 1, dtype=dtype)
         if space <= _FLAG_SPACE * L:
             seen = flags[:space]
             seen[:] = False
             seen[codes] = True
             np.cumsum(seen, out=numbers[:space])
-            np.take(numbers, codes, out=lev[:L], mode="clip")
             R = int(numbers[space - 1])
+            lev = level(R)
+            np.take(numbers, codes, out=lev[:L], mode="clip")
         else:
             order = np.argsort(codes)
             sorted_codes = np.take(codes, order, out=ranks, mode="clip")
@@ -460,15 +574,21 @@ def _doubled_ranks(symbols: bytes, top: int):
             np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=changes[1:])
             # ranks held the sorted codes, which are read by now
             np.cumsum(changes, out=ranks)
-            lev[order] = ranks
             R = int(ranks[-1])
+            lev = level(R)
+            lev[order] = ranks
         yield lev, R
 
 
 def balance_per_length(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
-    """For each n, the largest per-letter count spread over length-n windows."""
-    _, stats = _pass(w, n_max, n_min)
-    return [int(radix.max()) - 1 for _, _, radix, _ in stats]
+    """For each n, the largest per-letter count spread over length-n windows.
+
+    Read off the extremes pass (``_extremes``) on any alphabet, over one
+    window per distinct top-level window where ``_window_positions``
+    picks them."""
+    symbols, p, positions = _positioned(w, n_max, n_min)
+    lo, hi = _extremes(symbols, p, n_max, n_min, positions)
+    return (hi - lo).max(axis=0).tolist()
 
 
 def balance_bound(w: Wordlike, n_max: int) -> int:
@@ -502,19 +622,18 @@ class ComplexityProfile:
 
 def profile(w: Wordlike, n_max: int) -> ComplexityProfile:
     """Assemble the Abelian profile, subword profile, and running balance
-    of one prefix; one window pass gives both rho_ab and balance.  The rank
-    levels are built once: the subword pass reads them, and so does the
-    window pass where ``_window_positions`` picks representatives.
+    of one prefix; one window pass gives both rho_ab and balance: the
+    extremes pass on p <= 2 letters, the class-counting pass beyond
+    (``_abelian_and_balance``).  The rank levels are built once: the
+    subword pass reads them, and so does the window pass where
+    ``_window_positions`` picks representatives.
     """
     symbols, p = _checked(w, n_max)
     levels, R = _rank_levels(symbols, _top(n_max))
     positions = _window_positions(symbols, p, n_max, 1, (levels[-1], R))
     rho = _subword_counts(len(symbols), n_max, 1, levels, R)
     del levels  # freed before the window pass allocates its buffers
-    rho_ab, per_length = zip(*[(_class_count(counts, lo, radix, scratch),
-                                int(radix.max()) - 1)
-                               for counts, lo, radix, scratch
-                               in _window_stats(symbols, p, n_max, 1, positions)])
+    rho_ab, per_length = _abelian_and_balance(symbols, p, n_max, 1, positions)
     running = np.maximum.accumulate(per_length)
     return ComplexityProfile(
         n_max=n_max,
