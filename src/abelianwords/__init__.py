@@ -3,9 +3,9 @@ Sturmian words driven by exact continued-fraction arithmetic, and Abelian
 power search with verifiable certificates."""
 
 from .checks import (CheckReport, MuDecomposition, inspected_length,
-                     mu_preimage_decompose, periodicity_via_parikh,
-                     rauzy_constant3_check, special_factor_witnesses,
-                     tm_profile_check)
+                     inspected_prefix, mu_preimage_decompose,
+                     periodicity_via_parikh, rauzy_constant3_check,
+                     special_factor_witnesses, tm_profile_check)
 from .complexity import (ComplexityProfile, abelian_equivalent,
                          abelian_profile, balance_bound, balance_per_length,
                          max_abelian_complexity, parikh, parikh_classes,

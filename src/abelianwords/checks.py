@@ -6,10 +6,12 @@ statement about the prefix that was inspected: aperiodicity and other
 infinite-word hypotheses cannot be decided from a prefix, so a pass means
 "consistent with the claim on this prefix", never more.
 
-The prefix inspected for a recipe is ``inspected_length``: the shorter of
-``DEFAULT_MARGIN * n_max`` and the factor-complete length of
-:func:`abelianwords.words.complete_prefix_length`, where the recipe has
-one.  A factor-complete prefix holds every factor of length <= n_max of
+``inspected_prefix`` gives the prefix a claim on a recipe inspects, and
+refuses a window range the window pass would refuse before it builds
+that prefix.  Its length is given, or by default ``inspected_length``:
+the shorter of ``DEFAULT_MARGIN * n_max`` and the factor-complete length
+of :func:`abelianwords.words.complete_prefix_length`, where the recipe
+has one.  A factor-complete prefix holds every factor of length <= n_max of
 the infinite word, so a statement about its factors of those lengths (a
 profile, a balance bound) is one about the word, and reads the same on
 any longer prefix.  Recipes without a known bound (Hubert, explicit,
@@ -28,6 +30,7 @@ __all__ = [
     "CheckReport",
     "MuDecomposition",
     "inspected_length",
+    "inspected_prefix",
     "mu_preimage_decompose",
     "periodicity_via_parikh",
     "rauzy_constant3_check",
@@ -47,6 +50,19 @@ def inspected_length(recipe: WordRecipe, n_max: int,
     if complete is None:
         return margin * n_max
     return min(complete.length, margin * n_max)
+
+
+def inspected_prefix(recipe: WordRecipe, n_max: int,
+                     prefix_len: Union[int, None] = None,
+                     margin: int = DEFAULT_MARGIN) -> WordPrefix:
+    """The prefix to inspect for claims on lengths 1..n_max: of
+    ``prefix_len`` symbols, by default of ``inspected_length(recipe,
+    n_max, margin)``.  A window range the window pass would refuse is
+    refused before the prefix is built."""
+    if prefix_len is None:
+        prefix_len = inspected_length(recipe, n_max, margin)
+    _require_range(n_max, prefix_len)
+    return prefix_of(recipe, prefix_len)
 
 
 @dataclass(frozen=True)
@@ -178,12 +194,7 @@ def special_factor_witnesses(w: WordPrefix, k: int):
 def rauzy_constant3_check(recipe: WordRecipe, n_max: int,
                           prefix_len: Union[int, None] = None,
                           margin: int = DEFAULT_MARGIN) -> CheckReport:
-    """Check rho_ab(n) = 3 for n = 1..n_max on a prefix of the recipe, by
-    default of ``inspected_length(recipe, n_max, margin)`` symbols.  A
-    window range the window pass would refuse is refused before the
-    prefix is built."""
-    if prefix_len is None:
-        prefix_len = inspected_length(recipe, n_max, margin)
-    _require_range(n_max, prefix_len)
-    return _profile_report(prefix_of(recipe, prefix_len), n_max,
-                           "constant-abelian-3", lambda n: 3)
+    """Check rho_ab(n) = 3 for n = 1..n_max on the recipe's
+    ``inspected_prefix``."""
+    return _profile_report(inspected_prefix(recipe, n_max, prefix_len, margin),
+                           n_max, "constant-abelian-3", lambda n: 3)

@@ -99,11 +99,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    recipe = _load_recipe(args.recipe)
-    prefix_len = args.prefix_len
-    if prefix_len is None:
-        prefix_len = checks.inspected_length(recipe, args.nmax)
-    w = words.prefix_of(recipe, prefix_len)
+    w = checks.inspected_prefix(_load_recipe(args.recipe), args.nmax,
+                                args.prefix_len)
     prof = complexity.profile(w, args.nmax)
     lines = ["n,rho_ab,rho,balance_running"]
     rows = zip(prof.rho_ab, prof.rho, prof.balance_running)
@@ -178,15 +175,10 @@ def _report_csv(reports) -> str:
 def cmd_verify(args) -> int:
     n_max = args.nmax
     if args.claim == "thue-morse":
-        recipe = _load_recipe("tm")
-        length = checks.inspected_length(recipe, n_max)
-        # a window range the check would refuse is refused before the
-        # prefix is built
-        complexity._require_range(n_max, length)
-        w = words.prefix_of(recipe, length)
+        w = checks.inspected_prefix(_load_recipe("tm"), n_max)
         # the prefix is factor-complete or has the full margin, either way
         # long enough: its own length is the margin it is checked with
-        margin = length // n_max
+        margin = len(w) // n_max
         reports = [checks.tm_profile_check(w, n_max, margin=margin)]
     elif args.claim == "rauzy":
         preset = "hubert-golden" if args.variant == "hubert" else "rauzy-morphism"

@@ -7,25 +7,28 @@ word shows up.  Profiles are reported for lengths n = 1..n_max; the empty
 length would contribute the constant 1 and is omitted, matching the usual
 convention.
 
-Abelian complexity, balance and Parikh classes all read one window pass
-over prefix sums built once per word.  Balance reads only each letter's
-least and greatest count at every length (``_extremes``); so does the
-Abelian complexity of a word of p <= 2 letters, which is the spread of
-one letter's count plus one.  On p >= 3 letters the Abelian complexity
-counts the classes of each length's windows (``_window_stats``), and
-``profile`` takes the balance from that same pass.  Over several lengths
-both passes read one window per distinct top-level window of the subword
+Every window pass reads per-letter prefix sums built once per word
+(``_prefix_sums``).  Balance reads only each letter's least and greatest
+count at every length (``_extremes``); so does every Abelian count on
+p <= 2 letters, since one letter's count moves by at most one per slide
+and takes every value between its extremes: the Abelian complexity is
+its spread plus one, and ``parikh_classes`` lists the vectors of that
+range.  On p >= 3 letters the Abelian complexity counts the classes of
+each length's windows, and ``profile`` takes the balance from that same
+class pass; ``parikh_classes`` reads one length of it.  The class pass,
+and the extremes pass over every window, read each length's counts
+through one reader (``_window_counts``).  Over several lengths both
+passes read one window per distinct top-level window of the subword
 kernel's rank levels (length 2^top >= n_max) while those number at most
-L/2 (p <= 2) or L/4 (p >= 3); single lengths (``parikh_classes``) and
-words with more distinct windows read every window.  Both ways see the
-same Parikh vectors, so the results are the same (see ``_window_stats``).
+L/2 (p <= 2) or L/4 (p >= 3); single lengths and words with more
+distinct windows read every window.  Both ways see the same Parikh
+vectors, so the results are the same (see ``_window_counts``).
 
 A window pass or subword pass over more than 2^32 window steps (prefix
 length times the number of window lengths, whichever windows it reads)
 raises BudgetError before it allocates anything.
 """
 
-from collections import namedtuple
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Union
@@ -179,28 +182,37 @@ def _many_windows(symbols: bytes, p: int, top: int) -> bool:
     return int(np.count_nonzero(seen)) > most
 
 
-def _window_stats(symbols: bytes, p: int, n_max: int, n_min: int = 1,
-                  positions=None):
-    """The window pass over a range-checked word: yields
-    ``(counts, lo, radix, scratch)`` for n = n_min..n_max.
+def _prefix_sums(symbols: bytes, letters, n_max: int, pad: int = 0):
+    """Prefix sums of the given letters' counts in a word of length L,
+    one row each, at indices 0..L, then ``pad`` zeros.
 
-    Those are the tracked letters' counts in each length-n window (one
-    reused buffer), their minima, their radices, and the scratch buffers
-    the class count works in.  A binary word's two counts sum to n and
-    share one radix, so for p <= 2 only the last letter is tracked; the
-    class count of such a word is read off ``_extremes`` instead, and
-    this pass serves it only for ``parikh_classes``.  The sums wrap in the
-    narrowest unsigned dtype holding n_max + 1, which leaves every
-    window's count, a difference of two sums, exact.
+    The sums wrap in the narrowest unsigned dtype holding n_max + 1.  A
+    window of length n <= n_max holds at most n_max of a letter, so its
+    count, the difference of two sums taken in that dtype, is exact."""
+    L = len(symbols)
+    arr = np.frombuffer(symbols, dtype=np.uint8)
+    cum = np.zeros((len(letters), L + 1 + pad),
+                   dtype=np.min_scalar_type(n_max + 1))
+    for row, a in zip(cum, letters):
+        np.cumsum(arr == a, dtype=cum.dtype, out=row[1:L + 1])
+    return cum
+
+
+def _window_counts(cum, L: int, n_max: int, n_min: int, positions=None):
+    """Yields ``(counts, lo, hi)`` for n = n_min..n_max, read off the
+    ``_prefix_sums`` ``cum`` of a word of length L: each row's letter
+    counts in the length-n windows read, and their least and greatest.
 
     Without ``positions`` every window is read, as contiguous slices of
-    the prefix sums.  With sorted ``positions`` from ``_window_positions``
-    only the windows there are read: at length n those at positions
-    <= L - n.  Each letter's sums are gathered row by row into C-contiguous
-    blocks, one row per length and about L windows per block: per-row
-    minima and maxima are slow on the column-ordered array a 2-D fancy
-    index returns, and on a Hubert prefix, with some 1,500 windows per
-    length, one gather per length instead took 1.1 to 2.4 times as long.
+    the sums into one reused buffer.  With sorted ``positions`` from
+    ``_window_positions`` only the windows there are read: at length n
+    those at positions <= L - n.  Each letter's sums are gathered row by row
+    into C-contiguous blocks, one row per length and about L windows per
+    block: per-row minima and maxima are slow on the column-ordered array
+    a 2-D fancy index returns, and on a Hubert prefix, with some 1,500
+    windows per length, one gather per length instead took 1.1 to 2.4
+    times as long.
+
     That is exact.  Two positions with one top-level rank have equal
     windows of every length <= n_max, and a window running past the end
     of the prefix at the top level equals no other, so it is its own
@@ -208,32 +220,22 @@ def _window_stats(symbols: bytes, p: int, n_max: int, n_min: int = 1,
     vector of the length-n windows, and per-letter minima and maxima
     are unchanged.
     """
-    L = len(symbols)
-    arr = np.frombuffer(symbols, dtype=np.uint8)
-    letters = _tracked(p)
-    cum = np.zeros((len(letters), L + 1), dtype=np.min_scalar_type(n_max + 1))
-    for row, a in zip(cum, letters):
-        np.cumsum(arr == a, dtype=cum.dtype, out=row[1:])
-    width = L if positions is None else len(positions)
-    # allocated once per pass; pages no step touches are never faulted in
-    scratch = _Scratch(np.empty(width, dtype=np.int64),
-                       np.empty(_FLAG_SPACE * width, dtype=bool))
     if positions is None:
-        buf = np.empty((len(letters), L), dtype=cum.dtype)
+        buf = np.empty((len(cum), L), dtype=cum.dtype)
         for n in range(n_min, n_max + 1):
             k = L - n + 1
             counts = np.subtract(cum[:, n:], cum[:, :k], out=buf[:, :k])
-            lo = counts.min(axis=1)
-            yield counts, lo, counts.max(axis=1) - lo + 1, scratch
+            yield counts, counts.min(axis=1), counts.max(axis=1)
         return
     # lengths are gathered a batch at a time, one row of a (batch, k)
     # block per length, so each numpy call covers about L windows
+    width = len(positions)
     batch = max(1, L // width)
     lengths = np.arange(n_min, n_max + 1)
     fits = np.searchsorted(positions, L - lengths, side="right").tolist()
     at, ends = np.empty((2, batch * width), dtype=np.int64)
     starts = np.empty(batch * width, dtype=cum.dtype)
-    flat = np.empty(len(letters) * batch * width, dtype=cum.dtype)
+    flat = np.empty(len(cum) * batch * width, dtype=cum.dtype)
     for i in range(0, len(lengths), batch):
         ns = lengths[i:i + batch, None]
         k = fits[i]  # the windows read at the first length of the batch
@@ -246,59 +248,43 @@ def _window_stats(symbols: bytes, p: int, n_max: int, n_min: int = 1,
             row[fit:] = 0
         end = np.add(block, ns, out=ends[:block.size].reshape(shape))
         start = starts[:block.size].reshape(shape)
-        counts = flat[:len(letters) * block.size].reshape((-1,) + shape)
+        counts = flat[:len(cum) * block.size].reshape((-1,) + shape)
         for row, out in zip(cum, counts):
             np.take(row, end, out=out, mode="clip")
             np.take(row, block, out=start, mode="clip")
             out -= start
-        lo = counts.min(axis=2)
-        radix = counts.max(axis=2) - lo + 1
+        lo, hi = counts.min(axis=2), counts.max(axis=2)
         for j in range(len(ns)):
-            yield counts[:, j], lo[:, j], radix[:, j], scratch
-
-
-def _tracked(p: int):
-    """The letters a window pass counts: all of them, except that a
-    binary word's two counts sum to n, so only its last letter is."""
-    return range(p) if p > 2 else [p - 1]
+            yield counts[:, j], lo[:, j], hi[:, j]
 
 
 def _extremes(symbols: bytes, p: int, n_max: int, n_min: int = 1,
               positions=None):
     """``(lo, hi)``, each of shape (tracked letters, lengths): the least
     and greatest count of each tracked letter over the length-n windows
-    of a range-checked word, n = n_min..n_max.
+    of a range-checked word, n = n_min..n_max.  Every letter is tracked,
+    except that a binary word's two counts sum to n, so only its last
+    letter is.
 
-    Without ``positions`` every window is read, as contiguous slices of
-    the prefix sums, one length at a time.  With sorted ``positions`` from
-    ``_window_positions`` the windows there are read as rows.  The row of
-    the window at i is one run of a letter's prefix sums, those at
-    i + n_min..i + n_max, less the sum at i: rows of the sums' sliding-
-    window view, gathered about ``_GATHER`` counts at a time and reduced
-    to running minima and maxima at every length at once.  A row starting
-    past L - n_max runs into a pad past L; at each length whose window
-    does not fit, it holds the count of the window at 0 instead.  That is
-    exact: the positions carry every Parikh vector of the length-n
-    windows (see ``_window_stats``), and the window at 0 is one of them.
-    The sums wrap as in ``_window_stats``.
+    Without ``positions`` these are read off ``_window_counts`` over every
+    window.  With sorted ``positions`` from ``_window_positions`` the
+    windows there are read as rows.  The row of the window at i is one
+    run of a letter's prefix sums, those at i + n_min..i + n_max, less
+    the sum at i: rows of the sums' sliding-window view, gathered about
+    ``_GATHER`` counts at a time and reduced to running minima and maxima
+    at every length at once.  A row starting past L - n_max runs into a
+    pad past L; at each length whose window does not fit, it holds the
+    count of the window at 0 instead.  That is exact: the positions carry
+    every Parikh vector of the length-n windows (see ``_window_counts``),
+    and the window at 0 is one of them.
     """
     L = len(symbols)
-    arr = np.frombuffer(symbols, dtype=np.uint8)
-    letters = _tracked(p)
-    dtype = np.min_scalar_type(n_max + 1)
-    pad = 0 if positions is None else n_max - 1
-    cum = np.zeros((len(letters), L + 1 + pad), dtype=dtype)
-    for row, a in zip(cum, letters):
-        np.cumsum(arr == a, dtype=dtype, out=row[1:L + 1])
+    letters = range(p) if p > 2 else [p - 1]
     if positions is None:
-        lo, hi = np.empty((2, len(letters), n_max - n_min + 1), dtype=dtype)
-        buf = np.empty((len(letters), L), dtype=dtype)
-        for j, n in enumerate(range(n_min, n_max + 1)):
-            k = L - n + 1
-            counts = np.subtract(cum[:, n:], cum[:, :k], out=buf[:, :k])
-            lo[:, j] = counts.min(axis=1)
-            hi[:, j] = counts.max(axis=1)
-        return lo, hi
+        cum = _prefix_sums(symbols, letters, n_max)
+        _, lo, hi = zip(*_window_counts(cum, L, n_max, n_min))
+        return np.array(lo).T, np.array(hi).T
+    cum = _prefix_sums(symbols, letters, n_max, pad=n_max - 1)
     # the counts of the window at 0 start every minimum and maximum
     lo, hi = cum[:, n_min:n_max + 1].copy(), cum[:, n_min:n_max + 1].copy()
     ns = np.arange(n_min, n_max + 1)
@@ -331,35 +317,35 @@ def _abelian_and_balance(symbols: bytes, p: int, n_max: int, n_min: int,
     A count moves by at most one per slide, so a single tracked count
     (p <= 2) takes every value between its extremes, and rho_ab is its
     spread plus one: the extremes pass (``_extremes``) gives both.  For
-    p >= 3 the classes are counted per length off ``_window_stats``."""
+    p >= 3 the classes are counted per length off ``_window_counts``."""
     if p <= 2:
         lo, hi = _extremes(symbols, p, n_max, n_min, positions)
         spread = (hi[0] - lo[0]).tolist()
         return [s + 1 for s in spread], spread
-    rho_ab, radices = [], []
-    for counts, lo, radix, scratch in _window_stats(symbols, p, n_max, n_min,
-                                                    positions):
-        rho_ab.append(_class_count(counts, lo, radix, scratch))
-        radices.append(radix)
-    return rho_ab, (np.max(radices, axis=1) - 1).tolist()
+    L = len(symbols)
+    width = L if positions is None else len(positions)
+    # allocated once per pass; pages no step touches are never faulted in
+    codes = np.empty(width, dtype=np.int64)
+    flags = np.empty(_FLAG_SPACE * width, dtype=bool)
+    cum = _prefix_sums(symbols, range(p), n_max)
+    rho_ab, spreads = [], []
+    for counts, lo, hi in _window_counts(cum, L, n_max, n_min, positions):
+        code, space = _class_codes(counts, lo, hi, codes[:counts.shape[1]])
+        rho_ab.append(_class_count(code, space, flags))
+        spreads.append(hi - lo)
+    return rho_ab, np.max(spreads, axis=1).tolist()
 
 
-# ``codes`` holds one int64 class code per window, ``flags`` one bool per
-# code of a code space counted by marking (at least one per window)
-_Scratch = namedtuple("_Scratch", "codes flags")
-
-
-def _class_codes(counts, lo, radix, scratch) -> tuple[np.ndarray, int]:
-    """Per-window int64 codes, written into ``scratch.codes`` and equal
-    exactly when the Parikh vectors are, and the size of their code space:
-    the counts, offset by their minima, in mixed radix.  Of several rows
-    the last (n minus the rest) is left out; the code is compacted to
-    dense ranks before it would pass int64."""
-    code = scratch.codes[:counts.shape[1]]
+def _class_codes(counts, lo, hi, code) -> tuple[np.ndarray, int]:
+    """Per-window int64 codes of p >= 3 rows of counts, written into
+    ``code`` and equal exactly when the Parikh vectors are, and the size
+    of their code space: the counts, offset by their minima ``lo``, in
+    mixed radix ``hi - lo + 1``.  The last row (n minus the rest) is left
+    out; the code is compacted to dense ranks before it would pass int64."""
     np.subtract(counts[0], lo[0], out=code)
-    space = int(radix[0])
-    for a in range(1, max(len(counts) - 1, 1)):
-        r = int(radix[a])
+    space = int(hi[0]) - int(lo[0]) + 1
+    for a in range(1, len(counts) - 1):
+        r = int(hi[a]) - int(lo[a]) + 1
         if space * r > 2**63:
             ranks, code[:] = np.unique(code, return_inverse=True)
             space = len(ranks)
@@ -371,20 +357,20 @@ def _class_codes(counts, lo, radix, scratch) -> tuple[np.ndarray, int]:
     return code, space
 
 
-def _class_count(counts, lo, radix, scratch) -> int:
-    """Distinct Parikh vectors among the windows of one step of the pass.
+def _class_count(code, space: int, flags) -> int:
+    """Distinct values among ``code``, a code space of ``space`` values.
 
     A code space at most ``_FLAG_SPACE`` times the window count is
-    counted by marking each code in ``scratch.flags``; a larger one by
-    sorting the codes in place and counting where neighbours differ."""
-    code, space = _class_codes(counts, lo, radix, scratch)
+    counted by marking each code in ``flags``; a larger one by sorting the
+    codes in place and counting where neighbours differ.  ``flags`` holds
+    at least ``_FLAG_SPACE`` entries per window."""
     if space <= _FLAG_SPACE * code.size:
-        seen = scratch.flags[:space]
+        seen = flags[:space]
         seen[:] = False
         seen[code] = True
         return int(np.count_nonzero(seen))
     code.sort()
-    differs = np.not_equal(code[1:], code[:-1], out=scratch.flags[:code.size - 1])
+    differs = np.not_equal(code[1:], code[:-1], out=flags[:code.size - 1])
     return 1 + int(np.count_nonzero(differs))
 
 
@@ -405,16 +391,22 @@ def abelian_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
 
 
 def parikh_classes(w: Wordlike, n: int) -> set[ParikhVector]:
-    """The exact set of Parikh vectors of the length-n windows, each read
-    off the first window of its class."""
-    symbols, p, positions = _positioned(w, n, n)
-    counts, lo, radix, scratch = next(_window_stats(symbols, p, n, n, positions))
-    code, _ = _class_codes(counts, lo, radix, scratch)
+    """The exact set of Parikh vectors of the length-n windows.
+
+    On p <= 2 letters one letter's count takes every value between its
+    extremes (``_extremes``), as it moves by at most one per slide.  On
+    p >= 3 each vector is read off the first window of its class."""
+    symbols, p = _checked(w, n, n)
+    if p <= 2:
+        lo, hi = _extremes(symbols, p, n, n)
+        ones = range(int(lo[0, 0]), int(hi[0, 0]) + 1)
+        return {(n - c, c) if p == 2 else (c,) for c in ones}
+    cum = _prefix_sums(symbols, range(p), n)
+    counts, lo, hi = next(_window_counts(cum, len(symbols), n, n))
+    code, _ = _class_codes(counts, lo, hi,
+                           np.empty(counts.shape[1], dtype=np.int64))
     _, first = np.unique(code, return_index=True)
-    vectors = counts[:, first]
-    if p == 2:  # only letter 1 is tracked
-        vectors = np.vstack([n - vectors, vectors])
-    return set(map(tuple, vectors.T.tolist()))
+    return set(map(tuple, counts[:, first].T.tolist()))
 
 
 def subword_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:

@@ -3,7 +3,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abelianwords.checks import (CheckReport, MuDecomposition,
-                                 inspected_length, mu_preimage_decompose,
+                                 inspected_length, inspected_prefix,
+                                 mu_preimage_decompose,
                                  periodicity_via_parikh,
                                  rauzy_constant3_check,
                                  special_factor_witnesses, tm_profile_check)
@@ -60,6 +61,22 @@ class TestInspectedLength:
         slope = Characteristic(ContinuedFraction((1000,), (1,)))
         assert inspected_length(slope, 2) == 128
         assert inspected_length(slope, 2, margin=1000) == 1002
+
+    @pytest.mark.parametrize("recipe, n_max, margin", [
+        (FixedPoint(FIBONACCI, 0, post=CONSTANT3), 512, 64),
+        (FixedPoint(THUE_MORSE, 0), 1024, 64),
+        (Hubert(ContinuedFraction((2,), (1,))), 10, 3),
+    ], ids=["rauzy", "thue-morse", "hubert-margin"])
+    def test_inspected_prefix_is_of_inspected_length(self, recipe, n_max,
+                                                     margin):
+        assert inspected_prefix(recipe, n_max, margin=margin) == prefix_of(
+            recipe, inspected_length(recipe, n_max, margin))
+
+    def test_inspected_prefix_honours_prefix_len(self):
+        rauzy = FixedPoint(FIBONACCI, 0, post=CONSTANT3)
+        assert inspected_prefix(rauzy, 200, 300) == prefix_of(rauzy, 300)
+        with pytest.raises(ValueError, match="1 <= 1 <= 200 <= 100"):
+            inspected_prefix(rauzy, 200, 100)
 
     def test_rauzy_check_reads_the_same_on_both(self):
         rauzy = FixedPoint(FIBONACCI, 0, post=CONSTANT3)

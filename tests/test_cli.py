@@ -485,15 +485,27 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, code, message", [
-        (["rauzy", "--variant", "hubert", "--nmax", "1000000"], 3,
+        (["verify", "rauzy", "--variant", "hubert", "--nmax", "1000000"], 3,
          "window steps"),
-        (["rauzy", "--variant", "morphism", "--nmax", "1000000"], 3,
+        (["verify", "rauzy", "--variant", "morphism", "--nmax", "1000000"], 3,
          "window steps"),
-        (["thue-morse", "--nmax", "1000000"], 3, "window steps"),
-        (["rauzy", "--nmax", "-3"], 2, "window lengths must satisfy"),
-        (["thue-morse", "--nmax", "-3"], 2, "window lengths must satisfy"),
+        (["verify", "thue-morse", "--nmax", "1000000"], 3, "window steps"),
+        (["verify", "rauzy", "--nmax", "-3"], 2,
+         "window lengths must satisfy"),
+        (["verify", "thue-morse", "--nmax", "-3"], 2,
+         "window lengths must satisfy"),
+        (["profile", "--recipe", "hubert-golden", "--nmax", "1000000"], 3,
+         "window steps"),
+        (["profile", "--recipe", "tm", "--nmax", "1000",
+          "--prefix-len", "67000000"], 3, "window steps"),
+        (["profile", "--recipe", "tm", "--nmax", "-3"], 2,
+         "window lengths must satisfy"),
+        (["profile", "--recipe", "tm", "--nmax", "5", "--prefix-len", "-1"],
+         2, "window lengths must satisfy"),
     ], ids=["rauzy-hubert", "rauzy-morphism", "thue-morse",
-            "rauzy-negative", "thue-morse-negative"])
+            "rauzy-negative", "thue-morse-negative", "profile-hubert",
+            "profile-prefix-len", "profile-negative",
+            "profile-negative-prefix-len"])
     def test_verify_refuses_before_building(self, capsys, monkeypatch,
                                             argv, code, message):
         # a 64M-symbol Hubert prefix takes 321 MiB; none may be built
@@ -501,7 +513,7 @@ class TestExitCodes:
             raise AssertionError("prefix_of called")
         monkeypatch.setattr(abelianwords.words, "prefix_of", refuse)
         monkeypatch.setattr(checks, "prefix_of", refuse)
-        got, out, err = run(capsys, "verify", *argv)
+        got, out, err = run(capsys, *argv)
         assert (got, out) == (code, "")
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1

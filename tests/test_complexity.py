@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from abelianwords import complexity
 from abelianwords.complexity import (_doubled_ranks, _extremes,
-                                     _many_windows, _rank_levels,
-                                     _representatives, _top,
-                                     _window_positions, _window_stats,
+                                     _many_windows, _prefix_sums,
+                                     _rank_levels, _representatives, _top,
+                                     _window_counts, _window_positions,
                                      abelian_equivalent, abelian_profile,
                                      balance_bound, balance_per_length,
                                      max_abelian_complexity, parikh,
@@ -769,8 +769,9 @@ class TestRepresentativePass:
         w = prefix_of(Hubert(GOLDEN), 1 << 14)
         positions = _window_positions(w.symbols, 3, 256, 1)
         assert len(positions) <= len(w) // 8
-        widths = {counts.shape[1] for counts, _, _, _
-                  in _window_stats(w.symbols, 3, 256, 1, positions)}
+        cum = _prefix_sums(w.symbols, range(3), 256)
+        widths = {counts.shape[1] for counts, _, _
+                  in _window_counts(cum, len(w), 256, 1, positions)}
         assert max(widths) <= len(positions)
 
     @pytest.mark.parametrize("make", [
@@ -796,6 +797,7 @@ class TestRepresentativePass:
                     span = slice(n_min - 1, n_max)
                     assert abelian_profile(w, n_max, n_min) == rho_ab[span]
                     assert balance_per_length(w, n_max, n_min) == spreads[span]
+                assert parikh_classes(w, n_max) == vectors[n_max - 1]
                 prof = profile(w, n_max)
                 assert list(prof.rho_ab) == rho_ab[:n_max]
                 assert list(prof.balance_running) == (
