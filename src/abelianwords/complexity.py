@@ -24,6 +24,14 @@ L/2 (p <= 2) or L/4 (p >= 3); single lengths and words with more
 distinct windows read every window.  Both ways see the same Parikh
 vectors, so the results are the same (see ``_window_counts``).
 
+Both complexities count distinct values of integer codes: class codes
+of Parikh vectors, pair codes of the rank levels.  ``_class_count`` only
+counts them; every step that ranks them (the rank levels, the class
+codes compacted before they pass int64, the classes ``parikh_classes``
+lists) calls the one ranker ``_dense_ranks``.  Both mark the codes
+present while the code space is at most ``_FLAG_SPACE`` times the code
+count, and sort only beyond it.
+
 A window pass or subword pass over more than 2^32 window steps (prefix
 length times the number of window lengths, whichever windows it reads)
 raises BudgetError before it allocates anything.
@@ -55,8 +63,8 @@ ParikhVector = tuple[int, ...]
 
 Wordlike = Union[WordPrefix, bytes, bytearray, str, Iterable[int]]
 
-# class codes are counted by marking flags while the code space is at most
-# this many times the window count, and by sorting beyond it
+# codes are counted and ranked by marking flags while the code space is at
+# most this many times the code count, and by sorting beyond it
 _FLAG_SPACE = 4
 
 # the most window steps, prefix length times the number of window lengths,
@@ -162,8 +170,8 @@ def _many_windows(symbols: bytes, p: int, top: int) -> bool:
     one length m <= 2^top occur, so that the top level has that many too:
     windows differing in their first m symbols differ at the top level.
     m is the longest with p^m <= ``_FLAG_SPACE`` * L and m <= L, every
-    window of length m is read, and the windows are told apart by marking
-    their base-p codes.  False says nothing."""
+    window of length m is read, and ``_class_count`` counts their base-p
+    codes.  False says nothing."""
     L = len(symbols)
     most = _most_representatives(p, L)
     m, space = 0, 1
@@ -177,9 +185,8 @@ def _many_windows(symbols: bytes, p: int, top: int) -> bool:
     for i in range(m):
         code *= p
         code += arr[i:i + k]
-    seen = np.zeros(space, dtype=bool)
-    seen[code] = True
-    return int(np.count_nonzero(seen)) > most
+    return _class_count(code, space,
+                        np.empty(_FLAG_SPACE * k, dtype=bool)) > most
 
 
 def _prefix_sums(symbols: bytes, letters, n_max: int, pad: int = 0):
@@ -346,9 +353,8 @@ def _class_codes(counts, lo, hi, code) -> tuple[np.ndarray, int]:
     space = int(hi[0]) - int(lo[0]) + 1
     for a in range(1, len(counts) - 1):
         r = int(hi[a]) - int(lo[a]) + 1
-        if space * r > 2**63:
-            ranks, code[:] = np.unique(code, return_inverse=True)
-            space = len(ranks)
+        if space * r > 2**63:  # ranks 1..R leave the codes in 0..R
+            space = _dense_ranks(code, space, code) + 1
         # every partial value lies in (-lo[a], space * r), inside int64
         code *= r
         code -= int(lo[a])
@@ -374,6 +380,42 @@ def _class_count(code, space: int, flags) -> int:
     return 1 + int(np.count_nonzero(differs))
 
 
+def _dense_ranks(code, space: int, out, flags=None, numbers=None) -> int:
+    """Writes to ``out`` the order-preserving dense rank 1..R of each of
+    the ``code`` values, a code space of ``space`` values, and returns R.
+    ``out`` may be ``code`` itself.
+
+    A code space at most ``_FLAG_SPACE`` times the code count is ranked
+    by marking each code in ``flags``, numbering the marks by a cumulative
+    sum into ``numbers`` and handing each code its number: no sort.  A
+    larger one is ranked by one argsort, counting where the sorted codes
+    change and scattering the counts back.  ``flags`` and ``numbers``
+    (of ``out``'s type) are reused scratch of at least ``_FLAG_SPACE``
+    entries per code; without them the step allocates its own."""
+    if flags is None:
+        flags = np.empty(_FLAG_SPACE * code.size, dtype=bool)
+    if space <= _FLAG_SPACE * code.size:
+        seen = flags[:space]
+        seen[:] = False
+        seen[code] = True
+        if numbers is None:
+            numbers = np.empty(space, dtype=out.dtype)
+        numbers = np.cumsum(seen, out=numbers[:space])
+        # each entry is read before it is written, so out may be code
+        np.take(numbers, code, out=out, mode="clip")
+        return int(numbers[-1])
+    order = np.argsort(code)
+    ordered = code[order]
+    changes = flags[:code.size]
+    changes[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=changes[1:])
+    # the ordered codes are read by now; R <= code.size < space, so their
+    # type holds the ranks
+    np.cumsum(changes, out=ordered)
+    out[order] = ordered
+    return int(ordered[-1])
+
+
 def abelian_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
     """Number of distinct Parikh vectors among length-n windows, n = n_min..n_max.
 
@@ -395,7 +437,9 @@ def parikh_classes(w: Wordlike, n: int) -> set[ParikhVector]:
 
     On p <= 2 letters one letter's count takes every value between its
     extremes (``_extremes``), as it moves by at most one per slide.  On
-    p >= 3 each vector is read off the first window of its class."""
+    p >= 3 the class codes of the windows are ranked (``_dense_ranks``),
+    and each vector is read off one window of its class
+    (``_representatives``)."""
     symbols, p = _checked(w, n, n)
     if p <= 2:
         lo, hi = _extremes(symbols, p, n, n)
@@ -403,10 +447,11 @@ def parikh_classes(w: Wordlike, n: int) -> set[ParikhVector]:
         return {(n - c, c) if p == 2 else (c,) for c in ones}
     cum = _prefix_sums(symbols, range(p), n)
     counts, lo, hi = next(_window_counts(cum, len(symbols), n, n))
-    code, _ = _class_codes(counts, lo, hi,
-                           np.empty(counts.shape[1], dtype=np.int64))
-    _, first = np.unique(code, return_index=True)
-    return set(map(tuple, counts[:, first].T.tolist()))
+    code, space = _class_codes(counts, lo, hi,
+                               np.empty(counts.shape[1], dtype=np.int64))
+    R = _dense_ranks(code, space, code)
+    return set(map(tuple, counts[:, _representatives(code, R, code.size)]
+                   .T.tolist()))
 
 
 def subword_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
@@ -468,11 +513,12 @@ def _top(n_max: int) -> int:
     return (n_max - 1).bit_length()
 
 
-def _representatives(top_level: np.ndarray, R: int, L: int) -> np.ndarray:
-    """One position per top-level rank 1..R, in rank order; any copy of a
-    rank serves."""
+def _representatives(ranks: np.ndarray, R: int, L: int) -> np.ndarray:
+    """One position per rank 1..R among the first L entries of
+    ``ranks`` (a rank level, or the class ranks of ``parikh_classes``), in
+    rank order; any copy of a rank serves."""
     rep = np.empty(R + 1, dtype=np.int64)
-    rep[top_level[:L]] = np.arange(L)
+    rep[ranks[:L]] = np.arange(L)
     return rep[1:]
 
 
@@ -496,22 +542,16 @@ def _doubled_ranks(symbols: bytes, top: int):
     padded window equals no window at another position.  Level 0 ranks the
     letters that occur, in letter order.  Each further level ranks the
     pair codes ``rank_hi * (R + 1) + rank_lo`` of the last one, which lie
-    in a space of (R + 1)^2 codes.  While that space is at most
-    ``_FLAG_SPACE`` times L, each present code is marked in a reused flag
-    buffer, a cumulative sum over the flags numbers the present codes in
-    order, and one gather hands each window its number: no sort.  Beyond
-    it, one argsort orders the codes, dense ranks are counted where the
-    sorted codes change and scattered back.  Both give the same ranks.
+    in a space of (R + 1)^2 codes.  Every level is ranked by
+    ``_dense_ranks``: by marking the codes present while that space is at
+    most ``_FLAG_SPACE`` times L, by one argsort beyond it.
     Once all L windows of a level are distinct, every longer window ranks as
     its first half does, so the further levels repeat that one.
     Each level is held in the narrowest signed integer type holding its
-    ranks: the levels of low-complexity words are int8 and int16.
-    The pair codes and their sorted ranks are held in int32 while the
-    code space is below 2^31, and in int64 buffers, allocated at the first
-    level that needs them, beyond it.  Every buffer but the argsort result
-    and the levels themselves is allocated once; pages a level never
-    touches are never faulted in.  A caller that keeps only the last level
-    holds two levels at a time.
+    ranks: the levels of low-complexity words are int8 and int16.  Every
+    buffer but the argsort's and the levels themselves is allocated once;
+    pages a level never touches are never faulted in.  A caller that keeps
+    only the last level holds two levels at a time.
     """
     L = len(symbols)
     dtype = np.int32 if L < 2**31 - 2 else np.int64  # holds 0..L+1
@@ -523,52 +563,27 @@ def _doubled_ranks(symbols: bytes, top: int):
                 return np.zeros(L + 1, dtype=t)
         return np.zeros(L + 1, dtype=np.int64)
 
-    arr = np.frombuffer(symbols, dtype=np.uint8)
-    present = np.zeros(256, dtype=bool)
-    present[arr] = True
-    dense = np.cumsum(present, dtype=dtype)
-    R = int(dense[-1])
-    lev = level(R)
-    np.take(dense, arr, out=lev[:L], mode="clip")
-    yield lev, R
-    narrow, wide = np.empty((2, L), dtype=np.int32), None
+    codes = np.empty(L, dtype=np.int64)
+    ranks = np.empty(L, dtype=dtype)
     flags = np.empty(_FLAG_SPACE * L, dtype=bool)
     numbers = np.empty(_FLAG_SPACE * L, dtype=dtype)
+    arr = np.frombuffer(symbols, dtype=np.uint8)
+    R = _dense_ranks(arr, 256, ranks, flags, numbers)
+    lev = level(R)
+    lev[:L] = ranks
+    yield lev, R
     for j in range(1, top + 1):
         if R == L:  # all distinct: a window ranks as its first half does
             yield lev, R
             continue
         half = 1 << (j - 1)
-        space = (R + 1) ** 2
-        if space < 2**31:
-            codes, ranks = narrow
-        else:
-            if wide is None:
-                wide = np.empty((2, L), dtype=np.int64)
-            codes, ranks = wide
         # a window's code: its first half's rank, then its second half's
         codes[:] = lev[:L]
         codes *= R + 1
         codes[:L - half] += lev[half:L]
-        if space <= _FLAG_SPACE * L:
-            seen = flags[:space]
-            seen[:] = False
-            seen[codes] = True
-            np.cumsum(seen, out=numbers[:space])
-            R = int(numbers[space - 1])
-            lev = level(R)
-            np.take(numbers, codes, out=lev[:L], mode="clip")
-        else:
-            order = np.argsort(codes)
-            sorted_codes = np.take(codes, order, out=ranks, mode="clip")
-            changes = flags[:L]
-            changes[0] = True
-            np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=changes[1:])
-            # ranks held the sorted codes, which are read by now
-            np.cumsum(changes, out=ranks)
-            R = int(ranks[-1])
-            lev = level(R)
-            lev[order] = ranks
+        R = _dense_ranks(codes, (R + 1) ** 2, ranks, flags, numbers)
+        lev = level(R)
+        lev[:L] = ranks
         yield lev, R
 
 

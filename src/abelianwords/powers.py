@@ -12,6 +12,14 @@ before it leaves this module:
   fractional part {i*alpha} and reads the Abelian period off a convergent
   denominator, so each position gets one of just two possible periods.
 
+The two scans over candidate periods are bounded like the window passes
+of ``complexity``: each counts the steps its candidates read (k * ell
+symbols per brute-force period, one running-sum position per
+progression start and step s) and raises BudgetError instead of reading
+a candidate that would take the total past ``complexity._WORK_BOUND``,
+so a prefix with no power ends in bounded time while one with an early
+power is never refused.
+
 All three verify through one counting core, ``_common_parikh``: it
 counts all letters but the last in each block with ``bytes.count``,
 stops at the first block that differs, and returns the shared Parikh
@@ -38,11 +46,12 @@ from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
+from . import complexity
 from .complexity import ParikhVector
 from .contfrac import (AffineThreshold, ContinuedFraction, _frac_sign,
                        _pq_at, _sign, floor_scaled)
-from .words import (_MAX_ALPHABET, WordPrefix, _characteristic_word,
-                    _check_length)
+from .words import (_MAX_ALPHABET, BudgetError, WordPrefix,
+                    _characteristic_word, _check_length)
 
 __all__ = [
     "AbelianPowerOccurrence",
@@ -120,6 +129,17 @@ def _common_parikh(symbols: bytes, p: int, start: int, ell: int,
     return tuple(first)
 
 
+def _charge(work: int, steps: int, search: str) -> int:
+    """``work`` plus the ``steps`` of the next candidate, or BudgetError
+    where that would pass ``complexity._WORK_BOUND``."""
+    work += steps
+    if work > complexity._WORK_BOUND:
+        raise BudgetError(
+            f"{search} would read more than {complexity._WORK_BOUND} "
+            f"steps before finding an abelian power or ruling one out")
+    return work
+
+
 def verify_abelian_power(w: WordPrefix, start: int, ell: int, k: int) -> bool:
     """True iff the k length-ell blocks from ``start`` share one Parikh vector."""
     if ell < 1 or k < 1 or start < 0:
@@ -135,14 +155,17 @@ def min_abelian_period(w: WordPrefix, start: int, k: int,
     """Smallest ell <= ell_max making an Abelian k-power at ``start``.
 
     Brute-force oracle: scans ell = 1, 2, ...; None when no candidate fits
-    inside the prefix.
+    inside the prefix.  Each candidate counts k * ell steps, and the scan
+    raises BudgetError before its total passes ``complexity._WORK_BOUND``.
     """
     if start < 0 or k < 1:
         raise ValueError("need start >= 0 and k >= 1")
     cap = (len(w) - start) // k
     if ell_max is None:
         ell_max = cap
+    work = 0
     for ell in range(1, min(ell_max, cap) + 1):
+        work = _charge(work, k * ell, "brute-force period search")
         if verify_abelian_power(w, start, ell, k):
             return ell
     return None
@@ -198,7 +221,9 @@ def vdw_power_search(w: WordPrefix, k: int, weights: CongoWeights
     balance constant, which the caller guarantees; the occurrence is
     verified before it is returned either way.
 
-    Returns None when no progression fits inside the prefix.
+    Returns None when no progression fits inside the prefix.  Each step
+    s counts the L - k*s + 1 starts it compares, and the scan raises
+    BudgetError before its total passes ``complexity._WORK_BOUND``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -209,8 +234,10 @@ def vdw_power_search(w: WordPrefix, k: int, weights: CongoWeights
     if L < k:
         return None
     nu = _vdw_residues(w.symbols, weights)
+    work = 0
     for s in range(1, L // k + 1):
         width = L - k * s + 1
+        work = _charge(work, width, "progression search")
         ok = nu[:width] == nu[s:s + width]
         for j in range(2, k + 1):
             if not ok.any():

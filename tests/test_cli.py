@@ -470,6 +470,20 @@ class TestExitCodes:
         assert err.startswith("error: ") and "256" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("mode", ["brute", "vdw"])
+    def test_power_search_work_bound_is_exit_3(self, capsys, monkeypatch,
+                                               mode):
+        # Dekking's fixed point has no Abelian 4-power: without the bound
+        # both scans would run through every candidate period
+        monkeypatch.setattr(abelianwords.complexity, "_WORK_BOUND", 10**4)
+        recipe = ('{"kind": "fixed-point", "seed": "0", '
+                  '"morphism": {"0": "011", "1": "0001"}}')
+        code, out, err = run(capsys, "powers", mode, "--recipe", recipe,
+                             "--k", "4", "--M", "10", "--prefix-len", "4096")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "steps" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["profile", "--recipe", "tm", "--nmax", "2000000"],
         ["verify", "thue-morse", "--nmax", "2000000"],

@@ -7,7 +7,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from abelianwords import complexity
-from abelianwords.complexity import (_doubled_ranks, _extremes,
+from abelianwords.complexity import (_FLAG_SPACE, _dense_ranks,
+                                     _doubled_ranks, _extremes,
                                      _many_windows, _prefix_sums,
                                      _rank_levels, _representatives, _top,
                                      _window_counts, _window_positions,
@@ -289,6 +290,51 @@ class TestWindowPassLargeAlphabets:
         assert abelian_profile(w, 90, 60) == [
             1 if n % 30 == 0 else 30 for n in range(60, 91)]
 
+    def test_compaction_writes_the_ranks_back(self):
+        # at n = 64 and 65 every letter but one count spans two values, so
+        # the 65 coded radices of 2 pass 2^63 and the codes are compacted
+        # in place; without the write-back the windows missing letters 64
+        # and 65 would collide
+        w = prefix_of(Periodic(bytes(range(66))), 400)
+        assert abelian_profile(w, 65, 64) == [66, 66]
+        assert profile(w, 65).rho_ab[-2:] == (66, 66)
+        assert len(parikh_classes(w, 65)) == 66
+
+
+class TestDenseRanks:
+    """``_dense_ranks`` against the inverse of ``np.unique``, whose ranks
+    0..R-1 are the dense ranks 1..R less one, in both regimes and with
+    ``out`` aliasing ``code``."""
+
+    @pytest.mark.parametrize("space, size", [
+        (1, 1), (7, 100), (4 * 100, 100), (4 * 100 + 1, 100),
+        (300, 1000), (2**40, 100), (2**62, 5000),
+    ])
+    @pytest.mark.parametrize("alias", [False, True], ids=["out", "in-place"])
+    def test_against_unique(self, space, size, alias):
+        rng = np.random.default_rng(space % 1000 + size)
+        code = rng.integers(0, space, size, dtype=np.int64)
+        values, inverse = np.unique(code, return_inverse=True)
+        out = code if alias else np.empty(size, dtype=np.int64)
+        assert _dense_ranks(code, space, out) == len(values)
+        assert np.array_equal(out, inverse.reshape(-1) + 1)
+
+    @pytest.mark.parametrize("size, marks", [(63, False), (64, True)])
+    def test_letters_into_narrow_scratch(self, size, marks):
+        # level 0 of the rank levels: byte codes, a space of 256, int32
+        # ranks and scratch; the space is marked from 64 codes on, and
+        # only marking numbers the codes in the scratch
+        rng = random.Random(size)
+        code = np.frombuffer(bytes(rng.choice([0, 9, 255])
+                                   for _ in range(size)), dtype=np.uint8)
+        values, inverse = np.unique(code, return_inverse=True)
+        out = np.empty(size, dtype=np.int32)
+        flags = np.empty(_FLAG_SPACE * size, dtype=bool)
+        numbers = np.full(_FLAG_SPACE * size, -1, dtype=np.int32)
+        assert _dense_ranks(code, 256, out, flags, numbers) == len(values)
+        assert np.array_equal(out, inverse.reshape(-1) + 1)
+        assert bool((numbers != -1).any()) == marks
+
 
 class TestSubwordProfile:
     def test_sturmian_slope_n_plus_one(self, fib4096):
@@ -407,7 +453,7 @@ class TestSubwordKernel:
     def test_pair_codes_past_int32(self):
         # a random half repeated: from length 16 on some 50,000 distinct
         # windows, fewer than L, so the next level's pair codes (R + 1)^2
-        # pass 2^31 (but not 2^32) and are ranked in the int64 buffers
+        # pass 2^31 (but not 2^32), past any int32 code, and are sorted
         w = WordPrefix(4, random_word(random.Random(11), 4, 50_000).symbols * 2)
         built = [R for _, R in _doubled_ranks(w.symbols, 6)]
         assert any(2**31 <= (R + 1) ** 2 < 2**32 and R < len(w)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from test_contfrac import (oracle_affine_sign, oracle_floor_scaled,
                            oracle_frac_less_than)
 
-from abelianwords import contfrac, powers, words
+from abelianwords import complexity, contfrac, powers, words
 from abelianwords.complexity import abelian_equivalent, balance_bound, parikh
 from abelianwords.contfrac import (AffineThreshold, ContinuedFraction,
                                    frac_less_than)
@@ -21,7 +21,8 @@ from abelianwords.powers import (AbelianPowerOccurrence, PeriodPair,
                                  sturmian_power_at, sturmian_powers,
                                  vdw_power_search, verify_abelian_power)
 from abelianwords.words import (DEFAULT_SYMBOL_BUDGET, THUE_MORSE, BudgetError,
-                                WordPrefix, characteristic_prefix, fixed_point)
+                                Morphism, WordPrefix, characteristic_prefix,
+                                fixed_point)
 
 HALF_ALPHA = AffineThreshold(0, Fraction(1, 2))
 
@@ -149,6 +150,45 @@ class TestMinAbelianPeriod:
 
     def test_none_when_prefix_too_short(self):
         assert min_abelian_period(WordPrefix(2, bytes([0, 1, 0, 1])), 0, 5) is None
+
+
+class TestSearchWorkBound:
+    """The brute-force and progression scans count the steps of each
+    candidate period (k * ell symbols; L - k*s + 1 starts) and raise
+    BudgetError once their total would pass ``complexity._WORK_BOUND``."""
+
+    # Dekking's fixed point has no Abelian 4-power, so both scans run to
+    # their last candidate
+    DEKKING = fixed_point(Morphism.from_strings({"0": "011", "1": "0001"}),
+                          0, 1024)
+    CAP = len(DEKKING) // 4
+    BRUTE = 4 * CAP * (CAP + 1) // 2
+    VDW = CAP * (len(DEKKING) + 1) - 4 * CAP * (CAP + 1) // 2
+
+    def brute(self):
+        return min_abelian_period(self.DEKKING, 0, 4)
+
+    def vdw(self):
+        return vdw_power_search(self.DEKKING, 4, congo_weights(10, 2))
+
+    @pytest.mark.parametrize("search, work", [("brute", BRUTE), ("vdw", VDW)])
+    def test_full_scan_within_the_bound(self, monkeypatch, search, work):
+        monkeypatch.setattr(complexity, "_WORK_BOUND", work)
+        assert getattr(self, search)() is None
+
+    @pytest.mark.parametrize("search, work", [("brute", BRUTE), ("vdw", VDW)])
+    def test_refused_past_the_bound(self, monkeypatch, search, work):
+        monkeypatch.setattr(complexity, "_WORK_BOUND", work - 1)
+        with pytest.raises(BudgetError, match="steps"):
+            getattr(self, search)()
+
+    def test_early_power_is_not_refused(self, monkeypatch):
+        # periods 1 and 2 of the square at 0 read 2 + 4 symbols, and the
+        # progression step 5 reads (10^5 - 2s + 1) starts for s <= 5
+        monkeypatch.setattr(complexity, "_WORK_BOUND", 5 * 10**5)
+        w = fixed_point(THUE_MORSE, 0, 10**5)
+        assert min_abelian_period(w, 0, 2) == 2
+        assert vdw_power_search(w, 2, congo_weights(2, 2)).period == 5
 
 
 class TestCongoWeights:
