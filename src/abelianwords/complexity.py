@@ -15,14 +15,15 @@ and takes every value between its extremes: the Abelian complexity is
 its spread plus one, and ``parikh_classes`` lists the vectors of that
 range.  On p >= 3 letters the Abelian complexity counts the classes of
 each length's windows, and ``profile`` takes the balance from that same
-class pass; ``parikh_classes`` reads one length of it.  The class pass,
-and the extremes pass over every window, read each length's counts
-through one reader (``_window_counts``).  Over several lengths both
-passes read one window per distinct top-level window of the subword
+class pass; ``parikh_classes`` reads one length of it.  Both passes
+read their windows through one of two readers.  Over several lengths
+they read one window per distinct top-level window of the subword
 kernel's rank levels (length 2^top >= n_max) while those number at most
-L/2 (p <= 2) or L/4 (p >= 3); single lengths and words with more
-distinct windows read every window.  Both ways see the same Parikh
-vectors, so the results are the same (see ``_window_counts``).
+L/2 (p <= 2) or L/4 (p >= 3), as tiles of rows of the sums'
+sliding-window view (``_window_rows``); single lengths and words with
+more distinct windows read every window, one length at a time
+(``_window_counts``).  Both ways see the same Parikh vectors, so the
+results are the same (see ``_window_rows``).
 
 Both complexities count distinct values of integer codes: class codes
 of Parikh vectors, pair codes of the rank levels.  ``_class_count`` only
@@ -72,7 +73,7 @@ _FLAG_SPACE = 4
 _WORK_BOUND = DEFAULT_SYMBOL_BUDGET * 64
 
 
-# elements per row gather of the extremes pass
+# counts per letter in one tile of representative windows (``_window_rows``)
 _GATHER = 1 << 16
 
 
@@ -141,8 +142,10 @@ def _window_positions(symbols: bytes, p: int, n_max: int, n_min: int,
     The top level is j = (n_max - 1).bit_length(), so 2^j >= n_max.  The
     positions are used on any alphabet, for more than one window length,
     while the top level has at most ``_most_representatives`` distinct
-    windows: for a single length, or with more distinct windows, the
-    gathers cost more than the contiguous slices they save.  R only grows
+    windows: for a single length, or with more distinct windows, the row
+    tiles of ``_window_rows`` cost more than the contiguous slices of
+    ``_window_counts`` they save.  Reading only these windows is exact
+    (see ``_window_rows``).  R only grows
     from level to level, so the doubling stops as soon as it passes the
     cap, and only the last level is kept; before it, ``_many_windows``
     turns away most words with R near L for a fraction of the doubling's
@@ -171,7 +174,14 @@ def _many_windows(symbols: bytes, p: int, top: int) -> bool:
     windows differing in their first m symbols differ at the top level.
     m is the longest with p^m <= ``_FLAG_SPACE`` * L and m <= L, every
     window of length m is read, and ``_class_count`` counts their base-p
-    codes.  False says nothing."""
+    codes.  False says nothing.
+
+    It pays on words with many distinct windows, not on the benchmark's
+    words, where it saves about 0.5 ms per pass.  On a 2^22-symbol random
+    4-letter word at n <= 64 (2-core host), leaving it out raised the
+    guard's rise in peak resident set (``ru_maxrss``) from 18.6 to 162 MiB
+    and its time from 75-100 ms to 0.85-1.2 s: the doubling it turns
+    away."""
     L = len(symbols)
     most = _most_representatives(p, L)
     m, space = 0, 1
@@ -189,80 +199,76 @@ def _many_windows(symbols: bytes, p: int, top: int) -> bool:
                         np.empty(_FLAG_SPACE * k, dtype=bool)) > most
 
 
-def _prefix_sums(symbols: bytes, letters, n_max: int, pad: int = 0):
+def _prefix_sums(symbols: bytes, letters, n_max: int):
     """Prefix sums of the given letters' counts in a word of length L,
-    one row each, at indices 0..L, then ``pad`` zeros.
+    one row each, at indices 0..L, then n_max - 1 zeros: a row of
+    ``_window_rows`` starting at any position < L stays inside them.
 
     The sums wrap in the narrowest unsigned dtype holding n_max + 1.  A
     window of length n <= n_max holds at most n_max of a letter, so its
     count, the difference of two sums taken in that dtype, is exact."""
     L = len(symbols)
     arr = np.frombuffer(symbols, dtype=np.uint8)
-    cum = np.zeros((len(letters), L + 1 + pad),
+    cum = np.zeros((len(letters), L + n_max),
                    dtype=np.min_scalar_type(n_max + 1))
     for row, a in zip(cum, letters):
         np.cumsum(arr == a, dtype=cum.dtype, out=row[1:L + 1])
     return cum
 
 
-def _window_counts(cum, L: int, n_max: int, n_min: int, positions=None):
+def _window_counts(cum, L: int, n_max: int, n_min: int):
     """Yields ``(counts, lo, hi)`` for n = n_min..n_max, read off the
     ``_prefix_sums`` ``cum`` of a word of length L: each row's letter
-    counts in the length-n windows read, and their least and greatest.
+    counts in every length-n window, as contiguous slices of the sums into
+    one reused buffer, and their least and greatest."""
+    buf = np.empty((len(cum), L), dtype=cum.dtype)
+    for n in range(n_min, n_max + 1):
+        k = L - n + 1
+        counts = np.subtract(cum[:, n:L + 1], cum[:, :k], out=buf[:, :k])
+        yield counts, counts.min(axis=1), counts.max(axis=1)
 
-    Without ``positions`` every window is read, as contiguous slices of
-    the sums into one reused buffer.  With sorted ``positions`` from
-    ``_window_positions`` only the windows there are read: at length n
-    those at positions <= L - n.  Each letter's sums are gathered row by row
-    into C-contiguous blocks, one row per length and about L windows per
-    block: per-row minima and maxima are slow on the column-ordered array
-    a 2-D fancy index returns, and on a Hubert prefix, with some 1,500
-    windows per length, one gather per length instead took 1.1 to 2.4
-    times as long.
+
+def _window_rows(cum, L: int, n_max: int, n_min: int, positions,
+                 height: int, width: int):
+    """Yields ``(tile, lo, hi)`` over the windows at the sorted
+    ``positions`` of ``_window_positions``, read off the ``_prefix_sums``
+    ``cum`` of a word of length L: tiles of at most ``height`` positions
+    by ``width`` consecutive lengths, shape (letters, windows, lengths),
+    length tile by length tile from n_min, and each tile's per-length
+    minima and maxima, shape (letters, lengths).
+
+    The row of the window at i is one run of each letter's sums, those
+    at i + n for the tile's lengths n, less the sum at i: a row of the
+    sums' sliding-window view.  A length tile reads the positions whose
+    windows fit at its first length; a row running past L reads the pad,
+    and at each length whose window does not fit it holds the counts of
+    the window at 0 instead.
 
     That is exact.  Two positions with one top-level rank have equal
     windows of every length <= n_max, and a window running past the end
     of the prefix at the top level equals no other, so it is its own
     representative.  The windows read at each n thus carry every Parikh
-    vector of the length-n windows, and per-letter minima and maxima
-    are unchanged.
+    vector of the length-n windows, the window at 0 among them, and the
+    classes and per-letter extremes are unchanged.
     """
-    if positions is None:
-        buf = np.empty((len(cum), L), dtype=cum.dtype)
-        for n in range(n_min, n_max + 1):
-            k = L - n + 1
-            counts = np.subtract(cum[:, n:], cum[:, :k], out=buf[:, :k])
-            yield counts, counts.min(axis=1), counts.max(axis=1)
-        return
-    # lengths are gathered a batch at a time, one row of a (batch, k)
-    # block per length, so each numpy call covers about L windows
-    width = len(positions)
-    batch = max(1, L // width)
-    lengths = np.arange(n_min, n_max + 1)
-    fits = np.searchsorted(positions, L - lengths, side="right").tolist()
-    at, ends = np.empty((2, batch * width), dtype=np.int64)
-    starts = np.empty(batch * width, dtype=cum.dtype)
-    flat = np.empty(len(cum) * batch * width, dtype=cum.dtype)
-    for i in range(0, len(lengths), batch):
-        ns = lengths[i:i + batch, None]
-        k = fits[i]  # the windows read at the first length of the batch
-        shape = (len(ns), k)
-        block = at[:ns.size * k].reshape(shape)
-        block[:] = positions[:k]
-        # a window that does not fit at a longer length of the batch is
-        # read as the window at 0 instead, whose vector is counted anyway
-        for row, fit in zip(block, fits[i:i + batch]):
-            row[fit:] = 0
-        end = np.add(block, ns, out=ends[:block.size].reshape(shape))
-        start = starts[:block.size].reshape(shape)
-        counts = flat[:len(cum) * block.size].reshape((-1,) + shape)
-        for row, out in zip(cum, counts):
-            np.take(row, end, out=out, mode="clip")
-            np.take(row, block, out=start, mode="clip")
-            out -= start
-        lo, hi = counts.min(axis=2), counts.max(axis=2)
-        for j in range(len(ns)):
-            yield counts[:, j], lo[:, j], hi[:, j]
+    ns = np.arange(n_min, n_max + 1)
+    fits = np.searchsorted(positions, L - ns, side="right").tolist()
+    for j in range(0, len(ns), width):
+        lengths = ns[j:j + width]
+        rows = np.lib.stride_tricks.sliding_window_view(
+            cum[:, lengths[0]:], len(lengths), axis=1)
+        at0 = cum[:, None, lengths[0]:lengths[-1] + 1]  # the window at 0
+        read = positions[:fits[j]]
+        for i in range(0, len(read), height):
+            at = read[i:i + height]
+            tile = rows[:, at]
+            tile -= cum[:, at, None]
+            # rows from here on run past L at the tile's longest length
+            late = max(fits[j + len(lengths) - 1] - i, 0)
+            if late < len(at):
+                np.copyto(tile[:, late:], at0,
+                          where=at[late:, None] > L - lengths)
+            yield tile, tile.min(axis=1), tile.max(axis=1)
 
 
 def _extremes(symbols: bytes, p: int, n_max: int, n_min: int = 1,
@@ -274,38 +280,25 @@ def _extremes(symbols: bytes, p: int, n_max: int, n_min: int = 1,
     letter is.
 
     Without ``positions`` these are read off ``_window_counts`` over every
-    window.  With sorted ``positions`` from ``_window_positions`` the
-    windows there are read as rows.  The row of the window at i is one
-    run of a letter's prefix sums, those at i + n_min..i + n_max, less
-    the sum at i: rows of the sums' sliding-window view, gathered about
-    ``_GATHER`` counts at a time and reduced to running minima and maxima
-    at every length at once.  A row starting past L - n_max runs into a
-    pad past L; at each length whose window does not fit, it holds the
-    count of the window at 0 instead.  That is exact: the positions carry
-    every Parikh vector of the length-n windows (see ``_window_counts``),
-    and the window at 0 is one of them.
+    window.  With sorted ``positions`` from ``_window_positions`` they are
+    read off ``_window_rows`` in row tiles that cover every length, about
+    ``_GATHER`` counts a letter each, and reduced over the tiles; that is
+    exact (see ``_window_rows``).
     """
     L = len(symbols)
     letters = range(p) if p > 2 else [p - 1]
+    cum = _prefix_sums(symbols, letters, n_max)
     if positions is None:
-        cum = _prefix_sums(symbols, letters, n_max)
         _, lo, hi = zip(*_window_counts(cum, L, n_max, n_min))
         return np.array(lo).T, np.array(hi).T
-    cum = _prefix_sums(symbols, letters, n_max, pad=n_max - 1)
     # the counts of the window at 0 start every minimum and maximum
     lo, hi = cum[:, n_min:n_max + 1].copy(), cum[:, n_min:n_max + 1].copy()
-    ns = np.arange(n_min, n_max + 1)
-    height = max(1, _GATHER // len(ns))
-    for sums, row_lo, row_hi in zip(cum, lo, hi):
-        rows = np.lib.stride_tricks.sliding_window_view(sums[n_min:], len(ns))
-        for i in range(0, len(positions), height):
-            at = positions[i:i + height]
-            counts = rows[at]
-            counts -= sums[at, None]
-            if at[-1] + n_max > L:  # some of these windows do not fit
-                np.putmask(counts, at[:, None] + ns > L, sums[n_min:n_max + 1])
-            np.minimum(row_lo, counts.min(axis=0), out=row_lo)
-            np.maximum(row_hi, counts.max(axis=0), out=row_hi)
+    lengths = n_max - n_min + 1
+    for _, tile_lo, tile_hi in _window_rows(cum, L, n_max, n_min, positions,
+                                            max(1, _GATHER // lengths),
+                                            lengths):
+        np.minimum(lo, tile_lo, out=lo)
+        np.maximum(hi, tile_hi, out=hi)
     return lo, hi
 
 
@@ -324,19 +317,30 @@ def _abelian_and_balance(symbols: bytes, p: int, n_max: int, n_min: int,
     A count moves by at most one per slide, so a single tracked count
     (p <= 2) takes every value between its extremes, and rho_ab is its
     spread plus one: the extremes pass (``_extremes``) gives both.  For
-    p >= 3 the classes are counted per length off ``_window_counts``."""
+    p >= 3 the classes are counted per length: off ``_window_counts`` over
+    every window, or with ``positions`` off the columns of ``_window_rows``
+    length tiles holding every representative, about ``_GATHER`` counts a
+    letter each."""
     if p <= 2:
         lo, hi = _extremes(symbols, p, n_max, n_min, positions)
         spread = (hi[0] - lo[0]).tolist()
         return [s + 1 for s in spread], spread
     L = len(symbols)
-    width = L if positions is None else len(positions)
-    # allocated once per pass; pages no step touches are never faulted in
-    codes = np.empty(width, dtype=np.int64)
-    flags = np.empty(_FLAG_SPACE * width, dtype=bool)
     cum = _prefix_sums(symbols, range(p), n_max)
+    if positions is None:
+        windows, columns = L, _window_counts(cum, L, n_max, n_min)
+    else:
+        windows = len(positions)
+        columns = ((tile[:, :, j], lo[:, j], hi[:, j])
+                   for tile, lo, hi in _window_rows(
+                       cum, L, n_max, n_min, positions, windows,
+                       max(1, _GATHER // windows))
+                   for j in range(tile.shape[2]))
+    # allocated once per pass; pages no step touches are never faulted in
+    codes = np.empty(windows, dtype=np.int64)
+    flags = np.empty(_FLAG_SPACE * windows, dtype=bool)
     rho_ab, spreads = [], []
-    for counts, lo, hi in _window_counts(cum, L, n_max, n_min, positions):
+    for counts, lo, hi in columns:
         code, space = _class_codes(counts, lo, hi, codes[:counts.shape[1]])
         rho_ab.append(_class_count(code, space, flags))
         spreads.append(hi - lo)
@@ -426,7 +430,7 @@ def abelian_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
     count, and by an in-place sort beyond it.  Over several lengths with
     few distinct top-level windows (``_most_representatives``), either
     pass reads one window per distinct top-level window only
-    (``_window_positions``).
+    (``_window_positions``), which is exact (see ``_window_rows``).
     """
     symbols, p, positions = _positioned(w, n_max, n_min)
     return _abelian_and_balance(symbols, p, n_max, n_min, positions)[0]

@@ -11,7 +11,7 @@ from abelianwords.complexity import (_FLAG_SPACE, _dense_ranks,
                                      _doubled_ranks, _extremes,
                                      _many_windows, _prefix_sums,
                                      _rank_levels, _representatives, _top,
-                                     _window_counts, _window_positions,
+                                     _window_positions, _window_rows,
                                      abelian_equivalent, abelian_profile,
                                      balance_bound, balance_per_length,
                                      max_abelian_complexity, parikh,
@@ -811,14 +811,34 @@ class TestRepresentativePass:
         assert _window_positions(w.symbols, 4, 40, 1) is not None
         check_window_kernels(w, 40, 1, monkeypatch)
 
+    @pytest.mark.parametrize("gather", [1, 3, 1200])
+    @pytest.mark.parametrize("w, n_max, n_min", [
+        (prefix_of(Hubert(GOLDEN), 1 << 11), 100, 1),
+        (fixed_point(THUE_MORSE, 0, 1 << 10), 64, 1),
+        (WordPrefix(4, bytes([0, 1, 2]) * 666 + bytes([3])), 40, 1),
+        (prefix_of(Hubert(GOLDEN), 1 << 11), 100, 61),
+    ], ids=["hubert", "thue-morse", "last-window", "hubert-n_min-61"])
+    def test_ragged_tiles(self, w, n_max, n_min, gather, monkeypatch):
+        # tiles of one window by one length, and at 1200 a ragged last
+        # row tile (extremes) and, on three or more letters, length tile
+        # (classes)
+        lengths = n_max - n_min + 1
+        _, R = list(_doubled_ranks(w.symbols, _top(n_max)))[-1]
+        if gather == 1200:
+            assert R % (gather // lengths)
+            assert w.alphabet_size <= 2 or lengths % (gather // R)
+        monkeypatch.setattr(complexity, "_GATHER", gather)
+        check_window_kernels(w, n_max, n_min, monkeypatch)
+
     def test_reads_only_representatives(self):
         w = prefix_of(Hubert(GOLDEN), 1 << 14)
         positions = _window_positions(w.symbols, 3, 256, 1)
         assert len(positions) <= len(w) // 8
         cum = _prefix_sums(w.symbols, range(3), 256)
-        widths = {counts.shape[1] for counts, _, _
-                  in _window_counts(cum, len(w), 256, 1, positions)}
-        assert max(widths) <= len(positions)
+        heights = {tile.shape[1] for tile, _, _
+                   in _window_rows(cum, len(w), 256, 1, positions,
+                                   len(positions), 4)}
+        assert max(heights) <= len(positions)
 
     @pytest.mark.parametrize("make", [
         lambda L: WordPrefix(1, bytes(L)),
