@@ -20,6 +20,11 @@ a candidate that would take the total past ``complexity._WORK_BOUND``,
 so a prefix with no power ends in bounded time while one with an early
 power is never refused.
 
+The progression scan holds the running sums mod N in the narrowest
+dtype (one byte per symbol up to N = 256), built block by block in a
+fixed int64 scratch, plus two one-byte boolean buffers it compares into:
+three bytes per symbol up to N = 256, whatever the step.
+
 All three verify through one counting core, ``_common_parikh``: it
 counts all letters but the last in each block with ``bytes.count``,
 stops at the first block that differs, and returns the shared Parikh
@@ -182,30 +187,50 @@ def congo_weights(M: int, r: int) -> CongoWeights:
     return CongoWeights(M, r, tuple(alphas), M * sum(alphas) + 1)
 
 
+# symbols per block of the running weight sums in ``_vdw_residues``: the
+# int64 scratch is this long whatever the prefix length
+_RESIDUE_BLOCK = 1 << 16
+
+
 @lru_cache(maxsize=4)
 def _vdw_residues(symbols: bytes, weights: CongoWeights) -> np.ndarray:
     """nu(t) for t = 0..len(symbols), read-only: the running weight sums
-    mod N, renamed to small ints past N*L = 2**63, in the narrowest dtype.
-    Memoized per word and weights, which one search per exponent k
-    shares; a few entries suffice."""
+    mod N, renamed to small ints past N * (block + 1) = 2**63, in the
+    narrowest dtype.  Memoized per word and weights, which one search per
+    exponent k shares; a few entries suffice.
+
+    Below that bound the sums are taken ``_RESIDUE_BLOCK`` symbols at a
+    time in one int64 scratch, each block carrying the last residue of
+    the one before, so nothing wider than the output grows with the word.
+    """
     L = len(symbols)
-    if weights.N * L < 2**63:  # every running sum fits in int64
-        table = np.asarray(weights.alphas, dtype=np.int64)
-        nu = np.zeros(L + 1, dtype=np.int64)
-        np.cumsum(table[np.frombuffer(symbols, dtype=np.uint8)], out=nu[1:])
-        nu %= weights.N
-        distinct = weights.N
+    N = weights.N
+    if N * (_RESIDUE_BLOCK + 1) < 2**63:  # block sums plus carry fit int64
+        table = np.asarray(weights.alphas, dtype=np.int64) % N
+        letters = np.frombuffer(symbols, dtype=np.uint8)
+        nu = np.empty(L + 1, dtype=np.min_scalar_type(N - 1))
+        nu[0] = carry = 0
+        scratch = np.empty(min(L, _RESIDUE_BLOCK), dtype=np.int64)
+        for lo in range(0, L, _RESIDUE_BLOCK):
+            block = scratch[:min(_RESIDUE_BLOCK, L - lo)]
+            # "clip" gathers straight into ``out``; every letter is < r
+            np.take(table, letters[lo:lo + block.size], out=block, mode="clip")
+            np.cumsum(block, out=block)
+            block += carry
+            block %= N
+            nu[lo + 1:lo + 1 + block.size] = block
+            carry = int(block[-1])
     else:
         # exact sums in Python ints; the scan only tests nu values for
-        # equality, so each distinct value is renamed to a small int
+        # equality, so each distinct value is renamed to a small int,
+        # at most L + 1 of them
         sums = accumulate(map(weights.alphas.__getitem__, symbols), initial=0)
         names = {}
-        nu = np.fromiter((names.setdefault(t % weights.N, len(names))
-                          for t in sums), dtype=np.int64, count=L + 1)
-        distinct = len(names)
-    # the scan compares residues for equality only: the narrowest dtype
-    # that holds them all does the same work on fewer bytes
-    nu = nu.astype(np.min_scalar_type(distinct - 1))
+        nu = np.fromiter((names.setdefault(t % N, len(names)) for t in sums),
+                         dtype=np.min_scalar_type(L), count=L + 1)
+        # the scan compares residues for equality only: the narrowest
+        # dtype that holds them all does the same work on fewer bytes
+        nu = nu.astype(np.min_scalar_type(len(names) - 1), copy=False)
     nu.flags.writeable = False
     return nu
 
@@ -221,6 +246,10 @@ def vdw_power_search(w: WordPrefix, k: int, weights: CongoWeights
     balance constant, which the caller guarantees; the occurrence is
     verified before it is returned either way.
 
+    Memory: the residues (one byte per symbol up to N = 256) and two
+    one-byte-per-symbol boolean buffers the scan compares into, so three
+    bytes per symbol in all for binary words at M <= 15.
+
     Returns None when no progression fits inside the prefix.  Each step
     s counts the L - k*s + 1 starts it compares, and the scan raises
     BudgetError before its total passes ``complexity._WORK_BOUND``.
@@ -234,18 +263,20 @@ def vdw_power_search(w: WordPrefix, k: int, weights: CongoWeights
     if L < k:
         return None
     nu = _vdw_residues(w.symbols, weights)
+    hits = np.empty(L, dtype=bool)
+    equal = np.empty(L, dtype=bool)
     work = 0
     for s in range(1, L // k + 1):
         width = L - k * s + 1
         work = _charge(work, width, "progression search")
-        ok = nu[:width] == nu[s:s + width]
+        ok, eq, first = hits[:width], equal[:width], nu[:width]
+        np.equal(first, nu[s:s + width], out=ok)
         for j in range(2, k + 1):
             if not ok.any():
                 break
-            ok &= nu[j * s:j * s + width] == nu[:width]
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            t0 = int(hits[0])
+            ok &= np.equal(nu[j * s:j * s + width], first, out=eq)
+        t0 = int(ok.argmax())  # the first True, or 0 when there is none
+        if ok[t0]:
             block = _common_parikh(w.symbols, w.alphabet_size, t0, s, k)
             if block is None:
                 raise WeightsTooSmallError(

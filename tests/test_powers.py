@@ -1,8 +1,11 @@
 import random
+import re
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -248,7 +251,8 @@ class TestVdwSearch:
 
     @pytest.mark.parametrize("M", [2, 10**3, 3 * 10**9, 10**11])
     def test_matches_python_int_scan(self, M, tm4096):
-        # past N * L = 2**63 the running sums leave int64
+        # past N * (block + 1) = 2**63 a block's running sums would leave
+        # int64, and the residues come from the Python-int path
         weights = congo_weights(M, 2)
         for length, k in ((0, 2), (1, 2), (37, 3), (500, 3), (4096, 2)):
             w = WordPrefix(2, tm4096.symbols[:length])
@@ -261,8 +265,9 @@ class TestVdwSearch:
     @pytest.mark.parametrize("M", [1, 15, 16, 255, 256, 3 * 10**9, 10**11])
     def test_narrow_residues_match_int64_scan(self, M, golden):
         # N = (M + 1)**2 for two letters: up to M = 15 the residues fit
-        # uint8, up to M = 255 uint16, then uint32; from M = 3 * 10**9 on,
-        # N * L passes 2**63 and the Python-int path renames the residues
+        # uint8, up to M = 255 uint16, then uint32; past M of about
+        # 1.19 * 10**7 (so at 3 * 10**9 and 10**11), N * (block + 1) passes
+        # 2**63 and the Python-int path renames the residues
         weights = congo_weights(M, 2)
         length = 20000 if M < 100 else 3000  # large N: whole scans, no hit
         prefixes = [characteristic_prefix(golden, length)]
@@ -279,7 +284,8 @@ class TestVdwSearch:
     @pytest.mark.parametrize("M", [2, 10**11])
     def test_running_sums_built_once_per_word(self, M):
         # k = 2..5 on one word and one set of weights share one residue
-        # array; M = 10**11 takes the Python-int path (N * L >= 2**63)
+        # array; M = 10**11 takes the Python-int path
+        # (N * (block + 1) >= 2**63)
         w = fixed_point(THUE_MORSE, 0, 3000)
         weights = congo_weights(M, 2)
         powers._vdw_residues.cache_clear()
@@ -291,6 +297,23 @@ class TestVdwSearch:
         assert (info.misses, info.hits) == (1, 3)
         nu = powers._vdw_residues(w.symbols, weights)
         assert not nu.flags.writeable
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_scan_holds_three_bytes_per_symbol(self, k):
+        # residues (uint8 at N = 9) and two boolean scan buffers; the
+        # int64 block scratch is freed before the scan starts
+        L = 1 << 20
+        w = fixed_point(THUE_MORSE, 0, L)
+        powers._vdw_residues.cache_clear()
+        tracemalloc.start()
+        try:
+            occ = vdw_power_search(w, k, congo_weights(2, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            powers._vdw_residues.cache_clear()
+        assert (occ.start, occ.period) == {2: (3, 5), 3: (0, 18)}[k]
+        assert peak <= 4 * L, peak / L
 
     def test_alphabet_mismatch(self, tm4096):
         with pytest.raises(ValueError, match="letters"):
@@ -326,6 +349,74 @@ class TestVdwSearch:
         w = WordPrefix(2, bytes(int(c) for c in "01000001011101"))
         with pytest.raises(WeightsTooSmallError, match="balance"):
             vdw_power_search(w, 2, congo_weights(1, 2))
+
+
+def residues_by_hand(symbols, weights):
+    """nu(0..L) in Python ints."""
+    return [t % weights.N for t in
+            accumulate(map(weights.alphas.__getitem__, symbols), initial=0)]
+
+
+def progression_found(w, k, weights):
+    """(t0, s) of the first nu-progression ``vdw_power_search`` stops at,
+    read from its error where the blocks there are not equivalent, or
+    None."""
+    try:
+        occ = vdw_power_search(w, k, weights)
+    except WeightsTooSmallError as e:
+        t0, s = re.search(r"t0=(\d+), s=(\d+)", str(e)).groups()
+        return int(t0), int(s)
+    return None if occ is None else (occ.start, occ.period)
+
+
+class TestResidueBlocks:
+    """The running sums are taken a block at a time; a tiny block puts
+    block edges inside short words, compared with the whole-word scans."""
+
+    B = 5
+
+    @pytest.fixture
+    def tiny_blocks(self, monkeypatch):
+        # cached residues were built with the real block size
+        monkeypatch.setattr(powers, "_RESIDUE_BLOCK", self.B)
+        powers._vdw_residues.cache_clear()
+        yield
+        powers._vdw_residues.cache_clear()
+
+    @pytest.mark.parametrize("M, dtype", [(1, np.uint8), (16, np.uint16),
+                                          (256, np.uint32)])
+    @pytest.mark.parametrize("length", [0, 1, B - 1, B, B + 1, 3 * B + 2])
+    def test_block_edges(self, tiny_blocks, length, M, dtype, golden):
+        weights = congo_weights(M, 2)
+        for w in (characteristic_prefix(golden, length),
+                  fixed_point(THUE_MORSE, 0, length)):
+            nu = powers._vdw_residues(w.symbols, weights)
+            assert nu.dtype == dtype
+            assert nu.tolist() == residues_by_hand(w.symbols, weights)
+            for k in range(1, 5):
+                found = progression_found(w, k, weights)
+                assert found == int64_vdw(w, k, weights), (k, length)
+                assert found == reference_vdw(w.symbols, k, weights)
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.integers(2, 3), data=st.data(),
+           block=st.integers(1, 8), M=st.sampled_from([1, 16, 256]),
+           k=st.integers(1, 4))
+    def test_random_words(self, p, data, block, M, k):
+        symbols = bytes(data.draw(st.lists(st.integers(0, p - 1),
+                                           max_size=40)))
+        w = WordPrefix(p, symbols)
+        weights = congo_weights(M, p)
+        with mock.patch.object(powers, "_RESIDUE_BLOCK", block):
+            powers._vdw_residues.cache_clear()
+            try:
+                nu = powers._vdw_residues(symbols, weights)
+                found = progression_found(w, k, weights)
+            finally:
+                powers._vdw_residues.cache_clear()
+        assert nu.tolist() == residues_by_hand(symbols, weights)
+        assert found == reference_vdw(symbols, k, weights)
+        assert found == int64_vdw(w, k, weights)
 
 
 class TestSturmianPeriodPair:
