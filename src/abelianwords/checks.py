@@ -2,9 +2,12 @@
 
 Each checker examines a finite prefix and reports pass/fail with an
 independently re-checkable witness on failure.  A verdict is always a
-statement about the prefix that was inspected: aperiodicity and other
-infinite-word hypotheses cannot be decided from a prefix, so a pass means
-"consistent with the claim on this prefix", never more.
+statement about the prefix it was given, whatever its length:
+aperiodicity and other infinite-word hypotheses cannot be decided from a
+prefix, so a pass means "consistent with the claim on this prefix",
+never more.  For a verdict about the infinite word, give a checker a
+factor-complete prefix: ``inspected_prefix`` returns one wherever the
+recipe has a known bound within ``DEFAULT_MARGIN * n_max``.
 
 ``inspected_prefix`` gives the prefix a claim on a recipe inspects, and
 refuses a window range the window pass would refuse before it builds
@@ -15,7 +18,7 @@ has one.  A factor-complete prefix holds every factor of length <= n_max of
 the infinite word, so a statement about its factors of those lengths (a
 profile, a balance bound) is one about the word, and reads the same on
 any longer prefix.  Recipes without a known bound (Hubert, explicit,
-Champernowne, max-complexity) keep the margin.
+Champernowne, max-complexity) inspect ``DEFAULT_MARGIN * n_max`` symbols.
 """
 
 from dataclasses import dataclass
@@ -41,26 +44,24 @@ __all__ = [
 DEFAULT_MARGIN = 64
 
 
-def inspected_length(recipe: WordRecipe, n_max: int,
-                     margin: int = DEFAULT_MARGIN) -> int:
+def inspected_length(recipe: WordRecipe, n_max: int) -> int:
     """The prefix length to inspect for claims on lengths <= n_max: the
     factor-complete length where the recipe has one, capped at
-    ``margin * n_max``."""
+    ``DEFAULT_MARGIN * n_max``."""
     complete = complete_prefix_length(recipe, n_max)
     if complete is None:
-        return margin * n_max
-    return min(complete.length, margin * n_max)
+        return DEFAULT_MARGIN * n_max
+    return min(complete.length, DEFAULT_MARGIN * n_max)
 
 
 def inspected_prefix(recipe: WordRecipe, n_max: int,
-                     prefix_len: Union[int, None] = None,
-                     margin: int = DEFAULT_MARGIN) -> WordPrefix:
+                     prefix_len: Union[int, None] = None) -> WordPrefix:
     """The prefix to inspect for claims on lengths 1..n_max: of
     ``prefix_len`` symbols, by default of ``inspected_length(recipe,
-    n_max, margin)``.  A window range the window pass would refuse is
-    refused before the prefix is built."""
+    n_max)``.  A window range the window pass would refuse is refused
+    before the prefix is built."""
     if prefix_len is None:
-        prefix_len = inspected_length(recipe, n_max, margin)
+        prefix_len = inspected_length(recipe, n_max)
     _require_range(n_max, prefix_len)
     return prefix_of(recipe, prefix_len)
 
@@ -93,13 +94,13 @@ def _profile_report(w: WordPrefix, n_max: int, claim: str,
     return CheckReport(claim, f"1..{n_max}", True)
 
 
-def tm_profile_check(w: WordPrefix, n_max: int,
-                     margin: int = DEFAULT_MARGIN) -> CheckReport:
-    """Check the alternating profile rho_ab(n) = 2 (n odd) / 3 (n even)."""
-    if len(w) < margin * n_max:
-        raise ValueError(
-            f"prefix of {len(w)} symbols is shorter than the required "
-            f"margin {margin} * {n_max}")
+def tm_profile_check(w: WordPrefix, n_max: int) -> CheckReport:
+    """Check the alternating profile rho_ab(n) = 2 (n odd) / 3 (n even)
+    on ``w`` for n = 1..n_max.
+
+    The verdict is about ``w`` itself; on the Thue-Morse word's
+    ``inspected_prefix``, which is factor-complete, it is about the
+    infinite word."""
     return _profile_report(w, n_max, "thue-morse-profile",
                            lambda n: 2 if n % 2 else 3)
 
@@ -191,10 +192,8 @@ def special_factor_witnesses(w: WordPrefix, k: int):
     return ((i, w.symbols[i:i + k]), (j, w.symbols[j:j + k]))
 
 
-def rauzy_constant3_check(recipe: WordRecipe, n_max: int,
-                          prefix_len: Union[int, None] = None,
-                          margin: int = DEFAULT_MARGIN) -> CheckReport:
+def rauzy_constant3_check(recipe: WordRecipe, n_max: int) -> CheckReport:
     """Check rho_ab(n) = 3 for n = 1..n_max on the recipe's
     ``inspected_prefix``."""
-    return _profile_report(inspected_prefix(recipe, n_max, prefix_len, margin),
-                           n_max, "constant-abelian-3", lambda n: 3)
+    return _profile_report(inspected_prefix(recipe, n_max), n_max,
+                           "constant-abelian-3", lambda n: 3)

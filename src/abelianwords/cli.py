@@ -176,10 +176,7 @@ def cmd_verify(args) -> int:
     n_max = args.nmax
     if args.claim == "thue-morse":
         w = checks.inspected_prefix(_load_recipe("tm"), n_max)
-        # the prefix is factor-complete or has the full margin, either way
-        # long enough: its own length is the margin it is checked with
-        margin = len(w) // n_max
-        reports = [checks.tm_profile_check(w, n_max, margin=margin)]
+        reports = [checks.tm_profile_check(w, n_max)]
     elif args.claim == "rauzy":
         preset = "hubert-golden" if args.variant == "hubert" else "rauzy-morphism"
         reports = [checks.rauzy_constant3_check(_load_recipe(preset), n_max)]

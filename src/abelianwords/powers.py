@@ -20,10 +20,13 @@ a candidate that would take the total past ``complexity._WORK_BOUND``,
 so a prefix with no power ends in bounded time while one with an early
 power is never refused.
 
-The progression scan holds the running sums mod N in the narrowest
-dtype (one byte per symbol up to N = 256), built block by block in a
-fixed int64 scratch, plus two one-byte boolean buffers it compares into:
-three bytes per symbol up to N = 256, whatever the step.
+The progression scan starts at step s = M + 1: a block of s letters has
+a weight sum between 1 and s times the largest weight, and M times the
+largest weight is below N, so no step s <= M closes a progression.  The
+scan holds the running sums mod N in the narrowest dtype (one byte per
+symbol up to N = 256), built block by block in a fixed int64 scratch,
+plus two one-byte boolean buffers it compares into: three bytes per
+symbol up to N = 256, whatever the step.
 
 All three verify through one counting core, ``_common_parikh``: it
 counts all letters but the last in each block with ``bytes.count``,
@@ -246,12 +249,18 @@ def vdw_power_search(w: WordPrefix, k: int, weights: CongoWeights
     balance constant, which the caller guarantees; the occurrence is
     verified before it is returned either way.
 
+    The scan starts at s = M + 1, which is exact: every weight is at least
+    1 and N = M * sum(alphas) + 1 > M * max(alphas), so a block of length
+    s has a weight sum in [1, s * max(alphas)], a multiple of N only when
+    s > M.  A prefix with L // k <= M holds no such step, and the search
+    returns None before it builds the residues.
+
     Memory: the residues (one byte per symbol up to N = 256) and two
     one-byte-per-symbol boolean buffers the scan compares into, so three
     bytes per symbol in all for binary words at M <= 15.
 
     Returns None when no progression fits inside the prefix.  Each step
-    s counts the L - k*s + 1 starts it compares, and the scan raises
+    s > M counts the L - k*s + 1 starts it compares, and the scan raises
     BudgetError before its total passes ``complexity._WORK_BOUND``.
     """
     if k < 1:
@@ -260,13 +269,13 @@ def vdw_power_search(w: WordPrefix, k: int, weights: CongoWeights
         raise ValueError(
             f"weights cover {weights.r} letters, word uses {w.alphabet_size}")
     L = len(w)
-    if L < k:
+    if L // k <= weights.M:  # no step s > M fits (see above)
         return None
     nu = _vdw_residues(w.symbols, weights)
     hits = np.empty(L, dtype=bool)
     equal = np.empty(L, dtype=bool)
     work = 0
-    for s in range(1, L // k + 1):
+    for s in range(weights.M + 1, L // k + 1):
         width = L - k * s + 1
         work = _charge(work, width, "progression search")
         ok, eq, first = hits[:width], equal[:width], nu[:width]
@@ -379,8 +388,7 @@ def _period_at(loc: _Locator, U: int, V: int, D: int, i: int) -> int:
 
 
 def _certify(alpha: ContinuedFraction, positions: tuple, k: int,
-             delta: AffineThreshold,
-             check_internal: bool) -> list[AbelianPowerOccurrence]:
+             delta: AffineThreshold) -> list[AbelianPowerOccurrence]:
     """The kernel behind ``sturmian_powers`` and ``sturmian_power_at``.
 
     Positions arrive through ``operator.index``, so numpy integers become
@@ -395,18 +403,10 @@ def _certify(alpha: ContinuedFraction, positions: tuple, k: int,
     end = max([i - 1 + k * ell for i, ell in zip(positions, periods)])
     _check_length(end)
     # verify on the requested slope's word, so block_parikh is in its
-    # letters; below 1/2 loc.work may be an equal but distinct instance
-    # of alpha (the cache keeps the first one), so compare by value
+    # letters
     symbols = _characteristic_word(alpha, end)
-    marks = (_characteristic_word(loc.work, end)
-             if check_internal and loc.work != alpha else symbols)
     out = []
     for i, ell in zip(positions, periods):
-        if check_internal and len(
-                {marks[i + j * ell - 2] for j in range(1, k + 1)}) > 1:
-            raise AssertionError(
-                "block-end letters along the progression disagree; "
-                "the case classification is inconsistent")
         block = _common_parikh(symbols, 2, i - 1, ell, k)
         if block is None:
             raise AssertionError(
@@ -427,22 +427,22 @@ def sturmian_powers(alpha: ContinuedFraction, positions: Iterable[int], k: int,
     cached characteristic word once to the furthest block end, and
     verifies each certificate on it by counting.
     """
-    return _certify(alpha, tuple(map(index, positions)), k, delta, False)
+    return _certify(alpha, tuple(map(index, positions)), k, delta)
 
 
 def sturmian_power_at(alpha: ContinuedFraction, i: int, k: int,
-                      delta: AffineThreshold = DEFAULT_DELTA,
-                      check_internal: bool = False) -> AbelianPowerOccurrence:
+                      delta: AffineThreshold = DEFAULT_DELTA
+                      ) -> AbelianPowerOccurrence:
     """Verified Abelian k-power at 1-based position i of the characteristic
     word of slope alpha (0-based start i-1 of the certificate).
 
     Classifies {i*alpha} exactly: away from the critical points alpha and 1
     (Case 1) the period is q_n, inside the width-delta windows below them
     (Case 2) it is q_{n+1}, with n from :func:`sturmian_period_pair`.
-    Slopes above 1/2 are handled on the complement, whose characteristic
-    word is the letter-exchange of the original; positions and periods
-    carry over unchanged.  ``check_internal`` also checks that the working
-    slope's word has one letter at every block end.  This is the
-    one-position case of :func:`sturmian_powers`.
+    Slopes above 1/2 are decided on the complement, whose characteristic
+    word is the letter exchange of the original, so positions and periods
+    carry over unchanged; only the requested slope's word is built, and
+    the certificate is verified on it by counting before it is returned.
+    This is the one-position case of :func:`sturmian_powers`.
     """
-    return _certify(alpha, (index(i),), k, delta, check_internal)[0]
+    return _certify(alpha, (index(i),), k, delta)[0]

@@ -2,18 +2,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from abelianwords.checks import (CheckReport, MuDecomposition,
-                                 inspected_length, inspected_prefix,
+from abelianwords.checks import (DEFAULT_MARGIN, CheckReport,
+                                 MuDecomposition, inspected_length,
+                                 inspected_prefix,
                                  mu_preimage_decompose,
                                  periodicity_via_parikh,
                                  rauzy_constant3_check,
                                  special_factor_witnesses, tm_profile_check)
-from abelianwords.complexity import parikh_classes
+from abelianwords.complexity import abelian_profile, parikh_classes
 from abelianwords.contfrac import ContinuedFraction
 from abelianwords.words import (CONSTANT3, FIBONACCI, THUE_MORSE,
                                 Characteristic, FixedPoint, Hubert, Periodic,
                                 WordPrefix, apply_morphism, champernowne_prefix,
-                                fixed_point, max_complexity_prefix, prefix_of)
+                                complete_prefix_length, fixed_point,
+                                max_complexity_prefix, prefix_of)
 
 
 def word(digits):
@@ -38,12 +40,14 @@ class TestTmProfileCheck:
         assert not report.passed
         assert report.witness == {"n": 2, "expected": 3, "actual": 2}
 
-    def test_prefix_too_short(self, tm4096):
-        with pytest.raises(ValueError, match="margin"):
-            tm_profile_check(tm4096, 256)
-
-    def test_margin_is_configurable(self, tm4096):
-        assert tm_profile_check(tm4096, 256, margin=16).passed
+    def test_factor_complete_prefix_shorter_than_the_margin(self, tm4096):
+        # 4096 < 64 * 256 symbols, but the Thue-Morse prefix of 8 * 256
+        # symbols already holds every factor of length <= 256
+        thue_morse = FixedPoint(THUE_MORSE, 0)
+        assert len(inspected_prefix(thue_morse, 256)) == 8 * 256
+        assert tm_profile_check(tm4096, 256).passed
+        assert tm_profile_check(inspected_prefix(thue_morse, 256), 256) \
+            == tm_profile_check(tm4096, 256)
 
 
 class TestInspectedLength:
@@ -53,24 +57,23 @@ class TestInspectedLength:
         assert inspected_length(FixedPoint(THUE_MORSE, 0), 1024) == 8192
 
     def test_margin_without_a_bound(self, golden):
-        assert inspected_length(Hubert(golden), 512) == 64 * 512
-        assert inspected_length(Hubert(golden), 10, margin=3) == 30
+        assert inspected_length(Hubert(golden), 512) == DEFAULT_MARGIN * 512
 
     def test_margin_caps_a_longer_bound(self):
         # q_1 = 1000, so the Sturmian bound at n = 2 is 2 + 1000 + 1 - 1
         slope = Characteristic(ContinuedFraction((1000,), (1,)))
-        assert inspected_length(slope, 2) == 128
-        assert inspected_length(slope, 2, margin=1000) == 1002
+        assert complete_prefix_length(slope, 2).length == 1002
+        assert inspected_length(slope, 2) == DEFAULT_MARGIN * 2 == 128
+        assert inspected_length(slope, 16) == 1016 < DEFAULT_MARGIN * 16
 
-    @pytest.mark.parametrize("recipe, n_max, margin", [
-        (FixedPoint(FIBONACCI, 0, post=CONSTANT3), 512, 64),
-        (FixedPoint(THUE_MORSE, 0), 1024, 64),
-        (Hubert(ContinuedFraction((2,), (1,))), 10, 3),
+    @pytest.mark.parametrize("recipe, n_max", [
+        (FixedPoint(FIBONACCI, 0, post=CONSTANT3), 512),
+        (FixedPoint(THUE_MORSE, 0), 1024),
+        (Hubert(ContinuedFraction((2,), (1,))), 10),
     ], ids=["rauzy", "thue-morse", "hubert-margin"])
-    def test_inspected_prefix_is_of_inspected_length(self, recipe, n_max,
-                                                     margin):
-        assert inspected_prefix(recipe, n_max, margin=margin) == prefix_of(
-            recipe, inspected_length(recipe, n_max, margin))
+    def test_inspected_prefix_is_of_inspected_length(self, recipe, n_max):
+        assert inspected_prefix(recipe, n_max) == prefix_of(
+            recipe, inspected_length(recipe, n_max))
 
     def test_inspected_prefix_honours_prefix_len(self):
         rauzy = FixedPoint(FIBONACCI, 0, post=CONSTANT3)
@@ -79,9 +82,13 @@ class TestInspectedLength:
             inspected_prefix(rauzy, 200, 100)
 
     def test_rauzy_check_reads_the_same_on_both(self):
+        # the check reads the factor-complete prefix; the margin's longer
+        # prefix has the same profile
         rauzy = FixedPoint(FIBONACCI, 0, post=CONSTANT3)
-        assert (rauzy_constant3_check(rauzy, 200)
-                == rauzy_constant3_check(rauzy, 200, prefix_len=64 * 200))
+        assert inspected_length(rauzy, 200) < DEFAULT_MARGIN * 200
+        assert rauzy_constant3_check(rauzy, 200).passed
+        assert abelian_profile(prefix_of(rauzy, DEFAULT_MARGIN * 200),
+                               200) == [3] * 200
 
 
 def loop_decompose(w):
@@ -256,7 +263,7 @@ class TestStructuralInvariants:
             assert not tm_profile_check(w, 32).passed
 
     def test_no_cube_of_a_letter_in_passing_words(self, tm4096):
-        assert tm_profile_check(tm4096, 3, margin=1).passed
+        assert tm_profile_check(tm4096, 3).passed
         s = tm4096.symbols
         assert bytes([0, 0, 0]) not in s and bytes([1, 1, 1]) not in s
 

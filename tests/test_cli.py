@@ -14,7 +14,8 @@ GOLDEN_JSON = '{"preperiod": [2], "period": [1]}'
 import abelianwords
 from abelianwords import checks
 from abelianwords.cli import RECIPE_PRESETS, main
-from abelianwords.words import recipe_from_dict, recipe_to_dict
+from abelianwords.complexity import abelian_profile
+from abelianwords.words import prefix_of, recipe_from_dict, recipe_to_dict
 
 
 def run(capsys, *args):
@@ -273,11 +274,19 @@ class TestPowers:
         assert (cert["start"], cert["period"]) == (3, 5)
         assert cert["recipe"]["kind"] == "fixed-point"
 
-    @pytest.mark.parametrize("M", ["3000000000", "100000000000"])
-    def test_vdw_huge_weights_find_nothing(self, capsys, M):
-        # N = (M + 1)**2 exceeds every block's weight sum at this length
+    @pytest.mark.parametrize("M, prefix_len", [
+        ("3000000000", "4096"), ("100000000000", "4096"),
+        ("3000000000", "262144")],
+        ids=["3000000000", "100000000000", "3000000000-262144"])
+    def test_vdw_huge_weights_find_nothing(self, capsys, monkeypatch, M,
+                                           prefix_len):
+        # a progression needs a step s > M, and none fits in prefix_len // 2
+        # symbols: the search ends before it builds any residue
+        def refuse(*args):
+            raise AssertionError("residues built")
+        monkeypatch.setattr(abelianwords.powers, "_vdw_residues", refuse)
         code, out, err = run(capsys, "powers", "vdw", "--recipe", "tm",
-                             "--k", "2", "--M", M, "--prefix-len", "4096")
+                             "--k", "2", "--M", M, "--prefix-len", prefix_len)
         assert (code, out, err) == (
             1, "no abelian power found within the prefix\n", "")
 
@@ -359,13 +368,14 @@ class TestVerify:
     @pytest.mark.parametrize("variant, preset", [
         ("hubert", "hubert-golden"), ("morphism", "rauzy-morphism")])
     def test_rauzy_matches_the_margin(self, capsys, variant, preset):
+        # the verdict on the inspected prefix is the one the 64 * n
+        # prefix gives
         recipe = recipe_from_dict(RECIPE_PRESETS[preset])
-        margin = checks.rauzy_constant3_check(recipe, 48, prefix_len=64 * 48)
+        assert abelian_profile(prefix_of(recipe, 64 * 48), 48) == [3] * 48
         code, out, _ = run(capsys, "verify", "rauzy", "--variant", variant,
                            "--nmax", "48")
         assert code == 0
-        assert out == (f"{margin.verdict.upper()} claim={margin.claim} "
-                       f"range={margin.range_checked}\n")
+        assert out == "PASS claim=constant-abelian-3 range=1..48\n"
 
     def test_periodicity_failure(self, capsys):
         code, out, _ = run(capsys, "verify", "periodicity", "--recipe",

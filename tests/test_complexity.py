@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from abelianwords import complexity
-from abelianwords.complexity import (_FLAG_SPACE, _dense_ranks,
+from abelianwords.complexity import (_FLAG_SPACE, _class_count, _dense_ranks,
                                      _doubled_ranks, _extremes,
                                      _many_windows, _prefix_sums,
                                      _rank_levels, _representatives, _top,
@@ -304,12 +304,14 @@ class TestWindowPassLargeAlphabets:
 class TestDenseRanks:
     """``_dense_ranks`` against the inverse of ``np.unique``, whose ranks
     0..R-1 are the dense ranks 1..R less one, in both regimes and with
-    ``out`` aliasing ``code``."""
+    ``out`` aliasing ``code``; ``_class_count`` against its length."""
 
-    @pytest.mark.parametrize("space, size", [
+    SPACES_AND_SIZES = [
         (1, 1), (7, 100), (4 * 100, 100), (4 * 100 + 1, 100),
         (300, 1000), (2**40, 100), (2**62, 5000),
-    ])
+    ]
+
+    @pytest.mark.parametrize("space, size", SPACES_AND_SIZES)
     @pytest.mark.parametrize("alias", [False, True], ids=["out", "in-place"])
     def test_against_unique(self, space, size, alias):
         rng = np.random.default_rng(space % 1000 + size)
@@ -318,6 +320,15 @@ class TestDenseRanks:
         out = code if alias else np.empty(size, dtype=np.int64)
         assert _dense_ranks(code, space, out) == len(values)
         assert np.array_equal(out, inverse.reshape(-1) + 1)
+
+    @pytest.mark.parametrize("space, size", SPACES_AND_SIZES)
+    def test_class_count_against_unique(self, space, size):
+        rng = np.random.default_rng(space % 1000 + size)
+        code = rng.integers(0, space, size, dtype=np.int64)
+        distinct = len(np.unique(code))
+        flags = np.empty(_FLAG_SPACE * size, dtype=bool)
+        # the sorting regime sorts the codes in place
+        assert _class_count(code.copy(), space, flags) == distinct
 
     @pytest.mark.parametrize("size, marks", [(63, False), (64, True)])
     def test_letters_into_narrow_scratch(self, size, marks):
@@ -334,6 +345,54 @@ class TestDenseRanks:
         assert _dense_ranks(code, 256, out, flags, numbers) == len(values)
         assert np.array_equal(out, inverse.reshape(-1) + 1)
         assert bool((numbers != -1).any()) == marks
+
+
+class TestFlagSpace:
+    """Marking and sorting give one answer: every window pass reads the
+    same at any ``_FLAG_SPACE``, which only moves the threshold between
+    them, and both branches of both kernels run at each value tried."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, golden):
+        rng = random.Random(2201)
+        rauzy = FixedPoint(Morphism.from_strings({"0": "01", "1": "0"}), 0,
+                           post=Morphism.from_strings({"0": "012",
+                                                       "1": "021"}))
+        return [fixed_point(THUE_MORSE, 0, 4096),
+                characteristic_prefix(golden, 4096),
+                prefix_of(Hubert(golden), 4096),
+                prefix_of(rauzy, 4096),
+                champernowne_prefix(4096)] + [
+            WordPrefix(p, bytes(rng.randrange(p) for _ in range(4096)))
+            for p in (3, 4)]
+
+    @staticmethod
+    def passes(w):
+        return (profile(w, 64), abelian_profile(w, 300),
+                abelian_profile(w, 300, 17), balance_per_length(w, 300),
+                [parikh_classes(w, n) for n in (1, 7, 64, 300)],
+                subword_profile(w, 300))
+
+    @pytest.mark.parametrize("flag_space", [1, 64])
+    def test_same_answer_either_side(self, monkeypatch, corpus, flag_space):
+        expected = [self.passes(w) for w in corpus]
+        hits = set()
+        dense_ranks, class_count = _dense_ranks, _class_count
+
+        def counting_ranks(code, space, out, flags=None, numbers=None):
+            hits.add(("ranks", space <= flag_space * code.size))
+            return dense_ranks(code, space, out, flags, numbers)
+
+        def counting_count(code, space, flags):
+            hits.add(("count", space <= flag_space * code.size))
+            return class_count(code, space, flags)
+
+        monkeypatch.setattr(complexity, "_FLAG_SPACE", flag_space)
+        monkeypatch.setattr(complexity, "_dense_ranks", counting_ranks)
+        monkeypatch.setattr(complexity, "_class_count", counting_count)
+        assert [self.passes(w) for w in corpus] == expected
+        assert hits == {(kernel, marks) for kernel in ("ranks", "count")
+                        for marks in (False, True)}
 
 
 class TestSubwordProfile:

@@ -79,6 +79,19 @@ def oracle_power_at(alpha, i, k, delta=HALF_ALPHA):
     return AbelianPowerOccurrence(i - 1, ell, k, blocks[0])
 
 
+def assert_block_ends_agree(alpha, occ):
+    """The invariant behind the locator's case classification: on the
+    working slope's characteristic word (the slope below 1/2, its
+    complement above), the k blocks of a certificate end on one letter,
+    at 0-based positions start + j*period - 1 for j = 1..k."""
+    below_half = oracle_affine_sign(alpha, 1, Fraction(-1, 2)) < 0
+    work = alpha if below_half else alpha.complement()
+    word = characteristic_prefix(work, occ.start + occ.exponent * occ.period)
+    ends = {word.symbols[occ.start + j * occ.period - 1]
+            for j in range(1, occ.exponent + 1)}
+    assert len(ends) == 1, (occ, ends)
+
+
 def reference_vdw(symbols, k, weights):
     """The nu-progression scan in Python ints: smallest s, then smallest
     t0, with nu(t0) = nu(t0 + s) = ... = nu(t0 + k*s), or None."""
@@ -161,18 +174,20 @@ class TestSearchWorkBound:
     BudgetError once their total would pass ``complexity._WORK_BOUND``."""
 
     # Dekking's fixed point has no Abelian 4-power, so both scans run to
-    # their last candidate
+    # their last candidate; the progression scan starts at step M + 1
     DEKKING = fixed_point(Morphism.from_strings({"0": "011", "1": "0001"}),
                           0, 1024)
     CAP = len(DEKKING) // 4
+    M = 10
     BRUTE = 4 * CAP * (CAP + 1) // 2
-    VDW = CAP * (len(DEKKING) + 1) - 4 * CAP * (CAP + 1) // 2
+    VDW = ((CAP - M) * (len(DEKKING) + 1)
+           - 4 * (CAP * (CAP + 1) - M * (M + 1)) // 2)
 
     def brute(self):
         return min_abelian_period(self.DEKKING, 0, 4)
 
     def vdw(self):
-        return vdw_power_search(self.DEKKING, 4, congo_weights(10, 2))
+        return vdw_power_search(self.DEKKING, 4, congo_weights(self.M, 2))
 
     @pytest.mark.parametrize("search, work", [("brute", BRUTE), ("vdw", VDW)])
     def test_full_scan_within_the_bound(self, monkeypatch, search, work):
@@ -187,7 +202,7 @@ class TestSearchWorkBound:
 
     def test_early_power_is_not_refused(self, monkeypatch):
         # periods 1 and 2 of the square at 0 read 2 + 4 symbols, and the
-        # progression step 5 reads (10^5 - 2s + 1) starts for s <= 5
+        # progression steps 3..5 read (10^5 - 2s + 1) starts each
         monkeypatch.setattr(complexity, "_WORK_BOUND", 5 * 10**5)
         w = fixed_point(THUE_MORSE, 0, 10**5)
         assert min_abelian_period(w, 0, 2) == 2
@@ -251,8 +266,8 @@ class TestVdwSearch:
 
     @pytest.mark.parametrize("M", [2, 10**3, 3 * 10**9, 10**11])
     def test_matches_python_int_scan(self, M, tm4096):
-        # past N * (block + 1) = 2**63 a block's running sums would leave
-        # int64, and the residues come from the Python-int path
+        # the reference scans every step from s = 1; at M > L // k no step
+        # s > M fits, and the search returns None before the residues
         weights = congo_weights(M, 2)
         for length, k in ((0, 2), (1, 2), (37, 3), (500, 3), (4096, 2)):
             w = WordPrefix(2, tm4096.symbols[:length])
@@ -262,12 +277,25 @@ class TestVdwSearch:
             if M > 10**9:  # N = (M + 1)**2 outweighs any block here
                 assert found is None
 
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.integers(1, 3), data=st.data(), M=st.integers(1, 7),
+           k=st.integers(1, 4))
+    def test_every_progression_has_step_above_m(self, p, data, M, k):
+        # a block of s <= M letters weighs at least 1 and at most
+        # s * max(alphas) < N, so no progression closes before s = M + 1;
+        # the reference scan, which tries every step, agrees
+        symbols = bytes(data.draw(st.lists(st.integers(0, p - 1),
+                                           max_size=120)))
+        weights = congo_weights(M, p)
+        found = progression_found(WordPrefix(p, symbols), k, weights)
+        assert found == reference_vdw(symbols, k, weights)
+        assert found is None or found[1] > M
+
     @pytest.mark.parametrize("M", [1, 15, 16, 255, 256, 3 * 10**9, 10**11])
     def test_narrow_residues_match_int64_scan(self, M, golden):
         # N = (M + 1)**2 for two letters: up to M = 15 the residues fit
-        # uint8, up to M = 255 uint16, then uint32; past M of about
-        # 1.19 * 10**7 (so at 3 * 10**9 and 10**11), N * (block + 1) passes
-        # 2**63 and the Python-int path renames the residues
+        # uint8, up to M = 255 uint16, then uint32; at 3 * 10**9 and 10**11
+        # M is above L // k, and the search returns None at once
         weights = congo_weights(M, 2)
         length = 20000 if M < 100 else 3000  # large N: whole scans, no hit
         prefixes = [characteristic_prefix(golden, length)]
@@ -281,18 +309,26 @@ class TestVdwSearch:
                     found = None if occ is None else (occ.start, occ.period)
                     assert found == int64_vdw(shifted, k, weights), (M, k)
 
-    @pytest.mark.parametrize("M", [2, 10**11])
-    def test_running_sums_built_once_per_word(self, M):
+    @pytest.mark.parametrize("letters, M", [(2, 2), (8, 60)],
+                             ids=["2", "8-letters-60"])
+    def test_running_sums_built_once_per_word(self, letters, M):
         # k = 2..5 on one word and one set of weights share one residue
-        # array; M = 10**11 takes the Python-int path
-        # (N * (block + 1) >= 2**63)
-        w = fixed_point(THUE_MORSE, 0, 3000)
-        weights = congo_weights(M, 2)
+        # array.  Thue-Morse on the top two of eight letters at M = 60 takes
+        # the Python-int path (N = 61**8, so N * (block + 1) >= 2**63) with
+        # M < L // k, and has a square at step 121
+        tm = fixed_point(THUE_MORSE, 0, 3000)
+        w = WordPrefix(letters, bytes(letters - 2 + a for a in tm.symbols))
+        weights = congo_weights(M, letters)
+        python_ints = weights.N * (powers._RESIDUE_BLOCK + 1) >= 2**63
+        assert python_ints == (letters == 8)
         powers._vdw_residues.cache_clear()
+        found = []
         for k in range(2, 6):
             occ = vdw_power_search(w, k, weights)
-            found = None if occ is None else (occ.start, occ.period)
-            assert found == int64_vdw(w, k, weights), k
+            found.append(None if occ is None else (occ.start, occ.period))
+            assert found[-1] == int64_vdw(w, k, weights), k
+        if python_ints:
+            assert found == [(5, 121), None, None, None]
         info = powers._vdw_residues.cache_info()
         assert (info.misses, info.hits) == (1, 3)
         nu = powers._vdw_residues(w.symbols, weights)
@@ -511,50 +547,41 @@ class TestSturmianPowerAt:
         for k in (2, 3):
             pair = sturmian_period_pair(golden, k)
             for i in range(1, 51):
-                occ = sturmian_power_at(golden, i, k, check_internal=True)
+                occ = sturmian_power_at(golden, i, k)
                 assert occ.period in (pair.ell1, pair.ell2)
                 assert verify_abelian_power(w, occ.start, occ.period, k)
+                assert_block_ends_agree(golden, occ)
 
     def test_slope_above_half_uses_complement(self, golden):
         comp = golden.complement()  # 1/phi ~ 0.618
         w = characteristic_prefix(comp, 800)
         for i in (1, 5, 9):
-            occ = sturmian_power_at(comp, i, 3, check_internal=True)
+            occ = sturmian_power_at(comp, i, 3)
             assert verify_abelian_power(w, occ.start, occ.period, 3)
+            assert_block_ends_agree(comp, occ)
 
-    def test_internal_check_below_half_builds_one_prefix(self, monkeypatch):
-        # below 1/2 the working slope is the slope itself, so the internal
-        # check reads the word the verification reads: no complement is
-        # built and no second characteristic word is grown
-        made, grown = [], []
-        complement, grow = ContinuedFraction.complement, words._grow_characteristic
+    def test_above_half_never_grows_the_complement_word(self, monkeypatch):
+        # periods are decided on the complement, but only the requested
+        # slope's word is grown; a slope no other test uses, with the
+        # locator caches cleared, so its working slope is fresh
+        grown = []
+        grow = words._grow_characteristic
 
-        def counting_complement(alpha):
-            made.append(alpha)
-            return complement(alpha)
-
-        def counting_grow(alpha, word, want):
+        def counting(alpha, word, want):
             grown.append(alpha)
             return grow(alpha, word, want)
 
-        monkeypatch.setattr(ContinuedFraction, "complement", counting_complement)
-        monkeypatch.setattr(words, "_grow_characteristic", counting_grow)
+        monkeypatch.setattr(words, "_grow_characteristic", counting)
         powers._complement.cache_clear()
-        alpha = ContinuedFraction((2,), (1,))  # golden, with fresh caches
-        for i in range(1, 41):
-            sturmian_power_at(alpha, i, 3, check_internal=True)
-        assert made == []
-        assert grown and all(a is alpha for a in grown)
-
-    def test_above_half_grows_the_complement_word_for_the_check_only(self):
-        # only the internal check reads the working slope's word; a slope
-        # no other test uses, so its locator is fresh
+        powers._locator.cache_clear()
         alpha = ContinuedFraction((1, 3), (1, 2))
-        sturmian_power_at(alpha, 5, 3)
+        for k in (2, 3, 5):
+            sturmian_powers(alpha, range(1, 201), k)
+            sturmian_power_at(alpha, 5, k)
         work = powers._locator(alpha, 3, powers.DEFAULT_DELTA).work
-        assert work == alpha.complement() and work._word[0] == b""
-        sturmian_power_at(alpha, 5, 3, check_internal=True)
-        assert len(work._word[0]) >= len(alpha._word[0]) > 0
+        assert work == alpha.complement() and work is not alpha
+        assert work._word[0] == b"" and len(alpha._word[0]) > 0
+        assert grown and all(a is alpha for a in grown)
 
     def test_complement_is_built_once_per_slope(self, monkeypatch):
         made = []
@@ -619,8 +646,9 @@ class TestSturmianAgainstFractionOracle:
         alpha, d = self.SLOPES[slope], self.DELTAS[delta]
         for k in range(1, 9):
             for i in self.POSITIONS:
-                assert sturmian_power_at(alpha, i, k, d, check_internal=True) \
-                    == oracle_power_at(alpha, i, k, d), (i, k)
+                occ = sturmian_power_at(alpha, i, k, d)
+                assert occ == oracle_power_at(alpha, i, k, d), (i, k)
+                assert_block_ends_agree(alpha, occ)
 
     @pytest.mark.parametrize("delta", DELTAS, ids=list(DELTAS))
     @pytest.mark.parametrize("slope", SLOPES, ids=list(SLOPES))
