@@ -560,6 +560,30 @@ class TestSturmianPowerAt:
             assert verify_abelian_power(w, occ.start, occ.period, 3)
             assert_block_ends_agree(comp, occ)
 
+    def test_internal_check_below_half_builds_one_prefix(self, monkeypatch):
+        # below 1/2 the working slope is the slope itself, so the block-end
+        # check reads the word the verification reads: no complement is
+        # built and no second characteristic word is grown
+        made, grown = [], []
+        complement, grow = ContinuedFraction.complement, words._grow_characteristic
+
+        def counting_complement(alpha):
+            made.append(alpha)
+            return complement(alpha)
+
+        def counting_grow(alpha, word, want):
+            grown.append(alpha)
+            return grow(alpha, word, want)
+
+        monkeypatch.setattr(ContinuedFraction, "complement", counting_complement)
+        monkeypatch.setattr(words, "_grow_characteristic", counting_grow)
+        powers._complement.cache_clear()
+        alpha = ContinuedFraction((2,), (1,))  # golden, with fresh caches
+        for i in range(1, 41):
+            assert_block_ends_agree(alpha, sturmian_power_at(alpha, i, 3))
+        assert made == []
+        assert grown and all(a is alpha for a in grown)
+
     def test_above_half_never_grows_the_complement_word(self, monkeypatch):
         # periods are decided on the complement, but only the requested
         # slope's word is grown; a slope no other test uses, with the
