@@ -7,31 +7,42 @@ word shows up.  Profiles are reported for lengths n = 1..n_max; the empty
 length would contribute the constant 1 and is omitted, matching the usual
 convention.
 
-Every window pass reads per-letter prefix sums built once per word
+Every window pass reads prefix sums built once per word by one builder
 (``_prefix_sums``).  Balance reads only each letter's least and greatest
 count at every length (``_extremes``); so does every Abelian count on
 p <= 2 letters, since one letter's count moves by at most one per slide
 and takes every value between its extremes: the Abelian complexity is
 its spread plus one, and ``parikh_classes`` lists the vectors of that
-range.  On p >= 3 letters the Abelian complexity counts the classes of
-each length's windows, and ``profile`` takes the balance from that same
-class pass; ``parikh_classes`` reads one length of it.  Both passes
-read their windows through one of two readers.  Over several lengths
-they read one window per distinct top-level window of the subword
-kernel's rank levels (length 2^top >= n_max) while those number at most
-L/2 (p <= 2) or L/4 (p >= 3), as tiles of rows of the sums'
-sliding-window view (``_window_rows``); single lengths and words with
-more distinct windows read every window, one length at a time
+range.  On p >= 3 letters the extremes pass gives the balance and the
+radices 1 + spread of a mixed-radix class code, and the Abelian
+complexity counts the distinct codes of each length's windows.  A
+window's code is read off one weighted prefix sum as one subtraction
+(``_class_sums``): a letter weighs the product of the radices of the
+letters before it, so the window's letter counts, less their least, are
+the digits of its code, less the least code.  The sums wrap in the
+narrowest unsigned type holding n_max times the greatest weight, exactly
+as letter counts do.  Alphabets whose codes would pass 2^63 split their
+first p - 1 letters into groups with one sum each, and the group codes
+of a length are joined through dense ranks (``_class_code``).
+``parikh_classes`` reads one length of the same pass.
+
+Both passes read their windows through one of two readers.  Over
+several lengths they read one window per distinct top-level window of
+the subword kernel's rank levels (length 2^top >= n_max) while those
+number at most L/2 (p <= 2) or L/4 (p >= 3), as tiles of rows of the
+sums' sliding-window view (``_window_rows``), and the class pass counts
+each tile's lengths in one step; single lengths and words with more
+distinct windows read every window, one length at a time
 (``_window_counts``).  Both ways see the same Parikh vectors, so the
 results are the same (see ``_window_rows``).
 
 Both complexities count distinct values of integer codes: class codes
 of Parikh vectors, pair codes of the rank levels.  ``_class_count`` only
-counts them; every step that ranks them (the rank levels, the class
-codes compacted before they pass int64, the classes ``parikh_classes``
-lists) calls the one ranker ``_dense_ranks``.  Both mark the codes
-present while the code space is at most ``_FLAG_SPACE`` times the code
-count, and sort only beyond it.
+counts them; every step that ranks them (the rank levels, the group
+codes joined for a class code, the classes ``parikh_classes`` lists)
+calls the one ranker ``_dense_ranks``.  Both mark the codes present
+while the code space is at most ``_FLAG_SPACE`` times the code count,
+and sort only beyond it.
 
 A window pass or subword pass over more than 2^32 window steps (prefix
 length times the number of window lengths, whichever windows it reads)
@@ -39,7 +50,7 @@ raises BudgetError before it allocates anything.
 """
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Iterable, Union
 
 import numpy as np
@@ -75,6 +86,10 @@ _WORK_BOUND = DEFAULT_SYMBOL_BUDGET * 64
 
 # counts per letter in one tile of representative windows (``_window_rows``)
 _GATHER = 1 << 16
+
+# every window's code in one letter group of a class pass stays below this
+# (``_class_sums``)
+_CODE_BOUND = 2**63
 
 
 def _coerce(word: Wordlike, alphabet_size=None) -> tuple[bytes, int]:
@@ -128,8 +143,13 @@ def _checked(w: Wordlike, n_max: int, n_min: int = 1) -> tuple[bytes, int]:
 def _most_representatives(p: int, L: int) -> int:
     """The most distinct top-level windows for which a window pass over
     several lengths reads one window each.  With one tracked letter
-    (p <= 2) the rows cost less than the contiguous pass up to L/2; where
-    every letter is counted they may cost more from L/4 on."""
+    (p <= 2) the rows cost less than the contiguous pass up to L/2.  With
+    p >= 3 the extremes pass reads a row per letter and the class pass
+    one row per letter group; measured on periodic 4-letter words of
+    2^15 symbols the rows cost more than the contiguous pass from about
+    L/8 on at n <= 256 and earlier at n <= 32, but on the short prefixes
+    of ``verify rauzy`` (R near L/5) they cost a quarter of it, so the
+    cap stays at L/4."""
     return L // (2 if p <= 2 else 4)
 
 
@@ -156,13 +176,10 @@ def _window_positions(symbols: bytes, p: int, n_max: int, n_min: int,
         return None
     L = len(symbols)
     most = _most_representatives(p, L)
-    if top_level:
-        levels = [top_level]
-    elif _many_windows(symbols, p, _top(n_max)):
+    if not top_level and _many_windows(symbols, p, _top(n_max)):
         return None
-    else:
-        levels = _doubled_ranks(symbols, _top(n_max))
-    for lev, R in levels:
+    for lev, R in [top_level] if top_level else _doubled_ranks(
+            symbols, _top(n_max)):
         if R > most:
             return None
     return np.sort(_representatives(lev, R, L))
@@ -199,32 +216,44 @@ def _many_windows(symbols: bytes, p: int, top: int) -> bool:
                         np.empty(_FLAG_SPACE * k, dtype=bool)) > most
 
 
-def _prefix_sums(symbols: bytes, letters, n_max: int):
-    """Prefix sums of the given letters' counts in a word of length L,
-    one row each, at indices 0..L, then n_max - 1 zeros: a row of
-    ``_window_rows`` starting at any position < L stays inside them.
+def _prefix_sums(symbols: bytes, rows, n_max: int, radix=None):
+    """Prefix sums of a word of length L, one row per entry of ``rows``,
+    at indices 0..L, then n_max - 1 zeros: a row of ``_window_rows``
+    starting at any position < L stays inside them.
 
-    The sums wrap in the narrowest unsigned dtype holding n_max + 1.  A
-    window of length n <= n_max holds at most n_max of a letter, so its
-    count, the difference of two sums taken in that dtype, is exact."""
+    A row given as a letter counts that letter.  A row given as a group
+    of letters, as ``_class_sums`` gives them, sums the symbols' weights
+    instead: a letter of the group weighs the product of the ``radix`` of
+    the letters before it, every other letter 0, and each symbol's weight
+    is built by Horner's rule.  The sums wrap in the narrowest unsigned
+    dtype holding n_max times the greatest weight, plus one.  A window of
+    length n <= n_max weighs at most that, so its weight, the difference
+    of two sums taken in that dtype, is exact."""
     L = len(symbols)
     arr = np.frombuffer(symbols, dtype=np.uint8)
-    cum = np.zeros((len(letters), L + n_max),
-                   dtype=np.min_scalar_type(n_max + 1))
-    for row, a in zip(cum, letters):
-        np.cumsum(arr == a, dtype=cum.dtype, out=row[1:L + 1])
+    top = max(prod(radix[a] for a in np.atleast_1d(g)[:-1]) for g in rows)
+    cum = np.zeros((len(rows), L + n_max),
+                   dtype=np.min_scalar_type(n_max * top + 1))
+    for row, group in zip(cum[:, 1:L + 1], map(np.atleast_1d, rows)):
+        np.equal(arr, group[-1], out=row)
+        for a in reversed(group[:-1]):
+            row *= radix[a]
+            row += arr == a
+        np.cumsum(row, out=row)  # in place: no cast of the word's length
     return cum
 
 
 def _window_counts(cum, L: int, n_max: int, n_min: int):
     """Yields ``(counts, lo, hi)`` for n = n_min..n_max, read off the
-    ``_prefix_sums`` ``cum`` of a word of length L: each row's letter
-    counts in every length-n window, as contiguous slices of the sums into
-    one reused buffer, and their least and greatest."""
-    buf = np.empty((len(cum), L), dtype=cum.dtype)
+    ``_prefix_sums`` ``cum`` of a word of length L, in the layout of
+    ``_window_rows`` with one length a tile: each row's counts in every
+    length-n window, shape (rows, windows, 1), as contiguous slices of the
+    sums into one reused buffer, and their least and greatest, shape
+    (rows, 1)."""
+    buf = np.empty((len(cum), L, 1), dtype=cum.dtype)
     for n in range(n_min, n_max + 1):
-        k = L - n + 1
-        counts = np.subtract(cum[:, n:L + 1], cum[:, :k], out=buf[:, :k])
+        counts = np.subtract(cum[:, n:L + 1, None], cum[:, :L - n + 1, None],
+                             out=buf[:, :L - n + 1])
         yield counts, counts.min(axis=1), counts.max(axis=1)
 
 
@@ -265,9 +294,7 @@ def _window_rows(cum, L: int, n_max: int, n_min: int, positions,
             tile -= cum[:, at, None]
             # rows from here on run past L at the tile's longest length
             late = max(fits[j + len(lengths) - 1] - i, 0)
-            if late < len(at):
-                np.copyto(tile[:, late:], at0,
-                          where=at[late:, None] > L - lengths)
+            np.copyto(tile[:, late:], at0, where=at[late:, None] > L - lengths)
             yield tile, tile.min(axis=1), tile.max(axis=1)
 
 
@@ -285,18 +312,16 @@ def _extremes(symbols: bytes, p: int, n_max: int, n_min: int = 1,
     ``_GATHER`` counts a letter each, and reduced over the tiles; that is
     exact (see ``_window_rows``).
     """
-    L = len(symbols)
-    letters = range(p) if p > 2 else [p - 1]
-    cum = _prefix_sums(symbols, letters, n_max)
+    cum = _prefix_sums(symbols, range(p) if p > 2 else [p - 1], n_max)
     if positions is None:
-        _, lo, hi = zip(*_window_counts(cum, L, n_max, n_min))
-        return np.array(lo).T, np.array(hi).T
+        _, lo, hi = zip(*_window_counts(cum, len(symbols), n_max, n_min))
+        return np.hstack(lo), np.hstack(hi)
     # the counts of the window at 0 start every minimum and maximum
     lo, hi = cum[:, n_min:n_max + 1].copy(), cum[:, n_min:n_max + 1].copy()
     lengths = n_max - n_min + 1
-    for _, tile_lo, tile_hi in _window_rows(cum, L, n_max, n_min, positions,
-                                            max(1, _GATHER // lengths),
-                                            lengths):
+    for _, tile_lo, tile_hi in _window_rows(
+            cum, len(symbols), n_max, n_min, positions,
+            max(1, _GATHER // lengths), lengths):
         np.minimum(lo, tile_lo, out=lo)
         np.maximum(hi, tile_hi, out=hi)
     return lo, hi
@@ -314,74 +339,113 @@ def _abelian_and_balance(symbols: bytes, p: int, n_max: int, n_min: int,
     """rho_ab and the largest per-letter count spread at n = n_min..n_max,
     from one window pass over a range-checked word.
 
+    The extremes pass (``_extremes``) gives the spreads on any alphabet.
     A count moves by at most one per slide, so a single tracked count
     (p <= 2) takes every value between its extremes, and rho_ab is its
-    spread plus one: the extremes pass (``_extremes``) gives both.  For
-    p >= 3 the classes are counted per length: off ``_window_counts`` over
-    every window, or with ``positions`` off the columns of ``_window_rows``
-    length tiles holding every representative, about ``_GATHER`` counts a
-    letter each."""
+    spread plus one.  For p >= 3 the greatest spread of each letter over
+    the pass sets its radix, and each window's class code is one
+    subtraction of the weighted prefix sums of ``_class_sums``, one row
+    per letter group (one group unless the codes would pass 2^63).  The
+    codes are read off ``_window_counts`` over every window, one length a
+    tile, or with ``positions`` off ``_window_rows`` length tiles holding
+    every representative, about ``_GATHER`` codes a group each; each
+    tile's lengths are counted in one ``_class_count``."""
+    lo, hi = _extremes(symbols, p, n_max, n_min, positions)
+    spread = hi - lo
+    balance = spread.max(axis=0).tolist()
     if p <= 2:
-        lo, hi = _extremes(symbols, p, n_max, n_min, positions)
-        spread = (hi[0] - lo[0]).tolist()
-        return [s + 1 for s in spread], spread
+        return [s + 1 for s in balance], balance
     L = len(symbols)
-    cum = _prefix_sums(symbols, range(p), n_max)
-    if positions is None:
-        windows, columns = L, _window_counts(cum, L, n_max, n_min)
-    else:
-        windows = len(positions)
-        columns = ((tile[:, :, j], lo[:, j], hi[:, j])
-                   for tile, lo, hi in _window_rows(
-                       cum, L, n_max, n_min, positions, windows,
-                       max(1, _GATHER // windows))
-                   for j in range(tile.shape[2]))
+    cum = _class_sums(symbols, spread.max(axis=1), n_max)
+    codes, tiles = L, _window_counts(cum, L, n_max, n_min)
+    if positions is not None:
+        width = max(1, _GATHER // len(positions))
+        codes, tiles = len(positions) * width, _window_rows(
+            cum, L, n_max, n_min, positions, len(positions), width)
     # allocated once per pass; pages no step touches are never faulted in
-    codes = np.empty(windows, dtype=np.int64)
-    flags = np.empty(_FLAG_SPACE * windows, dtype=bool)
-    rho_ab, spreads = [], []
-    for counts, lo, hi in columns:
-        code, space = _class_codes(counts, lo, hi, codes[:counts.shape[1]])
-        rho_ab.append(_class_count(code, space, flags))
-        spreads.append(hi - lo)
-    return rho_ab, np.max(spreads, axis=1).tolist()
+    out = np.empty((2, codes), dtype=np.int64)
+    flags = np.empty(_FLAG_SPACE * codes, dtype=bool)
+    counts = (_class_count(*_class_code(*tile, out), flags) for tile in tiles)
+    return [c for column in counts for c in column], balance
 
 
-def _class_codes(counts, lo, hi, code) -> tuple[np.ndarray, int]:
-    """Per-window int64 codes of p >= 3 rows of counts, written into
-    ``code`` and equal exactly when the Parikh vectors are, and the size
-    of their code space: the counts, offset by their minima ``lo``, in
-    mixed radix ``hi - lo + 1``.  The last row (n minus the rest) is left
-    out; the code is compacted to dense ranks before it would pass int64."""
-    np.subtract(counts[0], lo[0], out=code)
-    space = int(hi[0]) - int(lo[0]) + 1
-    for a in range(1, len(counts) - 1):
-        r = int(hi[a]) - int(lo[a]) + 1
-        if space * r > 2**63:  # ranks 1..R leave the codes in 0..R
-            space = _dense_ranks(code, space, code) + 1
-        # every partial value lies in (-lo[a], space * r), inside int64
-        code *= r
-        code -= int(lo[a])
-        code += counts[a]
-        space *= r
-    return code, space
+def _class_sums(symbols: bytes, spread, n_max: int):
+    """The ``_prefix_sums`` whose windows' differences are the group codes
+    of the Parikh classes of a p >= 3 letter word, given each letter's
+    greatest count spread ``spread`` over the pass: one row per group of
+    consecutive letters among the first p - 1.
+
+    A letter weighs the product of the radices 1 + spread of the letters
+    before it in its group.  So a window's group code less its least value
+    at a length holds the group's letter counts less theirs as mixed-radix
+    digits, and two windows of one length have equal group codes exactly
+    when they have equal counts of the group's letters; the last letter's
+    count is n less the rest.  A group takes letters while n_max times the
+    next weight stays below ``_CODE_BOUND``, so every code fits the sums'
+    dtype."""
+    radix = [s + 1 for s in spread[:-1].tolist()]
+    groups, weight = [], _CODE_BOUND
+    for a, r in enumerate(radix):
+        if n_max * weight >= _CODE_BOUND:  # the first letter opens a group
+            groups, weight = groups + [[]], 1
+        groups[-1].append(a)
+        weight *= r
+    return _prefix_sums(symbols, groups, n_max, radix)
 
 
-def _class_count(code, space: int, flags) -> int:
-    """Distinct values among ``code``, a code space of ``space`` values.
+def _class_code(codes, lo, hi, out) -> tuple[np.ndarray, int]:
+    """Int64 class codes of a tile of windows by m lengths, written into
+    ``out[0]`` with shape (windows, m), and the size of their code space,
+    from the windows' group codes ``codes`` (shape (groups, windows, m))
+    and their least and greatest at each length, ``lo`` and ``hi`` (shape
+    (groups, m)).  Codes of one length are equal exactly when the Parikh
+    vectors are, and those of length j lie in the j-th of m equal parts
+    of the space, for ``_class_count`` to count per length.
 
-    A code space at most ``_FLAG_SPACE`` times the window count is
-    counted by marking each code in ``flags``; a larger one by sorting the
-    codes in place and counting where neighbours differ.  ``flags`` holds
-    at least ``_FLAG_SPACE`` entries per window."""
+    One group's code, offset by its least at each length, is the class
+    code.  Several groups' codes are joined in pairs, each side ranked
+    1..R over the tile (``_dense_ranks``, the other side in ``out[1]``)
+    so that the pair fits in int64.  ``out`` holds two rows of at least
+    windows * m entries."""
+    m = codes.shape[2]
+    code, ranks = out[:, :codes[0].size]
+    np.subtract(codes[0], lo[0], out=code.reshape(-1, m))
+    space = max((hi[0] - lo[0]).tolist()) + 1
+    for row, low, high in zip(codes[1:], lo[1:], hi[1:]):
+        np.subtract(row, low, out=ranks.reshape(-1, m))
+        r = _dense_ranks(ranks, max((high - low).tolist()) + 1, ranks)
+        space = (_dense_ranks(code, space, code) + 1) * (r + 1)
+        code *= r + 1
+        code += ranks
+    code = code.reshape(-1, m)
+    if m > 1:
+        code += np.arange(0, space * m, space)
+    return code, space * m
+
+
+def _class_count(code, space: int, flags):
+    """Distinct values among ``code``, a code space of ``space`` values;
+    for a 2-D ``code`` of m columns whose column j lies in the j-th of m
+    equal parts of the space, a list of them per column.
+
+    A code space at most ``_FLAG_SPACE`` times the code count is counted
+    by marking each code in ``flags``; a larger one by sorting the codes
+    in place and marking where they change.  Sorted, the codes of column
+    j fill the j-th of m equal parts of the code count, as they do of the
+    space when marked; so either way each part of the marks counts its
+    column.  ``flags`` holds at least ``_FLAG_SPACE`` entries per code."""
+    flat = code.reshape(-1)
     if space <= _FLAG_SPACE * code.size:
         seen = flags[:space]
-        seen[:] = False
-        seen[code] = True
-        return int(np.count_nonzero(seen))
-    code.sort()
-    differs = np.not_equal(code[1:], code[:-1], out=flags[:code.size - 1])
-    return 1 + int(np.count_nonzero(differs))
+        seen.fill(False)
+        seen[flat] = True
+    else:
+        flat.sort()
+        seen = flags[:code.size]
+        seen[0] = True
+        np.not_equal(flat[1:], flat[:-1], out=seen[1:])
+    counts = [int(np.count_nonzero(c)) for c in seen.reshape(code[0].size, -1)]
+    return counts if code.ndim > 1 else counts[0]
 
 
 def _dense_ranks(code, space: int, out, flags=None, numbers=None) -> int:
@@ -390,27 +454,26 @@ def _dense_ranks(code, space: int, out, flags=None, numbers=None) -> int:
     ``out`` may be ``code`` itself.
 
     A code space at most ``_FLAG_SPACE`` times the code count is ranked
-    by marking each code in ``flags``, numbering the marks by a cumulative
-    sum into ``numbers`` and handing each code its number: no sort.  A
-    larger one is ranked by one argsort, counting where the sorted codes
-    change and scattering the counts back.  ``flags`` and ``numbers``
-    (of ``out``'s type) are reused scratch of at least ``_FLAG_SPACE``
-    entries per code; without them the step allocates its own."""
-    if flags is None:
-        flags = np.empty(_FLAG_SPACE * code.size, dtype=bool)
+    by marking each code in ``numbers``, numbering the marks in place by
+    a cumulative sum and handing each code its number: no sort, and no
+    copy of the marks cast to ``out``'s type.  A larger one is ranked by
+    one argsort, marking in ``flags`` where the sorted codes change,
+    counting the marks and scattering the counts back.  ``numbers`` (of
+    ``out``'s type, at least ``_FLAG_SPACE`` entries per code) and
+    ``flags`` (at least one per code) are reused scratch; without them the
+    step allocates its own."""
     if space <= _FLAG_SPACE * code.size:
-        seen = flags[:space]
-        seen[:] = False
-        seen[code] = True
-        if numbers is None:
-            numbers = np.empty(space, dtype=out.dtype)
-        numbers = np.cumsum(seen, out=numbers[:space])
+        numbers = (np.empty(space, dtype=out.dtype) if numbers is None
+                   else numbers[:space])
+        numbers.fill(0)
+        numbers[code] = 1
+        np.cumsum(numbers, out=numbers)
         # each entry is read before it is written, so out may be code
         np.take(numbers, code, out=out, mode="clip")
         return int(numbers[-1])
     order = np.argsort(code)
     ordered = code[order]
-    changes = flags[:code.size]
+    changes = np.empty(code.size, bool) if flags is None else flags[:code.size]
     changes[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=changes[1:])
     # the ordered codes are read by now; R <= code.size < space, so their
@@ -425,9 +488,10 @@ def abelian_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
 
     Read off one window pass (``_abelian_and_balance``).  On p <= 2
     letters it is the spread of one letter's count plus one, from the
-    extremes pass.  For p >= 3 the class codes are counted by marking a
-    flag per code while their space is a small multiple of the window
-    count, and by an in-place sort beyond it.  Over several lengths with
+    extremes pass.  For p >= 3 the class codes, read off one weighted
+    prefix sum (``_class_sums``), are counted by marking a flag per code
+    while their space is a small multiple of the window count, and by an
+    in-place sort beyond it.  Over several lengths with
     few distinct top-level windows (``_most_representatives``), either
     pass reads one window per distinct top-level window only
     (``_window_positions``), which is exact (see ``_window_rows``).
@@ -439,23 +503,27 @@ def abelian_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
 def parikh_classes(w: Wordlike, n: int) -> set[ParikhVector]:
     """The exact set of Parikh vectors of the length-n windows.
 
-    On p <= 2 letters one letter's count takes every value between its
-    extremes (``_extremes``), as it moves by at most one per slide.  On
-    p >= 3 the class codes of the windows are ranked (``_dense_ranks``),
-    and each vector is read off one window of its class
+    The tracked letters' counts in every window are read once.  On p <= 2
+    letters one letter's count takes every value between its extremes, as
+    it moves by at most one per slide.  On p >= 3 their spreads set the
+    radices of the class codes, which are read off the weighted prefix
+    sums of ``_class_sums`` (one row per letter group, one group unless
+    the codes would pass 2^63) and ranked (``_dense_ranks``); each vector
+    is the letter counts of one window of its class
     (``_representatives``)."""
     symbols, p = _checked(w, n, n)
+    L = len(symbols)
+    counts, lo, hi = next(_window_counts(
+        _prefix_sums(symbols, range(p) if p > 2 else [p - 1], n), L, n, n))
     if p <= 2:
-        lo, hi = _extremes(symbols, p, n, n)
         ones = range(int(lo[0, 0]), int(hi[0, 0]) + 1)
         return {(n - c, c) if p == 2 else (c,) for c in ones}
-    cum = _prefix_sums(symbols, range(p), n)
-    counts, lo, hi = next(_window_counts(cum, len(symbols), n, n))
-    code, space = _class_codes(counts, lo, hi,
-                               np.empty(counts.shape[1], dtype=np.int64))
-    R = _dense_ranks(code, space, code)
-    return set(map(tuple, counts[:, _representatives(code, R, code.size)]
-                   .T.tolist()))
+    code, space = _class_code(*next(_window_counts(
+        _class_sums(symbols, hi[:, 0] - lo[:, 0], n), L, n, n)),
+        np.empty((2, L - n + 1), dtype=np.int64))
+    code = code.ravel()
+    reps = _representatives(code, _dense_ranks(code, space, code), code.size)
+    return set(map(tuple, counts[:, reps, 0].T.tolist()))
 
 
 def subword_profile(w: Wordlike, n_max: int, n_min: int = 1) -> list[int]:
@@ -560,20 +628,13 @@ def _doubled_ranks(symbols: bytes, top: int):
     L = len(symbols)
     dtype = np.int32 if L < 2**31 - 2 else np.int64  # holds 0..L+1
 
-    def level(R):
-        """A zeroed level in the narrowest signed type holding 0..R."""
-        for t in (np.int8, np.int16, np.int32):
-            if R <= np.iinfo(t).max:
-                return np.zeros(L + 1, dtype=t)
-        return np.zeros(L + 1, dtype=np.int64)
-
     codes = np.empty(L, dtype=np.int64)
     ranks = np.empty(L, dtype=dtype)
-    flags = np.empty(_FLAG_SPACE * L, dtype=bool)
+    flags = np.empty(L, dtype=bool)
     numbers = np.empty(_FLAG_SPACE * L, dtype=dtype)
     arr = np.frombuffer(symbols, dtype=np.uint8)
     R = _dense_ranks(arr, 256, ranks, flags, numbers)
-    lev = level(R)
+    lev = np.zeros(L + 1, dtype=np.min_scalar_type(-R - 1))
     lev[:L] = ranks
     yield lev, R
     for j in range(1, top + 1):
@@ -586,7 +647,7 @@ def _doubled_ranks(symbols: bytes, top: int):
         codes *= R + 1
         codes[:L - half] += lev[half:L]
         R = _dense_ranks(codes, (R + 1) ** 2, ranks, flags, numbers)
-        lev = level(R)
+        lev = np.zeros(L + 1, dtype=np.min_scalar_type(-R - 1))
         lev[:L] = ranks
         yield lev, R
 
@@ -634,10 +695,11 @@ class ComplexityProfile:
 def profile(w: Wordlike, n_max: int) -> ComplexityProfile:
     """Assemble the Abelian profile, subword profile, and running balance
     of one prefix; one window pass gives both rho_ab and balance: the
-    extremes pass on p <= 2 letters, the class-counting pass beyond
-    (``_abelian_and_balance``).  The rank levels are built once: the
-    subword pass reads them, and so does the window pass where
-    ``_window_positions`` picks representatives.
+    extremes pass on every alphabet, as in ``balance_per_length``, and on
+    p >= 3 letters the class-counting pass over the weighted prefix sums
+    its spreads set up (``_abelian_and_balance``).  The rank levels are
+    built once: the subword pass reads them, and so does the window pass
+    where ``_window_positions`` picks representatives.
     """
     symbols, p = _checked(w, n_max)
     levels, R = _rank_levels(symbols, _top(n_max))
@@ -645,11 +707,10 @@ def profile(w: Wordlike, n_max: int) -> ComplexityProfile:
     rho = _subword_counts(len(symbols), n_max, 1, levels, R)
     del levels  # freed before the window pass allocates its buffers
     rho_ab, per_length = _abelian_and_balance(symbols, p, n_max, 1, positions)
-    running = np.maximum.accumulate(per_length)
     return ComplexityProfile(
         n_max=n_max,
         prefix_len=len(symbols),
         rho_ab=tuple(rho_ab),
         rho=tuple(rho),
-        balance_running=tuple(int(x) for x in running),
+        balance_running=tuple(np.maximum.accumulate(per_length).tolist()),
     )

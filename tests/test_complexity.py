@@ -301,6 +301,123 @@ class TestWindowPassLargeAlphabets:
         assert len(parikh_classes(w, 65)) == 66
 
 
+def mixed_radix_codes(counts, lo, hi):
+    """Oracle: the class codes of one length as the window pass built them
+    before the weighted prefix sums, one letter a round.  Each letter's
+    counts but the last, offset by their least, in mixed radix
+    ``hi - lo + 1``; the code is compacted to its dense ranks (here by
+    ``np.unique``) before it would pass int64."""
+    code = counts[0].astype(np.int64) - int(lo[0])
+    space = int(hi[0]) - int(lo[0]) + 1
+    for a in range(1, len(counts) - 1):
+        r = int(hi[a]) - int(lo[a]) + 1
+        if space * r > 2**63:  # ranks 0..R-1 leave the codes in 0..R-1
+            values, code = np.unique(code, return_inverse=True)
+            code, space = code.reshape(-1).astype(np.int64), len(values)
+        code = code * r + (counts[a].astype(np.int64) - int(lo[a]))
+        space *= r
+    return code, space
+
+
+def mixed_radix_pass(w, n_max, n_min=1):
+    """Oracle: per n = n_min..n_max, the class count, the largest letter
+    count spread and the set of Parikh vectors of the length-n windows
+    of a word on p >= 3 letters, from ``mixed_radix_codes`` over every
+    window's letter counts."""
+    symbols, p = w.symbols, w.alphabet_size
+    arr = np.frombuffer(symbols, dtype=np.uint8)
+    cum = np.zeros((p, len(arr) + 1), dtype=np.int64)
+    for a in range(p):
+        np.cumsum(arr == a, out=cum[a, 1:])
+    rho_ab, spreads, classes = [], [], []
+    for n in range(n_min, n_max + 1):
+        counts = cum[:, n:] - cum[:, :len(arr) - n + 1]
+        lo, hi = counts.min(axis=1), counts.max(axis=1)
+        code, _ = mixed_radix_codes(counts, lo, hi)
+        _, first = np.unique(code, return_index=True)
+        rho_ab.append(len(first))
+        spreads.append(int((hi - lo).max()))
+        classes.append(set(map(tuple, counts[:, first].T.tolist())))
+    return rho_ab, spreads, classes
+
+
+class TestClassCodesAgainstMixedRadix:
+    """The p >= 3 window pass, its codes read off one weighted prefix sum
+    per letter group, against the per-letter mixed-radix codes it
+    replaced, with either reader, ragged tiles and letter groups forced
+    on small alphabets by lowering ``_CODE_BOUND``."""
+
+    @staticmethod
+    def word(data):
+        p = data.draw(st.integers(3, 12), label="p")
+        kind = data.draw(st.sampled_from(["random", "periodic", "hubert"]))
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        length = data.draw(st.integers(2, 700), label="length")
+        if kind == "random":
+            return random_word(rng, p, length)
+        if kind == "periodic":
+            period = random_word(rng, p, rng.randint(1, 40)).symbols
+            return WordPrefix(p, prefix_of(Periodic(period), length).symbols)
+        terms = st.lists(st.integers(1, 5), max_size=3)
+        slope = ContinuedFraction(tuple(data.draw(terms)),
+                                  tuple(data.draw(terms.filter(bool))))
+        # letters past the Hubert word's three are declared but absent
+        return WordPrefix(p, prefix_of(Hubert(slope), length).symbols)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_against_the_oracle(self, data):
+        w = self.word(data)
+        n_max = data.draw(st.integers(1, min(40, len(w))), label="n_max")
+        n_min = data.draw(st.sampled_from([1, 2, n_max]), label="n_min")
+        n_min = min(n_min, n_max)
+        reps = data.draw(st.sampled_from([None, False, True]), label="reps")
+        gather = data.draw(st.sampled_from([1, 3, 1200, complexity._GATHER]))
+        bound = data.draw(st.sampled_from(
+            [complexity._CODE_BOUND, 1, 3 * n_max, 40 * n_max]), label="bound")
+        rho_ab, spreads, classes = mixed_radix_pass(w, n_max, n_min)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if reps is not None:
+                force_pass(monkeypatch, reps)
+            monkeypatch.setattr(complexity, "_GATHER", gather)
+            monkeypatch.setattr(complexity, "_CODE_BOUND", bound)
+            assert abelian_profile(w, n_max, n_min) == rho_ab
+            assert balance_per_length(w, n_max, n_min) == spreads
+            n = data.draw(st.integers(n_min, n_max), label="n")
+            assert parikh_classes(w, n) == classes[n - n_min]
+            if n_min == 1:
+                prof = profile(w, n_max)
+                assert list(prof.rho_ab) == rho_ab
+                assert list(prof.balance_running) == (
+                    np.maximum.accumulate(spreads).tolist())
+
+    def test_group_codes_are_ranked_before_the_join(self):
+        # the second group's radix 4 times the first group's codes 0 and
+        # 2^62 agree mod 2^64: joined without ranking the sides first, two
+        # of these three windows would share a class
+        codes = np.array([[0, 2**62, 0], [0, 0, 3]], dtype=np.uint64)
+        codes = codes[:, :, None]
+        code, space = complexity._class_code(
+            codes, codes.min(axis=1), codes.max(axis=1),
+            np.empty((2, 3), dtype=np.int64))
+        assert _class_count(code, space,
+                            np.empty(_FLAG_SPACE * 3, dtype=bool)) == [3]
+
+    @pytest.mark.parametrize("bound, groups", [(2**63, 1), (3 * 12, 6),
+                                               (1, 11)])
+    def test_letter_groups(self, bound, groups, monkeypatch):
+        # spreads of 1 give radices of 2; at n_max 12 a group takes letters
+        # while 12 times the next weight 2^k stays below the bound
+        w = prefix_of(Periodic(bytes(range(12))), 300)
+        monkeypatch.setattr(complexity, "_CODE_BOUND", bound)
+        sums = complexity._class_sums(w.symbols, np.ones(12, dtype=int), 12)
+        assert len(sums) == groups
+        rho_ab, spreads, classes = mixed_radix_pass(w, 12)
+        assert abelian_profile(w, 12) == rho_ab
+        assert list(profile(w, 12).rho_ab) == rho_ab
+        assert parikh_classes(w, 12) == classes[-1]
+
+
 class TestDenseRanks:
     """``_dense_ranks`` against the inverse of ``np.unique``, whose ranks
     0..R-1 are the dense ranks 1..R less one, in both regimes and with
@@ -345,6 +462,20 @@ class TestDenseRanks:
         assert _dense_ranks(code, 256, out, flags, numbers) == len(values)
         assert np.array_equal(out, inverse.reshape(-1) + 1)
         assert bool((numbers != -1).any()) == marks
+
+
+    def test_guard_peak_on_a_long_word(self):
+        # the top rank levels of 2^20 symbols are marked in a space of 4L
+        # codes; numbered in place, they make no full-size cast of the
+        # marks, which took the traced peak of this guard to 50 MiB
+        w = fixed_point(THUE_MORSE, 0, 1 << 20)
+        tracemalloc.start()
+        try:
+            assert _window_positions(w.symbols, 2, 1024, 1) is not None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 << 20
 
 
 class TestFlagSpace:
