@@ -8,22 +8,25 @@ length would contribute the constant 1 and is omitted, matching the usual
 convention.
 
 Every window pass reads prefix sums built once per word by one builder
-(``_prefix_sums``).  Balance reads only each letter's least and greatest
-count at every length (``_extremes``); so does every Abelian count on
-p <= 2 letters, since one letter's count moves by at most one per slide
-and takes every value between its extremes: the Abelian complexity is
-its spread plus one, and ``parikh_classes`` lists the vectors of that
-range.  On p >= 3 letters the extremes pass gives the balance and the
-radices 1 + spread of a mixed-radix class code, and the Abelian
-complexity counts the distinct codes of each length's windows.  A
-window's code is read off one weighted prefix sum as one subtraction
-(``_class_sums``): a letter weighs the product of the radices of the
-letters before it, so the window's letter counts, less their least, are
-the digits of its code, less the least code.  The sums wrap in the
-narrowest unsigned type holding n_max times the greatest weight, exactly
-as letter counts do.  Alphabets whose codes would pass 2^63 split their
-first p - 1 letters into groups with one sum each, and the group codes
-of a length are joined through dense ranks (``_class_code``).
+(``_prefix_sums``), each row from a table of per-letter weights: a
+one-hot table (``_letter_tables``) counts one letter.  Balance reads only
+each letter's least and greatest count at every length (``_extremes``);
+so does every Abelian count on p <= 2 letters, since one letter's count
+moves by at most one per slide and takes every value between its
+extremes: the Abelian complexity is its spread plus one, and
+``parikh_classes`` lists the vectors of that range.  On p >= 3 letters
+the extremes pass gives the balance and the radices 1 + spread of a
+mixed-radix class code, and the Abelian complexity counts the distinct
+codes of each length's windows.  A window's code is read off one
+weighted prefix sum as one subtraction (``_class_sums``): a letter
+weighs the product of the radices of the letters before it, so the
+window's letter counts, less their least, are the digits of its code,
+less the least code.  The sums wrap in the narrowest unsigned type
+holding n_max times the greatest weight, exactly as letter counts do.
+Alphabets whose codes would pass 2^63 split their first p - 1 letters
+into groups with one sum each, and the group codes of a length are
+joined through dense ranks (``_class_code``), as are a tile's codes
+before its lengths would share a space past 2^63.
 ``parikh_classes`` reads one length of the same pass.
 
 Both passes read their windows through one of two readers.  Over
@@ -50,7 +53,7 @@ raises BudgetError before it allocates anything.
 """
 
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb
 from typing import Iterable, Union
 
 import numpy as np
@@ -87,8 +90,8 @@ _WORK_BOUND = DEFAULT_SYMBOL_BUDGET * 64
 # counts per letter in one tile of representative windows (``_window_rows``)
 _GATHER = 1 << 16
 
-# every window's code in one letter group of a class pass stays below this
-# (``_class_sums``)
+# every window's code in one letter group of a class pass (``_class_sums``),
+# and every class code of a tile's lengths (``_class_code``), stays below this
 _CODE_BOUND = 2**63
 
 
@@ -212,35 +215,38 @@ def _many_windows(symbols: bytes, p: int, top: int) -> bool:
     for i in range(m):
         code *= p
         code += arr[i:i + k]
-    return _class_count(code, space,
-                        np.empty(_FLAG_SPACE * k, dtype=bool)) > most
+    return _class_count(code[:, None], space,
+                        np.empty(_FLAG_SPACE * k, dtype=bool))[0] > most
 
 
-def _prefix_sums(symbols: bytes, rows, n_max: int, radix=None):
-    """Prefix sums of a word of length L, one row per entry of ``rows``,
-    at indices 0..L, then n_max - 1 zeros: a row of ``_window_rows``
-    starting at any position < L stays inside them.
+def _prefix_sums(symbols: bytes, tables, n_max: int):
+    """Prefix sums of a word of length L, one row per weight table of
+    ``tables`` (shape (rows, letters)), at indices 0..L, then n_max - 1
+    zeros: a row of ``_window_rows`` starting at any position < L stays
+    inside them.
 
-    A row given as a letter counts that letter.  A row given as a group
-    of letters, as ``_class_sums`` gives them, sums the symbols' weights
-    instead: a letter of the group weighs the product of the ``radix`` of
-    the letters before it, every other letter 0, and each symbol's weight
-    is built by Horner's rule.  The sums wrap in the narrowest unsigned
-    dtype holding n_max times the greatest weight, plus one.  A window of
-    length n <= n_max weighs at most that, so its weight, the difference
-    of two sums taken in that dtype, is exact."""
+    A row sums its table's weight of every symbol, looked up in one
+    ``take``: a one-hot table (``_letter_tables``) counts one letter, and
+    the tables of ``_class_sums`` weigh the letters of a group.  The sums
+    wrap in the narrowest unsigned dtype holding n_max times the greatest
+    weight, plus one.  A window of length n <= n_max weighs at most that,
+    so its weight, the difference of two sums taken in that dtype, is
+    exact."""
     L = len(symbols)
-    arr = np.frombuffer(symbols, dtype=np.uint8)
-    top = max(prod(radix[a] for a in np.atleast_1d(g)[:-1]) for g in rows)
-    cum = np.zeros((len(rows), L + n_max),
-                   dtype=np.min_scalar_type(n_max * top + 1))
-    for row, group in zip(cum[:, 1:L + 1], map(np.atleast_1d, rows)):
-        np.equal(arr, group[-1], out=row)
-        for a in reversed(group[:-1]):
-            row *= radix[a]
-            row += arr == a
+    cum = np.zeros((len(tables), L + n_max),
+                   dtype=np.min_scalar_type(n_max * int(tables.max()) + 1))
+    at = np.frombuffer(symbols, dtype=np.uint8).astype(np.intp)
+    for row, table in zip(cum[:, 1:L + 1], tables.astype(cum.dtype)):
+        np.take(table, at, out=row, mode="clip")
         np.cumsum(row, out=row)  # in place: no cast of the word's length
     return cum
+
+
+def _letter_tables(p: int):
+    """The one-hot weight tables of ``_prefix_sums`` that count the
+    tracked letters of a p-letter word: every letter, except that a
+    binary word's two counts sum to n, so only its last letter is."""
+    return np.eye(p, dtype=np.int64)[0 if p > 2 else p - 1:]
 
 
 def _window_counts(cum, L: int, n_max: int, n_min: int):
@@ -312,7 +318,7 @@ def _extremes(symbols: bytes, p: int, n_max: int, n_min: int = 1,
     ``_GATHER`` counts a letter each, and reduced over the tiles; that is
     exact (see ``_window_rows``).
     """
-    cum = _prefix_sums(symbols, range(p) if p > 2 else [p - 1], n_max)
+    cum = _prefix_sums(symbols, _letter_tables(p), n_max)
     if positions is None:
         _, lo, hi = zip(*_window_counts(cum, len(symbols), n_max, n_min))
         return np.hstack(lo), np.hstack(hi)
@@ -375,22 +381,22 @@ def _class_sums(symbols: bytes, spread, n_max: int):
     greatest count spread ``spread`` over the pass: one row per group of
     consecutive letters among the first p - 1.
 
-    A letter weighs the product of the radices 1 + spread of the letters
-    before it in its group.  So a window's group code less its least value
+    A group's weight table gives each of its letters the product of the
+    radices 1 + spread of the letters before it in the group, and every
+    other letter 0.  So a window's group code less its least value
     at a length holds the group's letter counts less theirs as mixed-radix
     digits, and two windows of one length have equal group codes exactly
     when they have equal counts of the group's letters; the last letter's
     count is n less the rest.  A group takes letters while n_max times the
     next weight stays below ``_CODE_BOUND``, so every code fits the sums'
     dtype."""
-    radix = [s + 1 for s in spread[:-1].tolist()]
-    groups, weight = [], _CODE_BOUND
-    for a, r in enumerate(radix):
+    tables, weight = [], _CODE_BOUND
+    for a, s in enumerate(spread[:-1].tolist()):
         if n_max * weight >= _CODE_BOUND:  # the first letter opens a group
-            groups, weight = groups + [[]], 1
-        groups[-1].append(a)
-        weight *= r
-    return _prefix_sums(symbols, groups, n_max, radix)
+            tables, weight = tables + [np.zeros(len(spread), np.int64)], 1
+        tables[-1][a] = weight
+        weight *= s + 1
+    return _prefix_sums(symbols, np.array(tables), n_max)
 
 
 def _class_code(codes, lo, hi, out) -> tuple[np.ndarray, int]:
@@ -405,8 +411,11 @@ def _class_code(codes, lo, hi, out) -> tuple[np.ndarray, int]:
     One group's code, offset by its least at each length, is the class
     code.  Several groups' codes are joined in pairs, each side ranked
     1..R over the tile (``_dense_ranks``, the other side in ``out[1]``)
-    so that the pair fits in int64.  ``out`` holds two rows of at least
-    windows * m entries."""
+    so that the pair fits in int64.  Where the m parts would reach
+    ``_CODE_BOUND``, the tile's class codes are ranked 1..R over the tile
+    the same way first, which keeps them equal exactly where they were
+    within each length.  ``out`` holds two rows of at least windows * m
+    entries."""
     m = codes.shape[2]
     code, ranks = out[:, :codes[0].size]
     np.subtract(codes[0], lo[0], out=code.reshape(-1, m))
@@ -417,16 +426,18 @@ def _class_code(codes, lo, hi, out) -> tuple[np.ndarray, int]:
         space = (_dense_ranks(code, space, code) + 1) * (r + 1)
         code *= r + 1
         code += ranks
+    if space * m >= _CODE_BOUND:  # the m parts' codes would pass int64
+        space = _dense_ranks(code, space, code) + 1
     code = code.reshape(-1, m)
     if m > 1:
         code += np.arange(0, space * m, space)
     return code, space * m
 
 
-def _class_count(code, space: int, flags):
-    """Distinct values among ``code``, a code space of ``space`` values;
-    for a 2-D ``code`` of m columns whose column j lies in the j-th of m
-    equal parts of the space, a list of them per column.
+def _class_count(code, space: int, flags) -> list[int]:
+    """Distinct values in each of the m columns of the 2-D ``code``, a
+    code space of ``space`` values whose column j lies in the j-th of m
+    equal parts.
 
     A code space at most ``_FLAG_SPACE`` times the code count is counted
     by marking each code in ``flags``; a larger one by sorting the codes
@@ -444,8 +455,7 @@ def _class_count(code, space: int, flags):
         seen = flags[:code.size]
         seen[0] = True
         np.not_equal(flat[1:], flat[:-1], out=seen[1:])
-    counts = [int(np.count_nonzero(c)) for c in seen.reshape(code[0].size, -1)]
-    return counts if code.ndim > 1 else counts[0]
+    return [int(np.count_nonzero(c)) for c in seen.reshape(code.shape[1], -1)]
 
 
 def _dense_ranks(code, space: int, out, flags=None, numbers=None) -> int:
@@ -514,7 +524,7 @@ def parikh_classes(w: Wordlike, n: int) -> set[ParikhVector]:
     symbols, p = _checked(w, n, n)
     L = len(symbols)
     counts, lo, hi = next(_window_counts(
-        _prefix_sums(symbols, range(p) if p > 2 else [p - 1], n), L, n, n))
+        _prefix_sums(symbols, _letter_tables(p), n), L, n, n))
     if p <= 2:
         ones = range(int(lo[0, 0]), int(hi[0, 0]) + 1)
         return {(n - c, c) if p == 2 else (c,) for c in ones}

@@ -403,6 +403,16 @@ class TestClassCodesAgainstMixedRadix:
         assert _class_count(code, space,
                             np.empty(_FLAG_SPACE * 3, dtype=bool)) == [3]
 
+    def test_one_group_is_ranked_before_the_length_parts(self):
+        # one group whose codes 0 and 2^62 at two lengths would put the
+        # second length's part past int64
+        codes = np.array([[0, 0], [2**62, 2**62]], dtype=np.uint64)[None]
+        code, space = complexity._class_code(
+            codes, codes.min(axis=1), codes.max(axis=1),
+            np.empty((2, 4), dtype=np.int64))
+        assert _class_count(code, space,
+                            np.empty(_FLAG_SPACE * 4, dtype=bool)) == [2, 2]
+
     @pytest.mark.parametrize("bound, groups", [(2**63, 1), (3 * 12, 6),
                                                (1, 11)])
     def test_letter_groups(self, bound, groups, monkeypatch):
@@ -445,7 +455,7 @@ class TestDenseRanks:
         distinct = len(np.unique(code))
         flags = np.empty(_FLAG_SPACE * size, dtype=bool)
         # the sorting regime sorts the codes in place
-        assert _class_count(code.copy(), space, flags) == distinct
+        assert _class_count(code.copy()[:, None], space, flags) == [distinct]
 
     @pytest.mark.parametrize("size, marks", [(63, False), (64, True)])
     def test_letters_into_narrow_scratch(self, size, marks):
@@ -1024,7 +1034,7 @@ class TestRepresentativePass:
         w = prefix_of(Hubert(GOLDEN), 1 << 14)
         positions = _window_positions(w.symbols, 3, 256, 1)
         assert len(positions) <= len(w) // 8
-        cum = _prefix_sums(w.symbols, range(3), 256)
+        cum = _prefix_sums(w.symbols, np.eye(3, dtype=np.int64), 256)
         heights = {tile.shape[1] for tile, _, _
                    in _window_rows(cum, len(w), 256, 1, positions,
                                    len(positions), 4)}
