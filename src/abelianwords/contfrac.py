@@ -16,10 +16,13 @@ algebraic identity.  One integer kernel, ``_sign``, decides the sign of
 c*alpha + e for integers c and e; every rational comparison clears its
 denominators once and calls it.  Every test of a fractional part against
 a threshold, {i*alpha} < (U + V*alpha)/D, goes through one more kernel on
-top of it, ``_frac_sign``, which ``frac_less_than`` and the Sturmian
-locator of :mod:`abelianwords.powers` share.  The kernels and the floor
-functions read (p_n, q_n) pairs straight from each instance's grow-only
-cache, so a warm comparison builds no ``Convergent`` and no ``Fraction``.
+top of it, ``_frac_sign``: ``frac_less_than`` calls it, and the Sturmian
+locator of :mod:`abelianwords.powers`, which reads its signs off one
+deep convergent (exact by the |c|/(q_m*q_(m+1)) bound below), falls back
+to it where such a sign is 0 or the position is past that convergent's
+reach.  The kernels and the floor functions read (p_n, q_n) pairs
+straight from each instance's grow-only cache, so a warm comparison
+builds no ``Convergent`` and no ``Fraction``.
 
 Warm start.  ``_sign(c, e)`` and ``floor_scaled(n)`` do not walk the
 sandwich from index 0 when the cache already holds deeper pairs: they

@@ -24,9 +24,10 @@ The progression scan starts at step s = M + 1: a block of s letters has
 a weight sum between 1 and s times the largest weight, and M times the
 largest weight is below N, so no step s <= M closes a progression.  The
 scan holds the running sums mod N in the narrowest dtype (one byte per
-symbol up to N = 256), built block by block in a fixed int64 scratch,
-plus two one-byte boolean buffers it compares into: three bytes per
-symbol up to N = 256, whatever the step.
+symbol up to N = 256), built block by block in a fixed int32 scratch
+(int64 for N past 2**31 / (block + 1)), plus two one-byte boolean
+buffers it compares into: three bytes per symbol up to N = 256,
+whatever the step.
 
 All three verify through one counting core, ``_common_parikh``: it
 counts all letters but the last in each block with ``bytes.count``,
@@ -35,12 +36,17 @@ vector, which becomes the certificate's ``block_parikh``.
 
 The locator works on integers only: delta = u + v*alpha is read as
 (U + V*alpha)/D (``AffineThreshold.form``), and every threshold test is
-the sign of {i*alpha} minus such a form (``contfrac._frac_sign``).  What
-depends on (slope, k, delta) alone is one memoized locator, which holds
-two things: the working slope (the slope itself below 1/2, its
-complement above) and the working slope's period pair.  A warm
-certificate then costs one floor, at most three signs and one
-verification on the requested slope's cached characteristic word.
+the sign of {i*alpha} minus such a form.  What depends on (slope, k,
+delta) alone is one memoized locator, which holds the working slope (the
+slope itself below 1/2, its complement above), the working slope's
+period pair, and one convergent p/q deep enough that at every position
+the symbol budget admits, floor(i*alpha) = (i*p)//q and each threshold
+test is the sign of one integer product.  A warm certificate then costs
+one multiplication, one division and three comparisons, plus one
+verification on the requested slope's cached characteristic word; only
+a product of 0 (an algebraic identity, or a rare multiple of q) or a
+position past the convergent's reach walks the sandwich
+(``contfrac._frac_sign``).
 ``sturmian_powers`` certifies many positions with one locator and one
 growth of that word; ``sturmian_power_at`` is its one-position case.
 """
@@ -54,7 +60,7 @@ from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
-from . import complexity
+from . import complexity, words
 from .complexity import ParikhVector
 from .contfrac import (AffineThreshold, ContinuedFraction, _frac_sign,
                        _pq_at, _sign, floor_scaled)
@@ -191,7 +197,7 @@ def congo_weights(M: int, r: int) -> CongoWeights:
 
 
 # symbols per block of the running weight sums in ``_vdw_residues``: the
-# int64 scratch is this long whatever the prefix length
+# scratch is this long whatever the prefix length
 _RESIDUE_BLOCK = 1 << 16
 
 
@@ -203,22 +209,27 @@ def _vdw_residues(symbols: bytes, weights: CongoWeights) -> np.ndarray:
     exponent k shares; a few entries suffice.
 
     Below that bound the sums are taken ``_RESIDUE_BLOCK`` symbols at a
-    time in one int64 scratch, each block carrying the last residue of
-    the one before, so nothing wider than the output grows with the word.
+    time in one scratch, each block carrying the last residue of the one
+    before, so nothing wider than the output grows with the word.  A
+    block's sums plus carry stay below N * (block + 1), so the scratch
+    and the weight table are int32 while that is below 2**31 and int64
+    above.
     """
     L = len(symbols)
     N = weights.N
-    if N * (_RESIDUE_BLOCK + 1) < 2**63:  # block sums plus carry fit int64
-        table = np.asarray(weights.alphas, dtype=np.int64) % N
+    bound = N * (_RESIDUE_BLOCK + 1)  # above every block sum plus carry
+    if bound < 2**63:
+        wide = np.int32 if bound < 2**31 else np.int64
+        table = np.asarray(weights.alphas, dtype=wide) % N
         letters = np.frombuffer(symbols, dtype=np.uint8)
         nu = np.empty(L + 1, dtype=np.min_scalar_type(N - 1))
         nu[0] = carry = 0
-        scratch = np.empty(min(L, _RESIDUE_BLOCK), dtype=np.int64)
+        scratch = np.empty(min(L, _RESIDUE_BLOCK), dtype=wide)
         for lo in range(0, L, _RESIDUE_BLOCK):
             block = scratch[:min(_RESIDUE_BLOCK, L - lo)]
             # "clip" gathers straight into ``out``; every letter is < r
             np.take(table, letters[lo:lo + block.size], out=block, mode="clip")
-            np.cumsum(block, out=block)
+            np.cumsum(block, dtype=wide, out=block)
             block += carry
             block %= N
             nu[lo + 1:lo + 1 + block.size] = block
@@ -341,10 +352,34 @@ class _Locator(NamedTuple):
     1/2, its complement from ``_complement`` above.  The complement's
     characteristic word is the letter exchange of the original, so
     positions and periods carry over unchanged.
+
+    p/q is the working slope's convergent p_m/q_m for the first even m
+    whose ``reach`` covers ``words.DEFAULT_SYMBOL_BUDGET`` (a finite
+    expansion stops at its deepest even m whose convergent m + 1 it
+    holds).  At every position i <= reach, q > i, so floor(i*alpha) =
+    (i*p)//q with remainder r = i*p - f*q >= 1 (as
+    ``contfrac.floor_range`` argues).  Each threshold test,
+    D*({i*alpha} - (U' + V'*alpha)/D), is then c*alpha + e with
+    c = D*i - V' and e = -(D*f + U'), read at p/q as c*p + e*q: that is
+    D*r - ``below`` against alpha - delta, r - p against alpha, and
+    D*r - ``above`` against 1 - delta.  All three have
+    |c| <= D*i + |V| < q_{m+1}, so c*alpha + e and c*p/q + e differ by
+    less than |c|/(q*q_{m+1}) < 1/q, while a non-zero c*p + e*q is at
+    least 1/q away from 0 once divided by q: the product's sign is
+    exact.  It is also the sign the ``contfrac._sign`` walk returns,
+    reaching at most convergent m + 1, so a finite expansion runs out
+    nowhere the walk would not.  A product of 0 (an algebraic identity,
+    such as {1*alpha} against alpha, or c a multiple of q) decides
+    nothing and is left to ``_frac_sign``.
     """
 
     work: ContinuedFraction
     pair: PeriodPair
+    p: int
+    q: int
+    reach: int
+    below: int  # D*p - (U*q + V*p): D*q*(alpha - delta) read at p/q
+    above: int  # D*q - (U*q + V*p): D*q*(1 - delta) read at p/q
 
 
 @lru_cache(maxsize=1024)
@@ -366,41 +401,67 @@ def _locator(alpha: ContinuedFraction, k: int,
     while True:
         q_next = _pq_at(work, n + 1)[1]
         if _sign(work, q_next * mv, q_next * mu - k * D) > 0:
-            return _Locator(work, PeriodPair(_pq_at(work, n)[1], q_next, n))
+            break
         n += 2
-
-
-def _period_at(loc: _Locator, U: int, V: int, D: int, i: int) -> int:
-    """The period of the certificate at 1-based position i, for the
-    threshold (U + V*alpha)/D: q_n away from the critical points alpha
-    and 1 (Case 1), q_{n+1} inside the width-delta windows below them
-    (Case 2)."""
-    work, pair = loc
-    f = floor_scaled(work, i)
-    # interval boundaries, times D: alpha - delta, alpha, 1 - delta
-    if _frac_sign(work, i, f, -U, D - V, D) < 0:
-        return pair.ell1
-    if _frac_sign(work, i, f, 0, D, D) < 0:
-        return pair.ell2
-    if _frac_sign(work, i, f, D - U, -V, D) < 0:
-        return pair.ell1
-    return pair.ell2
+    pair = PeriodPair(_pq_at(work, n)[1], q_next, n)
+    # the first even m whose reach covers the budget; a finite expansion
+    # stops where the next step's convergent m + 3 would need a term it
+    # lacks
+    m = 0
+    while True:
+        p, q = _pq_at(work, m)
+        reach = min(q - 1, (_pq_at(work, m + 1)[1] - 1 - abs(V)) // D)
+        if reach >= words.DEFAULT_SYMBOL_BUDGET or (
+                not work.is_unbounded and m + 3 > len(work.preperiod)):
+            break
+        m += 2
+    w = U * q + V * p
+    return _Locator(work, pair, p, q, reach, D * p - w, D * q - w)
 
 
 def _certify(alpha: ContinuedFraction, positions: tuple, k: int,
              delta: AffineThreshold) -> list[AbelianPowerOccurrence]:
     """The kernel behind ``sturmian_powers`` and ``sturmian_power_at``.
 
+    One pass classifies every position and tracks the furthest block
+    end: within the locator's reach each threshold test is the sign of
+    one product read off its convergent (see ``_Locator``); a product of
+    0, and every test past the reach, goes to the exact walk
+    (``floor_scaled``, ``_frac_sign``).  Then the requested slope's word
+    grows once and every certificate is verified on it by counting.
+
     Positions arrive through ``operator.index``, so numpy integers become
     ints, whose exact products never wrap, and a float is refused.
     """
     if k < 1 or min(positions, default=1) < 1:
         raise ValueError("need i >= 1 and k >= 1")
-    loc = _locator(alpha, k, delta)
+    work, pair, p, q, reach, below, above = _locator(alpha, k, delta)
     if not positions:
         return []
-    periods = [_period_at(loc, *delta.form, i) for i in positions]
-    end = max([i - 1 + k * ell for i, ell in zip(positions, periods)])
+    U, V, D = delta.form
+    ell1, ell2 = pair.ell1, pair.ell2
+    periods = []
+    end = 0
+    for i in positions:
+        if i <= reach:
+            f, r = divmod(i * p, q)
+            s1, s2, s3 = D * r - below, r - p, D * r - above
+        else:  # past the reach, every test walks
+            f, s1, s2, s3 = floor_scaled(work, i), 0, 0, 0
+        # {i*alpha} against alpha - delta, alpha and 1 - delta: q_n away
+        # from the critical points alpha and 1 (Case 1), q_{n+1} inside
+        # the width-delta windows below them (Case 2)
+        if (s1 or _frac_sign(work, i, f, -U, D - V, D)) < 0:
+            ell = ell1
+        elif (s2 or _frac_sign(work, i, f, 0, D, D)) < 0:
+            ell = ell2
+        elif (s3 or _frac_sign(work, i, f, D - U, -V, D)) < 0:
+            ell = ell1
+        else:
+            ell = ell2
+        periods.append(ell)
+        if i - 1 + k * ell > end:
+            end = i - 1 + k * ell
     _check_length(end)
     # verify on the requested slope's word, so block_parikh is in its
     # letters
@@ -423,9 +484,9 @@ def sturmian_powers(alpha: ContinuedFraction, positions: Iterable[int], k: int,
     characteristic word of slope alpha, in the order given.
 
     Fetches the memoized locator of (alpha, k, delta) once, decides every
-    period exactly (see :func:`sturmian_power_at`), grows the slope's
-    cached characteristic word once to the furthest block end, and
-    verifies each certificate on it by counting.
+    period exactly off its convergent (see :func:`sturmian_power_at`),
+    grows the slope's cached characteristic word once to the furthest
+    block end, and verifies each certificate on it by counting.
     """
     return _certify(alpha, tuple(map(index, positions)), k, delta)
 
@@ -439,10 +500,17 @@ def sturmian_power_at(alpha: ContinuedFraction, i: int, k: int,
     Classifies {i*alpha} exactly: away from the critical points alpha and 1
     (Case 1) the period is q_n, inside the width-delta windows below them
     (Case 2) it is q_{n+1}, with n from :func:`sturmian_period_pair`.
-    Slopes above 1/2 are decided on the complement, whose characteristic
-    word is the letter exchange of the original, so positions and periods
-    carry over unchanged; only the requested slope's word is built, and
-    the certificate is verified on it by counting before it is returned.
+    Within the symbol budget, floor(i*alpha) and the three threshold
+    signs are read off one cached convergent p/q as (i*p)//q and three
+    integer products; a product of 0 (an algebraic identity, as at i = 1)
+    and a position past the convergent's reach (past the budget, or past
+    what a finite expansion holds) are decided by the exact sandwich walk,
+    so a finite expansion raises InsufficientPrecisionError exactly where
+    the walk runs out.  Slopes above 1/2 are decided on the complement,
+    whose characteristic word is the letter exchange of the original, so
+    positions and periods carry over unchanged; only the requested
+    slope's word is built, and the certificate is verified on it by
+    counting before it is returned.
     This is the one-position case of :func:`sturmian_powers`.
     """
     return _certify(alpha, (index(i),), k, delta)[0]

@@ -17,7 +17,7 @@ from test_contfrac import (oracle_affine_sign, oracle_floor_scaled,
 from abelianwords import complexity, contfrac, powers, words
 from abelianwords.complexity import abelian_equivalent, balance_bound, parikh
 from abelianwords.contfrac import (AffineThreshold, ContinuedFraction,
-                                   frac_less_than)
+                                   InsufficientPrecisionError, frac_less_than)
 from abelianwords.powers import (AbelianPowerOccurrence, PeriodPair,
                                  WeightsTooSmallError, congo_weights,
                                  min_abelian_period, sturmian_period_pair,
@@ -90,6 +90,35 @@ def assert_block_ends_agree(alpha, occ):
     ends = {word.symbols[occ.start + j * occ.period - 1]
             for j in range(1, occ.exponent + 1)}
     assert len(ends) == 1, (occ, ends)
+
+
+def walk_period(alpha, i, k, delta=HALF_ALPHA):
+    """The period at 1-based position i as the locator decided it before
+    it read positions off one convergent: ``floor_scaled``, then at most
+    three ``_frac_sign`` walks on the working slope."""
+    loc = powers._locator(alpha, k, delta)
+    work, pair = loc.work, loc.pair
+    U, V, D = delta.form
+    f = contfrac.floor_scaled(work, i)
+    if contfrac._frac_sign(work, i, f, -U, D - V, D) < 0:
+        return pair.ell1
+    if contfrac._frac_sign(work, i, f, 0, D, D) < 0:
+        return pair.ell2
+    if contfrac._frac_sign(work, i, f, D - U, -V, D) < 0:
+        return pair.ell1
+    return pair.ell2
+
+
+def count_calls(monkeypatch, module, name, log):
+    """Replace ``module.name`` by a wrapper appending its position
+    argument (the second) to ``log``."""
+    real = getattr(module, name)
+
+    def counting(*args):
+        log.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
 
 
 def reference_vdw(symbols, k, weights):
@@ -454,6 +483,23 @@ class TestResidueBlocks:
         assert found == reference_vdw(symbols, k, weights)
         assert found == int64_vdw(w, k, weights)
 
+    # N = (M + 1)**2 on two letters, and int32 holds the block sums while
+    # N * (B + 1) < 2**31: M = 18917 is the last int32 weight bound, 18918
+    # the first int64 one, and at M = 50000 the residues themselves pass
+    # 2**31
+    @pytest.mark.parametrize("M, int32", [(18917, True), (18918, False),
+                                          (50000, False)])
+    def test_int32_edge(self, tiny_blocks, M, int32, golden):
+        weights = congo_weights(M, 2)
+        assert (weights.N * (self.B + 1) < 2**31) == int32
+        # a run of 1s wraps mod N after M + 1 letters, so the carries
+        # come within M + 1 of N
+        for symbols in (characteristic_prefix(golden, 3 * self.B + 2).symbols,
+                        bytes([1]) * (M + 3),
+                        bytes([1]) * (M + 1) + bytes([0, 1]) * self.B):
+            nu = powers._vdw_residues(symbols, weights)
+            assert nu.tolist() == residues_by_hand(symbols, weights)
+
 
 class TestSturmianPeriodPair:
     def test_golden_k2(self, golden):
@@ -693,6 +739,157 @@ class TestSturmianAgainstFractionOracle:
         first = sturmian_period_pair(golden, 5)
         assert sturmian_period_pair(ContinuedFraction((2,), (1,)), 5) is first
         assert first == oracle_period_pair(golden, 5, HALF_ALPHA)
+
+
+class TestPairClassifier:
+    """Periods read off the locator's one convergent, against the walk
+    they replace (``walk_period``) and the Fraction oracle."""
+
+    @pytest.fixture
+    def fresh_locators(self):
+        # the locator's convergent depends on the symbol budget
+        powers._locator.cache_clear()
+        yield
+        powers._locator.cache_clear()
+
+    CASES = {"golden": (ContinuedFraction((2,), (1,)), HALF_ALPHA),
+             "golden-1/3": (ContinuedFraction((2,), (1,)),
+                            AffineThreshold(Fraction(1, 3), 0)),
+             "sqrt2-3alpha/4-1/10": (ContinuedFraction((), (2,)),
+                                     AffineThreshold(Fraction(-1, 10),
+                                                     Fraction(3, 4))),
+             "golden-complement": (ContinuedFraction((1, 1), (1,)), HALF_ALPHA),
+             "[0;1,3,(1,2)]": (ContinuedFraction((1, 3), (1, 2)), HALF_ALPHA)}
+
+    @pytest.mark.parametrize("budget", [100, 1000])
+    @pytest.mark.parametrize("case", CASES, ids=list(CASES))
+    def test_reach_boundary(self, fresh_locators, monkeypatch, case, budget):
+        alpha, delta = self.CASES[case]
+        U, V, D = delta.form
+        for k in (1, 3, 8):
+            monkeypatch.setattr(words, "DEFAULT_SYMBOL_BUDGET", budget)
+            loc = powers._locator(alpha, k, delta)
+            # the bounds the pair's exactness rests on, at an even index
+            m = next(n for n in range(0, 200, 2)
+                     if loc.work.convergent(n).q == loc.q)
+            assert loc.work.convergent(m).p == loc.p
+            assert budget <= loc.reach < loc.q
+            assert D * loc.reach + abs(V) < loc.work.convergent(m + 1).q
+            # certificates past the small budget need the real one back;
+            # the cached locator keeps its small reach
+            monkeypatch.setattr(words, "DEFAULT_SYMBOL_BUDGET",
+                                DEFAULT_SYMBOL_BUDGET)
+            positions = range(loc.reach - 3, loc.reach + 4)
+            walked = []
+            count_calls(monkeypatch, powers, "floor_scaled", walked)
+            batch = sturmian_powers(alpha, positions, k, delta)
+            monkeypatch.undo()
+            assert walked == [i for i in positions if i > loc.reach]
+            assert [o.period for o in batch] == [
+                walk_period(alpha, i, k, delta) for i in positions]
+            assert batch == [oracle_power_at(alpha, i, k, delta)
+                             for i in positions]
+
+    def test_identity_falls_back_to_the_walk(self, golden, monkeypatch):
+        # delta = 1 - 2*alpha: {3*alpha} = 3*alpha - 1 = alpha - delta, so
+        # the first test at i = 3 is an identity and its product is 0
+        delta = AffineThreshold(1, -2)
+        U, V, D = delta.form
+        walked = []
+        count_calls(monkeypatch, powers, "_frac_sign", walked)
+        for k in range(1, 9):
+            loc = powers._locator(golden, k, delta)
+            assert D * (3 * loc.p % loc.q) == loc.below
+            occ = sturmian_power_at(golden, 3, k, delta)
+            assert occ.period == walk_period(golden, 3, k, delta)
+            assert occ == oracle_power_at(golden, 3, k, delta)
+        # the identity walks and reads 0, the next test decides from its
+        # product: {3*alpha} < alpha
+        assert walked == [3] * 8
+
+    @settings(max_examples=80, deadline=None)
+    @given(pre=st.lists(st.integers(1, 6), max_size=3),
+           per=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           delta=st.sampled_from([HALF_ALPHA, AffineThreshold(0, Fraction(1, 3)),
+                                  AffineThreshold(Fraction(-1, 50),
+                                                  Fraction(3, 4))]),
+           k=st.integers(1, 8),
+           positions=st.lists(st.integers(1, 3000), max_size=5))
+    def test_eventually_periodic_slopes(self, pre, per, delta, k, positions):
+        # every working slope is above 1/8, so each delta lies in (0, alpha)
+        alpha = ContinuedFraction(tuple(pre), tuple(per))
+        positions = [1, 2] + positions
+        batch = sturmian_powers(alpha, positions, k, delta)
+        assert [o.period for o in batch] == [
+            walk_period(alpha, i, k, delta) for i in positions]
+        assert batch == [oracle_power_at(alpha, i, k, delta)
+                         for i in positions]
+
+    # (terms, i, k, (start, period) or the InsufficientPrecisionError
+    # message): (2, 3, 4) and (2, 3, 4, 5) reach i = 6 off p_2/q_2 = 3/7
+    # and walk past it (the latter may not read p_4/q_4, which has no
+    # successor), (3,) has no convergent to read, and the 50-term
+    # expansion reads every position off one
+    FIFTY = (2,) + (1,) * 49
+    FINITE = [((2, 3, 4), 1, 2, (0, 7)), ((2, 3, 4), 5, 2, (4, 7)),
+              ((2, 3, 4), 40, 3, "term 4 requested, only 3 available"),
+              ((2, 3, 4), 1000, 2, "term 4 requested, only 3 available"),
+              ((2, 3, 4, 5), 1, 2, (0, 7)), ((2, 3, 4, 5), 5, 2, (4, 7)),
+              ((2, 3, 4, 5), 40, 3, (39, 30)),
+              ((2, 3, 4, 5), 1000, 2, "term 5 requested, only 4 available")] + [
+        ((3,), i, k, "term 2 requested, only 1 available")
+        for i, k in ((1, 2), (5, 2), (40, 3), (1000, 2))] + [
+        (FIFTY, 1, 2, (0, 8)), (FIFTY, 5, 2, (4, 13)),
+        (FIFTY, 40, 3, (39, 34)), (FIFTY, 1000, 2, (999, 13))]
+
+    @pytest.mark.parametrize("terms, i, k, expected", FINITE)
+    def test_finite_expansions(self, terms, i, k, expected):
+        alpha = ContinuedFraction(terms)
+        if isinstance(expected, str):
+            for certify in (lambda: sturmian_power_at(alpha, i, k),
+                            lambda: sturmian_powers(alpha, [1, i], k)):
+                with pytest.raises(InsufficientPrecisionError,
+                                   match=re.escape(expected)):
+                    certify()
+        else:
+            occ = sturmian_power_at(alpha, i, k)
+            assert (occ.start, occ.period) == expected
+            assert sturmian_powers(alpha, [i], k) == [occ]
+
+    def test_finite_reach(self):
+        for terms in ((2, 3, 4), (2, 3, 4, 5)):
+            reach = powers._locator(ContinuedFraction(terms), 2,
+                                    HALF_ALPHA).reach
+            assert reach == 6  # min(q_2 - 1, (q_3 - 1 - |V|) // D), q = 7, 30
+        assert powers._locator(ContinuedFraction(self.FIFTY), 2,
+                               HALF_ALPHA).reach >= DEFAULT_SYMBOL_BUDGET
+
+    def test_bad_position_before_bad_delta(self, golden):
+        for bad in (AffineThreshold(0, 0), AffineThreshold(0, 2)):
+            with pytest.raises(ValueError, match="i >= 1 and k >= 1"):
+                sturmian_powers(golden, [3, 0], 2, bad)
+            with pytest.raises(ValueError, match="i >= 1 and k >= 1"):
+                sturmian_power_at(golden, 1, 0, bad)
+        with pytest.raises(ValueError, match="i >= 1 and k >= 1"):
+            sturmian_power_at(ContinuedFraction((3,)), 0, 2)
+
+    @pytest.mark.parametrize("alpha", [ContinuedFraction((2,), (1,)),
+                                       ContinuedFraction((), (2,))],
+                             ids=["golden", "sqrt2"])
+    def test_no_walk_inside_the_reach(self, alpha, monkeypatch):
+        for k in range(1, 9):
+            powers._locator(alpha, k, powers.DEFAULT_DELTA)
+        floors, fracs, signs = [], [], []
+        count_calls(monkeypatch, powers, "floor_scaled", floors)
+        count_calls(monkeypatch, powers, "_frac_sign", fracs)
+        count_calls(monkeypatch, contfrac, "_sign", signs)
+        for k in range(1, 9):
+            sturmian_powers(alpha, range(2, 5001), k)
+        assert floors == fracs == signs == []
+        # at i = 1 the second test, {alpha} against alpha, is an identity
+        for k in range(1, 9):
+            sturmian_powers(alpha, [1], k)
+        assert floors == [] and fracs == [1] * 8 and len(signs) == 8
 
 
 class TestSturmianBatch:
