@@ -24,26 +24,19 @@ reach.  The kernels and the floor functions read (p_n, q_n) pairs
 straight from each instance's grow-only cache, so a warm comparison
 builds no ``Convergent`` and no ``Fraction``.
 
-Warm start.  ``_sign(c, e)`` and ``floor_scaled(n)`` do not walk the
-sandwich from index 0 when the cache already holds deeper pairs: they
-start at the deepest cached pair (p_{2m}/q_{2m}, p_{2m+1}/q_{2m+1}) with
-q_{2m} <= |c| (respectively <= n), found by bisection over the cache.
-The sandwiches nest, so a tighter one decides everything a looser one
-did, with the same answer; and since only cached pairs are skipped, a
-finite expansion runs out at exactly the same inputs as the cold walk.
-At convergent m a bound is off by
-|c*alpha + e - (c*p_m/q_m + e)| < |c|/(q_m*q_(m+1)).  Once the cache
-reaches past |c|, the pair after the start has q_m > |c|, so there both
-bounds are off by less than 1/q_(m+1) and share the sign of
-c*alpha + e unless that is smaller still: a warm call decides within
-two pairs of its start.
+Every walk starts at the first pair (p_0/q_0, p_1/q_1).  At convergent m
+a bound is off by |c*alpha + e - (c*p_m/q_m + e)| < |c|/(q_m*q_(m+1)),
+so once q_m > |c| it is off by less than 1/q_(m+1), and the walk stops
+within a pair or two unless |c*alpha + e| is smaller still.
+
+Positions, lengths and partial quotients pass through ``operator.index``,
+so a numpy integer becomes an exact int and a float is refused.
 """
 
 import threading
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from operator import index
 from typing import Iterator
 
 import numpy as np
@@ -120,8 +113,8 @@ class ContinuedFraction:
                         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pre = tuple(int(a) for a in self.preperiod)
-        per = tuple(int(a) for a in self.period)
+        pre = tuple(map(index, self.preperiod))
+        per = tuple(map(index, self.period))
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
         if not pre and not per:
@@ -258,23 +251,6 @@ def _pq_at(cf: ContinuedFraction, n: int) -> tuple[int, int]:
     return pq[n + 1]
 
 
-_DENOMINATOR = itemgetter(1)
-
-
-def _warm_start(cf: ContinuedFraction, bound: int) -> int:
-    """Even index 2m of the deepest pair whose two convergents are both
-    cached and whose q_{2m} <= bound; 0 on a cold cache.
-
-    Entries never change and denominators never decrease, so bisecting
-    up to a snapshot of the length needs no lock.
-    """
-    pq = cf._pq
-    # pq[j] is convergent j - 1, and convergent n has a cached successor
-    # iff n <= len(pq) - 3
-    n = bisect_right(pq, bound, 0, len(pq) - 1, key=_DENOMINATOR) - 2
-    return n - n % 2 if n > 0 else 0
-
-
 def _sign(cf: ContinuedFraction, c: int, e: int) -> int:
     """Exact sign of c*alpha + e for integers c and e.
 
@@ -284,14 +260,13 @@ def _sign(cf: ContinuedFraction, c: int, e: int) -> int:
     as soon as either bound has it (c < 0 is the mirror image).  Each
     bound is requested only when the previous one did not decide, so a
     finite stream runs out exactly where comparing alpha with the
-    rational -e/c would.  The walk starts at the deepest cached pair with
-    q_{2m} <= |c| (see the module docstring for why that is exact).
+    rational -e/c would.
     """
     if c == 0:
         return (e > 0) - (e < 0)
     t = 1 if c > 0 else -1
     c, e = c * t, e * t
-    n = _warm_start(cf, c)
+    n = 0
     while True:
         p, q = _pq_at(cf, n)
         if c * p + e * q >= 0:
@@ -307,14 +282,14 @@ def floor_scaled(cf: ContinuedFraction, n: int) -> int:
 
     Refines the sandwich p_{2m}/q_{2m} < alpha < p_{2m+1}/q_{2m+1} until
     both bounds land in the same unit interval, which must happen because
-    n*alpha is irrational for n >= 1.  The walk starts at the deepest
-    cached pair with q_{2m} <= n (see the module docstring).
+    n*alpha is irrational for n >= 1.
     """
+    n = index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return 0
-    m = _warm_start(cf, n)
+    m = 0
     while True:
         p_lo, q_lo = _pq_at(cf, m)
         p_hi, q_hi = _pq_at(cf, m + 1)
@@ -331,6 +306,7 @@ def floor_range(cf: ContinuedFraction, n_max: int) -> np.ndarray:
     (q > n and gcd(p, q) = 1) while |n*alpha - n*p/q| < n/(q*q') < 1/q, so
     (n*p)//q is already exact for every n in range.
     """
+    n_max = index(n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if n_max == 0:
@@ -380,6 +356,7 @@ def frac_less_than(cf: ContinuedFraction, i: int, t: AffineThreshold) -> bool:
     nothing to refine towards, so that identity case is rejected; the
     caller must exclude it.
     """
+    i = index(i)
     if i < 1:
         raise ValueError("i must be >= 1")
     sign = _frac_sign(cf, i, floor_scaled(cf, i), *t.form)

@@ -338,18 +338,11 @@ def sturmian_period_pair(alpha: ContinuedFraction, k: int,
     return _locator(alpha, k, delta).pair
 
 
-@lru_cache(maxsize=1024)
-def _complement(alpha: ContinuedFraction) -> ContinuedFraction:
-    """``alpha.complement()``, one instance per slope, so that its
-    convergent cache stays warm across calls."""
-    return alpha.complement()
-
-
 class _Locator(NamedTuple):
     """What a certificate at (slope, k, delta) needs besides its position.
 
     Every period is decided on the working slope: the slope itself below
-    1/2, its complement from ``_complement`` above.  The complement's
+    1/2, its complement above, built once per locator.  The complement's
     characteristic word is the letter exchange of the original, so
     positions and periods carry over unchanged.
 
@@ -385,7 +378,7 @@ class _Locator(NamedTuple):
 @lru_cache(maxsize=1024)
 def _locator(alpha: ContinuedFraction, k: int,
              delta: AffineThreshold) -> _Locator:
-    work = _complement(alpha) if _above_half(alpha) else alpha
+    work = alpha.complement() if _above_half(alpha) else alpha
     U, V, D = delta.form
     # 0 < delta < alpha, with delta = (U + V*alpha)/D
     if _sign(work, V, U) <= 0:

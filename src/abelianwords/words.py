@@ -261,6 +261,10 @@ class Characteristic:
 class Periodic:
     pattern: bytes
 
+    def __post_init__(self):
+        if not self.pattern:
+            raise ValueError("periodic pattern must be non-empty")
+
 
 @dataclass(frozen=True)
 class Explicit:
@@ -341,7 +345,9 @@ class WordPrefix:
         return np.frombuffer(self.symbols, dtype=np.uint8)
 
     def shift(self, j: int) -> "WordPrefix":
-        """Drop the first j symbols (prefix of the shifted word)."""
+        """Drop the first j >= 0 symbols (prefix of the shifted word)."""
+        if j < 0:
+            raise ValueError(f"shift must be >= 0, got {j}")
         return WordPrefix(self.alphabet_size, self.symbols[j:])
 
     def __repr__(self) -> str:
@@ -634,8 +640,6 @@ def _max_complexity_symbols(length: int) -> bytes:
 
 
 def _periodic_row(r: Periodic, length: int) -> tuple[int, bytes]:
-    if not r.pattern:
-        raise ValueError("periodic pattern must be non-empty")
     sym = (r.pattern * -(-length // len(r.pattern)))[:length]
     return _max_letter(r.pattern) + 1, sym
 

@@ -116,6 +116,12 @@ class TestGenerate:
                            "--len", "4")
         assert code == 2 and "recipe" in err
 
+    def test_empty_periodic_pattern_is_a_bad_recipe(self, capsys):
+        code, out, err = run(capsys, "profile", "--recipe",
+                             '{"kind":"periodic","pattern":""}', "--nmax", "4")
+        assert (code, out) == (2, "")
+        assert err == "error: bad recipe: periodic pattern must be non-empty\n"
+
 
 # SHA-256 of `generate --recipe <preset> --len 1048576` stdout, frozen at
 # commit d0d6127 (fixed points by per-letter gathers, the Hubert recoding

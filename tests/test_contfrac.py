@@ -3,13 +3,14 @@ import sys
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abelianwords.contfrac import (AffineThreshold, ContinuedFraction,
                                    InsufficientPrecisionError, _sign,
-                                   _warm_start, affine_sign,
+                                   affine_sign,
                                    compare_with_rational, convergents,
                                    floor_range, floor_scaled, frac_less_than)
 
@@ -92,40 +93,6 @@ def oracle_frac_less_than(cf, i, t):
     return oracle_compare_with_rational(cf, s / w) > 0
 
 
-# -- cold walks ------------------------------------------------------------
-# _sign and floor_scaled as they were before the warm start: every walk
-# begins at the pair (p_0/q_0, p_1/q_1), whatever the cache holds.
-
-def cold_sign(cf, c, e):
-    if c == 0:
-        return (e > 0) - (e < 0)
-    t = 1 if c > 0 else -1
-    c, e = c * t, e * t
-    n = 0
-    while True:
-        lo = cf.convergent(n)
-        if c * lo.p + e * lo.q >= 0:
-            return t
-        hi = cf.convergent(n + 1)
-        if c * hi.p + e * hi.q <= 0:
-            return -t
-        n += 2
-
-
-def cold_floor_scaled(cf, n):
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return 0
-    m = 0
-    while True:
-        lo, hi = cf.convergent(m), cf.convergent(m + 1)
-        f_lo = (n * lo.p) // lo.q
-        if f_lo == (n * hi.p) // hi.q:
-            return f_lo
-        m += 2
-
-
 def outcome(fn, *args):
     """A call's result, or the type of the exception it raised."""
     try:
@@ -164,39 +131,77 @@ def draw_rational(data, cf):
     return Fraction(c.p * K + data.draw(st.integers(-3, 3)), c.q * K)
 
 
+def fresh_copy(cf, warm_to):
+    """An equal expansion with its own cache, grown to convergent
+    ``warm_to`` (or as far as a finite expansion goes); None leaves it
+    cold."""
+    out = ContinuedFraction(cf.preperiod, cf.period)
+    if warm_to is not None:
+        try:
+            out.convergent(warm_to)
+        except InsufficientPrecisionError:
+            pass
+    return out
+
+
+WARMTH = st.one_of(st.none(), st.integers(0, 60))
+
+
 class TestIntegerKernelAgainstFractionOracles:
+    # each kernel runs on a copy whose cache is cold or grown to a random
+    # depth ``warm_to``; the oracles give the same answers either way
+
     @settings(max_examples=300, deadline=None)
-    @given(any_expansion, st.data())
-    def test_compare_with_rational(self, cf, data):
+    @given(any_expansion, WARMTH, st.data())
+    def test_compare_with_rational(self, cf, warm_to, data):
         r = draw_rational(data, cf)
-        assert outcome(compare_with_rational, cf, r) == \
+        assert outcome(compare_with_rational, fresh_copy(cf, warm_to), r) == \
             outcome(oracle_compare_with_rational, cf, r)
 
     @settings(max_examples=300, deadline=None)
-    @given(any_expansion, st.data())
-    def test_affine_sign(self, cf, data):
+    @given(any_expansion, WARMTH, st.data())
+    def test_affine_sign(self, cf, warm_to, data):
         coeff = data.draw(st.one_of(st.just(Fraction(0)),
                                     st.fractions(max_denominator=10**12)))
         const = -coeff * draw_rational(data, cf)
         if data.draw(st.booleans()):
             const += Fraction(data.draw(st.integers(-10, 10)), 10**25)
-        assert outcome(affine_sign, cf, coeff, const) == \
+        assert outcome(affine_sign, fresh_copy(cf, warm_to), coeff, const) == \
             outcome(oracle_affine_sign, cf, coeff, const)
 
-    @settings(max_examples=300, deadline=None)
-    @given(any_expansion, st.integers(0, 10**6))
-    def test_floor_scaled(self, cf, n):
-        assert outcome(floor_scaled, cf, n) == outcome(oracle_floor_scaled, cf, n)
+    @settings(max_examples=400, deadline=None)
+    @given(any_expansion, WARMTH, st.data())
+    def test_sign(self, cf, warm_to, data):
+        if data.draw(st.booleans()):
+            r = draw_rational(data, cf)
+            c, e = r.denominator, -r.numerator
+            if data.draw(st.booleans()):
+                c, e = -c, -e
+        else:  # |c| up to 10**6 against an e next to -c*alpha
+            c = data.draw(st.integers(-10**6, 10**6))
+            f = outcome(oracle_floor_scaled, cf, abs(c))
+            f = 0 if isinstance(f, type) else f
+            e = (-f if c >= 0 else f) + data.draw(st.integers(-2, 2))
+        assert outcome(_sign, fresh_copy(cf, warm_to), c, e) == \
+            outcome(oracle_affine_sign, cf, c, e)
+
+    @settings(max_examples=400, deadline=None)
+    @given(any_expansion, WARMTH, st.integers(0, 10**12))
+    def test_floor_scaled(self, cf, warm_to, n):
+        got = outcome(floor_scaled, fresh_copy(cf, warm_to), n)
+        assert got == outcome(oracle_floor_scaled, cf, n)
+        if cf.period and n >= 1:
+            assert got == fixed_point_floor_oracle(cf, [n])[0]
 
     @settings(max_examples=100, deadline=None)
-    @given(expansions(), st.integers(1, 400))
-    def test_floor_range(self, cf, n_max):
-        assert floor_range(cf, n_max).tolist() == \
+    @given(expansions(), WARMTH, st.integers(1, 400))
+    def test_floor_range(self, cf, warm_to, n_max):
+        assert floor_range(fresh_copy(cf, warm_to), n_max).tolist() == \
             [oracle_floor_scaled(cf, n) for n in range(n_max + 1)]
 
     @settings(max_examples=300, deadline=None)
-    @given(any_expansion, st.integers(1, 10**6), st.data())
-    def test_frac_less_than(self, cf, i, data):
+    @given(any_expansion, WARMTH, st.integers(1, 10**6), st.data())
+    def test_frac_less_than(self, cf, warm_to, i, data):
         if data.draw(st.booleans()):
             # near {i*alpha}: v = i - c for small c, u = -floor(i*alpha) + r;
             # c = 0 with r = 0 is the identity case both must reject
@@ -209,7 +214,7 @@ class TestIntegerKernelAgainstFractionOracles:
             u = data.draw(st.fractions(-3, 3, max_denominator=10**15))
             v = data.draw(st.fractions(-3, 3, max_denominator=10**15))
         t = AffineThreshold(u, v)
-        assert outcome(frac_less_than, cf, i, t) == \
+        assert outcome(frac_less_than, fresh_copy(cf, warm_to), i, t) == \
             outcome(oracle_frac_less_than, cf, i, t)
 
     def test_finite_stream_runs_out_where_the_oracle_does(self):
@@ -231,68 +236,6 @@ class TestIntegerKernelAgainstFractionOracles:
         assert got == [outcome(oracle, cf, *args) for _, oracle, args in cases]
         assert got == [1, InsufficientPrecisionError, -1, 1,
                        InsufficientPrecisionError, InsufficientPrecisionError]
-
-
-def fresh_copy(cf, warm_to):
-    """An equal expansion with its own cache, grown to convergent
-    ``warm_to`` (or as far as a finite expansion goes); None leaves it
-    cold."""
-    out = ContinuedFraction(cf.preperiod, cf.period)
-    if warm_to is not None:
-        try:
-            out.convergent(warm_to)
-        except InsufficientPrecisionError:
-            pass
-    return out
-
-
-WARMTH = st.one_of(st.none(), st.integers(0, 60))
-
-
-class TestWarmStart:
-    @settings(max_examples=400, deadline=None)
-    @given(any_expansion, WARMTH, st.data())
-    def test_sign_matches_cold_walk(self, cf, warm_to, data):
-        if data.draw(st.booleans()):
-            r = draw_rational(data, cf)
-            c, e = r.denominator, -r.numerator
-            if data.draw(st.booleans()):
-                c, e = -c, -e
-        else:  # |c| up to 10**6 against an e next to -c*alpha
-            c = data.draw(st.integers(-10**6, 10**6))
-            f = outcome(cold_floor_scaled, fresh_copy(cf, None), abs(c))
-            f = 0 if isinstance(f, type) else f
-            e = (-f if c >= 0 else f) + data.draw(st.integers(-2, 2))
-        assert outcome(_sign, fresh_copy(cf, warm_to), c, e) == \
-            outcome(cold_sign, fresh_copy(cf, None), c, e)
-
-    @settings(max_examples=400, deadline=None)
-    @given(any_expansion, WARMTH, st.integers(0, 10**12))
-    def test_floor_scaled_matches_cold_walk(self, cf, warm_to, n):
-        assert outcome(floor_scaled, fresh_copy(cf, warm_to), n) == \
-            outcome(cold_floor_scaled, fresh_copy(cf, None), n)
-
-    @settings(max_examples=200, deadline=None)
-    @given(any_expansion, st.integers(0, 10**12), st.data())
-    def test_a_cold_cache_grows_exactly_as_the_cold_walk_does(self, cf, n,
-                                                               data):
-        # from a cold cache the warm start is index 0, so both walks
-        # request the same convergents
-        c = data.draw(st.integers(1, 10**9))
-        for fn, cold, args in ((floor_scaled, cold_floor_scaled, (n,)),
-                               (_sign, cold_sign, (c, -n))):
-            ours, theirs = fresh_copy(cf, None), fresh_copy(cf, None)
-            assert outcome(fn, ours, *args) == outcome(cold, theirs, *args)
-            assert ours._pq == theirs._pq
-
-    def test_start_is_deepest_cached_pair_within_bound(self, golden):
-        cf = ContinuedFraction(golden.preperiod, golden.period)
-        assert _warm_start(cf, 10**9) == 0  # cold: nothing cached
-        cf.convergent(20)  # q_0..q_20 = 1, 2, 3, 5, 8, 13, 21, ...
-        assert [_warm_start(cf, b) for b in (1, 2, 3, 7, 8, 12, 13, 21)] == \
-            [0, 0, 2, 2, 4, 4, 4, 6]
-        # convergent 20 has no cached successor, so 18 is the deepest pair
-        assert _warm_start(cf, 10**30) == 18
 
     def test_finite_expansion_warm_cache_raises_where_cold_does(self):
         # [0; 2, 3] = 3/7, fully cached: floor(7*alpha) and comparing
@@ -443,6 +386,40 @@ class TestFloorScaled:
         assert floor_scaled(cf, 1) == 0
         with pytest.raises(InsufficientPrecisionError, match="precision"):
             floor_scaled(cf, 7)
+
+
+class TestIntegerInputs:
+    # positions, lengths and terms pass through operator.index: a numpy
+    # integer is read as the exact int, a float is refused
+
+    def test_numpy_integers_match_python_ints(self, golden):
+        n = 7 * 10**15 + 1  # n * p_m passes 2**63 within a few pairs
+        assert floor_scaled(golden, np.int64(n)) == floor_scaled(golden, n) \
+            == 2673762078750736
+        assert floor_scaled(golden, np.int64(10**15)) == \
+            floor_scaled(golden, 10**15)
+        assert floor_range(golden, np.int64(300)).tolist() == \
+            floor_range(golden, 300).tolist()
+        t = AffineThreshold(0, Fraction(1, 2))
+        for i in (1, 2, 10**15, n):
+            assert frac_less_than(golden, np.int64(i), t) == \
+                frac_less_than(golden, i, t)
+        cf = ContinuedFraction((np.int64(2),), (np.uint8(1),))
+        assert cf == golden
+        assert all(type(a) is int for a in cf.preperiod + cf.period)
+
+    @pytest.mark.parametrize("call", [
+        lambda cf: floor_scaled(cf, 10**20 + 0.0),
+        lambda cf: floor_scaled(cf, 7.0),
+        lambda cf: floor_range(cf, 3.5),
+        lambda cf: frac_less_than(cf, 2.5, AffineThreshold(0, Fraction(1, 2))),
+        lambda cf: ContinuedFraction((2.7,), (1.5,)),
+        lambda cf: ContinuedFraction((2,), (1.0,)),
+    ], ids=["floor_scaled-big", "floor_scaled", "floor_range", "frac_less_than",
+            "terms", "period-term"])
+    def test_floats_are_refused(self, golden, call):
+        with pytest.raises(TypeError):
+            call(golden)
 
 
 class TestFracLessThan:

@@ -623,7 +623,7 @@ class TestSturmianPowerAt:
 
         monkeypatch.setattr(ContinuedFraction, "complement", counting_complement)
         monkeypatch.setattr(words, "_grow_characteristic", counting_grow)
-        powers._complement.cache_clear()
+        powers._locator.cache_clear()
         alpha = ContinuedFraction((2,), (1,))  # golden, with fresh caches
         for i in range(1, 41):
             assert_block_ends_agree(alpha, sturmian_power_at(alpha, i, 3))
@@ -642,7 +642,6 @@ class TestSturmianPowerAt:
             return grow(alpha, word, want)
 
         monkeypatch.setattr(words, "_grow_characteristic", counting)
-        powers._complement.cache_clear()
         powers._locator.cache_clear()
         alpha = ContinuedFraction((1, 3), (1, 2))
         for k in (2, 3, 5):
@@ -653,7 +652,9 @@ class TestSturmianPowerAt:
         assert work._word[0] == b"" and len(alpha._word[0]) > 0
         assert grown and all(a is alpha for a in grown)
 
-    def test_complement_is_built_once_per_slope(self, monkeypatch):
+    def test_complement_is_built_once_per_locator(self, monkeypatch):
+        # the memoized locator of (slope, k, delta) builds the complement
+        # once; an equal slope finds its locators already built
         made = []
         complement = ContinuedFraction.complement
 
@@ -662,14 +663,14 @@ class TestSturmianPowerAt:
             return complement(alpha)
 
         monkeypatch.setattr(ContinuedFraction, "complement", counting)
-        powers._complement.cache_clear()
+        powers._locator.cache_clear()
         slopes = [ContinuedFraction((1, 1), (1,)), ContinuedFraction((1, 1), (1,)),
                   ContinuedFraction((1, 4), (2, 3))]
         for alpha in slopes:
             for i in range(1, 201):
                 for k in (2, 5):
                     sturmian_power_at(alpha, i, k)
-        assert made == [slopes[0], slopes[2]]
+        assert made == [slopes[0], slopes[0], slopes[2], slopes[2]]
 
     def test_many_certificates_grow_the_word_cache_logarithmically(
             self, monkeypatch):

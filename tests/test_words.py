@@ -802,6 +802,15 @@ class TestCompletePrefixLength:
     def test_below_one_is_the_empty_prefix(self):
         assert complete_prefix_length(Champernowne(), 0).length == 0
 
+    def test_empty_periodic_pattern_is_refused(self):
+        # refused when the recipe is built, so no length is ever derived
+        # from a period of 0
+        refused = "periodic pattern must be non-empty"
+        with pytest.raises(ValueError, match=refused):
+            complete_prefix_length(Periodic(b""), 5)
+        with pytest.raises(ValueError, match=refused):
+            recipe_from_dict({"kind": "periodic", "pattern": ""})
+
     @settings(max_examples=80, deadline=None)
     @given(prolongable_morphisms())
     def test_primitivity_matches_letter_sets(self, m):
@@ -984,6 +993,12 @@ class TestWordPrefix:
 
     def test_shift(self, tm4096):
         assert tm4096.shift(5).symbols == tm4096.symbols[5:]
+
+    def test_shift_refuses_a_negative_offset(self, tm4096):
+        w = WordPrefix(2, tm4096.symbols[:16])
+        assert w.shift(16).symbols == b"" and w.shift(0) == w
+        with pytest.raises(ValueError, match="shift must be >= 0"):
+            w.shift(-3)
 
     def test_digits_guard(self):
         with pytest.raises(ValueError, match="size 10"):
