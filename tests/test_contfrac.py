@@ -253,6 +253,15 @@ class TestIntegerKernelAgainstFractionOracles:
         assert floor_scaled(warm, 1) == 0
 
 
+class TestWarmStart:
+    @settings(max_examples=400, deadline=None)
+    @given(any_expansion, WARMTH, st.integers(0, 10**12))
+    def test_floor_scaled_matches_cold_walk(self, cf, warm_to, n):
+        # what a cache already holds never changes the floor it gives
+        assert outcome(floor_scaled, fresh_copy(cf, warm_to), n) == \
+            outcome(floor_scaled, fresh_copy(cf, None), n)
+
+
 class TestConvergents:
     def test_golden_denominators_are_fibonacci(self, golden):
         assert [c.q for c in convergents(golden, 5)] == [2, 3, 5, 8, 13]
