@@ -11,9 +11,8 @@ from .complexity import (ComplexityProfile, abelian_equivalent,
                          max_abelian_complexity, parikh, parikh_classes,
                          profile, subword_profile)
 from .contfrac import (AffineThreshold, ContinuedFraction, Convergent,
-                       InsufficientPrecisionError, affine_sign,
-                       compare_with_rational, convergents, floor_range,
-                       floor_scaled, frac_less_than)
+                       InsufficientPrecisionError, convergents, floor_scaled,
+                       frac_less_than)
 from .powers import (AbelianPowerOccurrence, CongoWeights, PeriodPair,
                      WeightsTooSmallError, congo_weights, min_abelian_period,
                      sturmian_period_pair, sturmian_power_at, sturmian_powers,

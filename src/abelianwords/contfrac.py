@@ -13,43 +13,38 @@ the convergents p_n/q_n, never by floating point: even-indexed convergents
 under-approximate alpha and odd-indexed ones over-approximate it, so
 refining the sandwich decides any comparison that is not an exact
 algebraic identity.  One integer kernel, ``_sign``, decides the sign of
-c*alpha + e for integers c and e; every rational comparison clears its
-denominators once and calls it.  Every test of a fractional part against
-a threshold, {i*alpha} < (U + V*alpha)/D, goes through one more kernel on
-top of it, ``_frac_sign``: ``frac_less_than`` calls it, and the Sturmian
+c*alpha + e for integers c and e.  Every test of a fractional part
+against a threshold, {i*alpha} < (U + V*alpha)/D, goes through it by way
+of ``_frac_sign``: ``frac_less_than`` calls that, and the Sturmian
 locator of :mod:`abelianwords.powers`, which reads its signs off one
 deep convergent (exact by the |c|/(q_m*q_(m+1)) bound below), falls back
-to it where such a sign is 0 or the position is past that convergent's
-reach.  The kernels and the floor functions read (p_n, q_n) pairs
-straight from each instance's grow-only cache, so a warm comparison
-builds no ``Convergent`` and no ``Fraction``.
+to ``_frac_sign`` where such a sign is 0 or the position is past that
+convergent's reach.  The kernel and ``floor_scaled`` read (p_n, q_n)
+pairs straight from each instance's grow-only cache, so a warm
+comparison builds no ``Convergent`` and no ``Fraction``.
 
 Every walk starts at the first pair (p_0/q_0, p_1/q_1).  At convergent m
 a bound is off by |c*alpha + e - (c*p_m/q_m + e)| < |c|/(q_m*q_(m+1)),
 so once q_m > |c| it is off by less than 1/q_(m+1), and the walk stops
 within a pair or two unless |c*alpha + e| is smaller still.
 
-Positions, lengths and partial quotients pass through ``operator.index``,
-so a numpy integer becomes an exact int and a float is refused.
+Positions and partial quotients pass through ``operator.index``, so a
+numpy integer becomes an exact int and a float is refused.
 """
 
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 from operator import index
 from typing import Iterator
-
-import numpy as np
 
 __all__ = [
     "AffineThreshold",
     "ContinuedFraction",
     "Convergent",
     "InsufficientPrecisionError",
-    "affine_sign",
-    "compare_with_rational",
     "convergents",
-    "floor_range",
     "floor_scaled",
     "frac_less_than",
 ]
@@ -199,16 +194,26 @@ class ContinuedFraction:
         return cls(*map(tuple, parts))
 
 
+def _exact(x) -> Fraction:
+    """Rational x as a Fraction of Python ints."""
+    if not isinstance(x, Rational):
+        raise TypeError(
+            f"threshold parts must be rationals, got {type(x).__name__}")
+    return Fraction(index(x.numerator), index(x.denominator))
+
+
 @dataclass(frozen=True)
 class AffineThreshold:
     """The real number u + v*alpha with rational u, v.
 
     Used as the right-hand side of strict comparisons against fractional
     parts {i*alpha}; all the thresholds appearing in the Sturmian power
-    construction have this shape.  ``form`` holds the same number once
-    over integers, (U, V, D) with u + v*alpha = (U + V*alpha)/D and D > 0;
-    every exact test reads it, and so does the hash, so a cache keyed on
-    a threshold hashes no ``Fraction``.
+    construction have this shape.  ``u`` and ``v`` must be rationals (a
+    float, ``Decimal`` or ``str`` raises ``TypeError``), kept as Fractions
+    of Python ints.  ``form`` holds the same number once over integers,
+    (U, V, D) with u + v*alpha = (U + V*alpha)/D and D > 0; every exact
+    test reads it, and so does the hash, so a cache keyed on a threshold
+    hashes no ``Fraction``.
     """
 
     u: Fraction
@@ -216,7 +221,7 @@ class AffineThreshold:
     form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        u, v = Fraction(self.u), Fraction(self.v)
+        u, v = _exact(self.u), _exact(self.v)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "form", (u.numerator * v.denominator,
@@ -299,43 +304,6 @@ def floor_scaled(cf: ContinuedFraction, n: int) -> int:
         m += 2
 
 
-def floor_range(cf: ContinuedFraction, n_max: int) -> np.ndarray:
-    """floor(n * alpha) for every n in 0..n_max, as one array.
-
-    Uses a single convergent p/q with q > n_max: then n*p mod q is never 0
-    (q > n and gcd(p, q) = 1) while |n*alpha - n*p/q| < n/(q*q') < 1/q, so
-    (n*p)//q is already exact for every n in range.
-    """
-    n_max = index(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if n_max == 0:
-        return np.zeros(1, dtype=np.int64)
-    m = 1
-    while _pq_at(cf, m)[1] <= n_max + 1:
-        m += 1
-    p, q = _pq_at(cf, m)
-    if n_max * p < 2**62 and q < 2**62:
-        ns = np.arange(n_max + 1, dtype=np.int64)
-        return (ns * p) // q
-    # huge partial quotients can push p or q out of int64; fall back to ints
-    return np.array([(n * p) // q for n in range(n_max + 1)], dtype=object)
-
-
-def compare_with_rational(cf: ContinuedFraction, r: Fraction) -> int:
-    """Sign of alpha - r for rational r; never 0 since alpha is irrational."""
-    return _sign(cf, r.denominator, -r.numerator)
-
-
-def affine_sign(cf: ContinuedFraction, coeff, const) -> int:
-    """Sign of coeff*alpha + const with rational coeff, const, exactly."""
-    coeff = Fraction(coeff)
-    const = Fraction(const)
-    # multiply through by both (positive) denominators
-    return _sign(cf, coeff.numerator * const.denominator,
-                 const.numerator * coeff.denominator)
-
-
 def _frac_sign(cf: ContinuedFraction, i: int, f: int,
                U: int, V: int, D: int) -> int:
     """Exact sign of {i*alpha} - (U + V*alpha)/D for D > 0, given
@@ -348,6 +316,14 @@ def _frac_sign(cf: ContinuedFraction, i: int, f: int,
     return _sign(cf, D * i - V, -(D * f + U))
 
 
+def _form(t: AffineThreshold) -> tuple:
+    """The integer form (U, V, D) of t, which must be an AffineThreshold."""
+    if not isinstance(t, AffineThreshold):
+        raise TypeError(
+            f"threshold must be an AffineThreshold, got {type(t).__name__}")
+    return t.form
+
+
 def frac_less_than(cf: ContinuedFraction, i: int, t: AffineThreshold) -> bool:
     """Exact test of {i*alpha} < u + v*alpha.
 
@@ -356,10 +332,11 @@ def frac_less_than(cf: ContinuedFraction, i: int, t: AffineThreshold) -> bool:
     nothing to refine towards, so that identity case is rejected; the
     caller must exclude it.
     """
+    form = _form(t)
     i = index(i)
     if i < 1:
         raise ValueError("i must be >= 1")
-    sign = _frac_sign(cf, i, floor_scaled(cf, i), *t.form)
+    sign = _frac_sign(cf, i, floor_scaled(cf, i), *form)
     if sign == 0:
         raise ValueError(
             "comparison is an exact identity ({i*alpha} = u + v*alpha); "

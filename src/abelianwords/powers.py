@@ -62,8 +62,8 @@ import numpy as np
 
 from . import complexity, words
 from .complexity import ParikhVector
-from .contfrac import (AffineThreshold, ContinuedFraction, _frac_sign,
-                       _pq_at, _sign, floor_scaled)
+from .contfrac import (AffineThreshold, ContinuedFraction, _form,
+                       _frac_sign, _pq_at, _sign, floor_scaled)
 from .words import (_MAX_ALPHABET, BudgetError, WordPrefix,
                     _characteristic_word, _check_length)
 
@@ -350,8 +350,9 @@ class _Locator(NamedTuple):
     whose ``reach`` covers ``words.DEFAULT_SYMBOL_BUDGET`` (a finite
     expansion stops at its deepest even m whose convergent m + 1 it
     holds).  At every position i <= reach, q > i, so floor(i*alpha) =
-    (i*p)//q with remainder r = i*p - f*q >= 1 (as
-    ``contfrac.floor_range`` argues).  Each threshold test,
+    (i*p)//q with remainder r = i*p - f*q >= 1: gcd(p, q) = 1 and
+    0 < i < q give 1 <= r <= q - 1, and i*alpha is within i/(q*q_{m+1})
+    < 1/q of i*p/q = f + r/q.  Each threshold test,
     D*({i*alpha} - (U' + V'*alpha)/D), is then c*alpha + e with
     c = D*i - V' and e = -(D*f + U'), read at p/q as c*p + e*q: that is
     D*r - ``below`` against alpha - delta, r - p against alpha, and
@@ -378,8 +379,8 @@ class _Locator(NamedTuple):
 @lru_cache(maxsize=1024)
 def _locator(alpha: ContinuedFraction, k: int,
              delta: AffineThreshold) -> _Locator:
+    U, V, D = _form(delta)
     work = alpha.complement() if _above_half(alpha) else alpha
-    U, V, D = delta.form
     # 0 < delta < alpha, with delta = (U + V*alpha)/D
     if _sign(work, V, U) <= 0:
         raise ValueError("delta must be positive")

@@ -28,10 +28,11 @@ paper are built by copying whole blocks of bytes.
   and grows by M of its letters not yet mapped, while the images of its
   letters fall short of the length.
 * A characteristic word is the limit of the standard words
-  s_n = s_(n-1)^(a_n) s_(n-2), built by bytes repetition.  Each slope
-  keeps one grow-only prefix of its characteristic word beside its
-  grow-only convergent cache (both on the ``ContinuedFraction``, grown
-  under one lock), and every characteristic prefix is a slice of it.
+  s_n = s_(n-1)^(a_n) s_(n-2), built by copying prefixes in place in
+  one buffer of the grown length.  Each slope keeps one grow-only
+  prefix of its characteristic word beside its grow-only convergent
+  cache (both on the ``ContinuedFraction``, grown under one lock), and
+  every characteristic prefix is a slice of it.
 
 The Hubert recoding and the other generators use whole-array operations;
 ``Morphism.apply_raw`` gathers rows of the morphism's image table.
@@ -553,22 +554,43 @@ def _grow_characteristic(alpha: ContinuedFraction, word: bytes,
     ``word``, and so is s_(i-1) for i >= 2; s_0 and s_(-1) are literals.
     A repeat count is capped at what ``want`` still needs, so a huge
     partial quotient costs nothing.
+
+    The pieces are planned on lengths, then copied into one zeroed buffer
+    of the final length through a memoryview, a run of copies doubling,
+    so growing makes no reallocation and no temporary copy of a prefix.
     """
-    out = bytearray(word)
-    while len(out) < want:
-        n, i = len(out), 0
+    pieces = []  # (prefix length or literal letter, symbols it covers)
+    n = len(word)
+    while n < want:
+        i = 0
         while n and _pq_at(alpha, i + 1)[1] <= n:
             i += 1
         if i == 0:
             unit, reps, tail = b"\0", alpha.term(1) - 1, b"\1"
         else:
-            unit, reps = out[:_pq_at(alpha, i)[1]], alpha.term(i + 1)
-            tail = out[:_pq_at(alpha, i - 1)[1]] if i > 1 else b"\0"
-        done = n // len(unit)
-        upto = min(reps, -(-want // len(unit)))
-        out += unit * (upto - done)
+            unit, reps = _pq_at(alpha, i)[1], alpha.term(i + 1)
+            tail = _pq_at(alpha, i - 1)[1] if i > 1 else b"\0"
+        size = unit if isinstance(unit, int) else 1
+        upto = min(reps, -(-want // size))
+        pieces.append((unit, size * (upto - n // size)))
         if upto == reps:
-            out += tail
+            pieces.append((tail, tail if isinstance(tail, int) else 1))
+        n = len(word) + sum(length for _, length in pieces)
+    out = bytearray(n)  # all 0, so a literal 0 needs no write
+    out[:len(word)] = word
+    pos = len(word)
+    with memoryview(out) as view:
+        for unit, length in pieces:
+            if unit == b"\1":
+                view[pos] = 1
+            elif isinstance(unit, int) and length:
+                view[pos:pos + unit] = view[:unit]
+                run = unit  # the copied run copies itself, doubling
+                while run < length:
+                    k = min(run, length - run)
+                    view[pos + run:pos + run + k] = view[pos:pos + k]
+                    run += k
+            pos += length
     return bytes(out)
 
 

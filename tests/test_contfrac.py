@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +11,7 @@ from hypothesis import strategies as st
 
 from abelianwords.contfrac import (AffineThreshold, ContinuedFraction,
                                    InsufficientPrecisionError, _sign,
-                                   affine_sign,
-                                   compare_with_rational, convergents,
-                                   floor_range, floor_scaled, frac_less_than)
+                                   convergents, floor_scaled, frac_less_than)
 
 
 def fixed_point_floor_oracle(cf, ns, bits=256):
@@ -78,6 +77,21 @@ def oracle_floor_scaled(cf, n):
         if f_lo == f_hi:
             return f_lo
         m += 1
+
+
+def oracle_floor_range(cf, n_max):
+    """floor(n*alpha) for every n in 0..n_max, as Python ints.
+
+    Uses a single convergent p/q with q > n_max + 1: then n*p mod q is
+    never 0 (q > n and gcd(p, q) = 1) while |n*alpha - n*p/q| < n/(q*q')
+    < 1/q, so (n*p)//q is already exact for every n in range.  A finite
+    expansion without such a convergent raises InsufficientPrecisionError.
+    """
+    m = 1
+    while cf.convergent(m).q <= n_max + 1:
+        m += 1
+    c = cf.convergent(m)
+    return [(n * c.p) // c.q for n in range(n_max + 1)]
 
 
 def oracle_frac_less_than(cf, i, t):
@@ -151,24 +165,6 @@ class TestIntegerKernelAgainstFractionOracles:
     # each kernel runs on a copy whose cache is cold or grown to a random
     # depth ``warm_to``; the oracles give the same answers either way
 
-    @settings(max_examples=300, deadline=None)
-    @given(any_expansion, WARMTH, st.data())
-    def test_compare_with_rational(self, cf, warm_to, data):
-        r = draw_rational(data, cf)
-        assert outcome(compare_with_rational, fresh_copy(cf, warm_to), r) == \
-            outcome(oracle_compare_with_rational, cf, r)
-
-    @settings(max_examples=300, deadline=None)
-    @given(any_expansion, WARMTH, st.data())
-    def test_affine_sign(self, cf, warm_to, data):
-        coeff = data.draw(st.one_of(st.just(Fraction(0)),
-                                    st.fractions(max_denominator=10**12)))
-        const = -coeff * draw_rational(data, cf)
-        if data.draw(st.booleans()):
-            const += Fraction(data.draw(st.integers(-10, 10)), 10**25)
-        assert outcome(affine_sign, fresh_copy(cf, warm_to), coeff, const) == \
-            outcome(oracle_affine_sign, cf, coeff, const)
-
     @settings(max_examples=400, deadline=None)
     @given(any_expansion, WARMTH, st.data())
     def test_sign(self, cf, warm_to, data):
@@ -196,7 +192,7 @@ class TestIntegerKernelAgainstFractionOracles:
     @settings(max_examples=100, deadline=None)
     @given(expansions(), WARMTH, st.integers(1, 400))
     def test_floor_range(self, cf, warm_to, n_max):
-        assert floor_range(fresh_copy(cf, warm_to), n_max).tolist() == \
+        assert oracle_floor_range(fresh_copy(cf, warm_to), n_max) == \
             [oracle_floor_scaled(cf, n) for n in range(n_max + 1)]
 
     @settings(max_examples=300, deadline=None)
@@ -222,13 +218,14 @@ class TestIntegerKernelAgainstFractionOracles:
         # rational just below 3/7 is decided by the even bound 3/7 before
         # the missing odd one is requested, one just above needs it
         cf = ContinuedFraction((2, 3))
-        eps = Fraction(1, 10**20)
-        cases = [(compare_with_rational, oracle_compare_with_rational,
-                  (Fraction(3, 7) - eps,)),
-                 (compare_with_rational, oracle_compare_with_rational,
-                  (Fraction(3, 7) + eps,)),
-                 (affine_sign, oracle_affine_sign, (-7, 3)),
-                 (affine_sign, oracle_affine_sign, (7, -3)),
+        below = Fraction(3, 7) - Fraction(1, 10**20)
+        above = Fraction(3, 7) + Fraction(1, 10**20)
+        cases = [(_sign, oracle_affine_sign,
+                  (below.denominator, -below.numerator)),
+                 (_sign, oracle_affine_sign,
+                  (above.denominator, -above.numerator)),
+                 (_sign, oracle_affine_sign, (-7, 3)),
+                 (_sign, oracle_affine_sign, (7, -3)),
                  (floor_scaled, oracle_floor_scaled, (7,)),
                  (frac_less_than, oracle_frac_less_than,
                   (3, AffineThreshold(Fraction(2, 7), 0)))]
@@ -309,15 +306,19 @@ class TestConvergents:
     def test_one_sided_error_bounds(self, cf_fix, request):
         # even n: 0 < alpha - p_n/q_n < 1/(q_n q_{n+1}); odd n: mirrored
         cf = request.getfixturevalue(cf_fix)
+
+        def alpha_minus(r):  # sign of alpha - r
+            return _sign(cf, r.denominator, -r.numerator)
+
         for n in range(0, 30):
             c, cn = cf.convergent(n), cf.convergent(n + 1)
             gap = Fraction(1, c.q * cn.q)
             if n % 2 == 0:
-                assert compare_with_rational(cf, c.value) > 0
-                assert compare_with_rational(cf, c.value + gap) < 0
+                assert alpha_minus(c.value) > 0
+                assert alpha_minus(c.value + gap) < 0
             else:
-                assert compare_with_rational(cf, c.value) < 0
-                assert compare_with_rational(cf, c.value - gap) > 0
+                assert alpha_minus(c.value) < 0
+                assert alpha_minus(c.value - gap) > 0
 
 
 class TestSharedCache:
@@ -376,17 +377,12 @@ class TestFloorScaled:
     @pytest.mark.parametrize("cf_fix", ["golden", "sqrt2m1"])
     def test_floor_range_matches_floor_scaled(self, cf_fix, request):
         cf = request.getfixturevalue(cf_fix)
-        assert floor_range(cf, 3000).tolist() == \
+        assert oracle_floor_range(cf, 3000) == \
             [floor_scaled(cf, n) for n in range(3001)]
 
     def test_rejects_negative(self, golden):
         with pytest.raises(ValueError):
             floor_scaled(golden, -1)
-
-    def test_huge_preperiod_term_falls_back_to_exact_ints(self):
-        cf = ContinuedFraction((10**12,), (1,))
-        floors = floor_range(cf, 10)
-        assert floors.tolist() == [floor_scaled(cf, n) for n in range(11)]
 
     def test_finite_stream_exhausts_mid_sandwich(self):
         # [0; 2, 3] = 3/7: the first convergent pair decides floor(1*alpha)
@@ -407,8 +403,6 @@ class TestIntegerInputs:
             == 2673762078750736
         assert floor_scaled(golden, np.int64(10**15)) == \
             floor_scaled(golden, 10**15)
-        assert floor_range(golden, np.int64(300)).tolist() == \
-            floor_range(golden, 300).tolist()
         t = AffineThreshold(0, Fraction(1, 2))
         for i in (1, 2, 10**15, n):
             assert frac_less_than(golden, np.int64(i), t) == \
@@ -417,15 +411,37 @@ class TestIntegerInputs:
         assert cf == golden
         assert all(type(a) is int for a in cf.preperiod + cf.period)
 
+    def test_numpy_integer_thresholds_match_python_ints(self, golden):
+        # an int64 numerator times 2**40 would wrap inside ``form``
+        t = AffineThreshold(np.int64(2**62), Fraction(1, 2**40))
+        ref = AffineThreshold(2**62, Fraction(1, 2**40))
+        assert t == ref
+        assert t.form == ref.form
+        assert hash(t) == hash(ref)
+        assert all(type(x) is int for x in t.form)
+        assert frac_less_than(golden, 3, t) is True
+        assert frac_less_than(golden, 3, ref) is True
+        small = AffineThreshold(np.int32(1), np.int8(-1))
+        assert small == AffineThreshold(1, -1)
+        assert small.form == (1, -1, 1)
+        assert all(type(x.numerator) is int for x in (small.u, small.v))
+
     @pytest.mark.parametrize("call", [
         lambda cf: floor_scaled(cf, 10**20 + 0.0),
         lambda cf: floor_scaled(cf, 7.0),
-        lambda cf: floor_range(cf, 3.5),
         lambda cf: frac_less_than(cf, 2.5, AffineThreshold(0, Fraction(1, 2))),
         lambda cf: ContinuedFraction((2.7,), (1.5,)),
         lambda cf: ContinuedFraction((2,), (1.0,)),
-    ], ids=["floor_scaled-big", "floor_scaled", "floor_range", "frac_less_than",
-            "terms", "period-term"])
+        lambda cf: AffineThreshold(0.1, 0),
+        lambda cf: AffineThreshold(0, np.float64(0.5)),
+        lambda cf: AffineThreshold(Decimal("0.1"), 0),
+        lambda cf: AffineThreshold("1/2", 0),
+        lambda cf: frac_less_than(cf, 3, 0.5),
+        lambda cf: frac_less_than(cf, 3, Fraction(1, 2)),
+    ], ids=["floor_scaled-big", "floor_scaled", "frac_less_than",
+            "terms", "period-term", "threshold-float", "threshold-float64",
+            "threshold-decimal", "threshold-str", "frac_less_than-float",
+            "frac_less_than-fraction"])
     def test_floats_are_refused(self, golden, call):
         with pytest.raises(TypeError):
             call(golden)
@@ -450,7 +466,7 @@ class TestFracLessThan:
         # {i*alpha} < 1 - alpha iff floor((i+1)*alpha) == floor(i*alpha)
         cf = request.getfixturevalue(cf_fix)
         one_minus_alpha = AffineThreshold(1, -1)
-        floors = floor_range(cf, 10001).tolist()
+        floors = oracle_floor_range(cf, 10001)
         for i in range(1, 10001):
             assert frac_less_than(cf, i, one_minus_alpha) == \
                 (floors[i + 1] == floors[i])
@@ -462,19 +478,23 @@ class TestFracLessThan:
 
 
 class TestCompareAffine:
+    # ``_sign`` on the cleared integers: alpha - p/q is p/q's
+    # (q, -p), and coeff*alpha + const multiplies through by both
+    # denominators
+
     def test_compare_with_rational_signs(self, golden):
-        assert compare_with_rational(golden, Fraction(1, 3)) == 1
-        assert compare_with_rational(golden, Fraction(2, 5)) == -1
+        assert _sign(golden, 3, -1) == 1    # alpha > 1/3
+        assert _sign(golden, 5, -2) == -1   # alpha < 2/5
         # a convergent itself is handled (alpha > p_2/q_2 = 1/3 decided above;
         # odd-indexed one from the other side)
-        assert compare_with_rational(golden, Fraction(1, 2)) == -1
+        assert _sign(golden, 2, -1) == -1   # alpha < 1/2
 
     def test_affine_sign(self, golden):
-        assert affine_sign(golden, 0, Fraction(1, 2)) == 1
-        assert affine_sign(golden, 0, 0) == 0
-        assert affine_sign(golden, 2, -1) < 0   # 2*alpha < 1
-        assert affine_sign(golden, 3, -1) > 0   # 3*alpha > 1
-        assert affine_sign(golden, -1, Fraction(1, 2)) > 0  # alpha < 1/2
+        assert _sign(golden, 0, 1) == 1     # 0*alpha + 1/2 > 0
+        assert _sign(golden, 0, 0) == 0
+        assert _sign(golden, 2, -1) < 0     # 2*alpha < 1
+        assert _sign(golden, 3, -1) > 0     # 3*alpha > 1
+        assert _sign(golden, -2, 1) > 0     # -alpha + 1/2 > 0
 
 
 class TestContinuedFraction:
@@ -498,8 +518,8 @@ class TestContinuedFraction:
 
     def test_complement_round_trip(self, sqrt2m1):
         back = sqrt2m1.complement().complement()
-        assert floor_range(back, 2000).tolist() == \
-            floor_range(sqrt2m1, 2000).tolist()
+        assert oracle_floor_range(back, 2000) == \
+            oracle_floor_range(sqrt2m1, 2000)
 
     def test_wire_schema_round_trip(self, golden):
         d = golden.to_dict()

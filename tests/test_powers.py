@@ -528,6 +528,15 @@ class TestSturmianPeriodPair:
         with pytest.raises(ValueError, match="< alpha"):
             sturmian_period_pair(golden, 2, AffineThreshold(0, 2))
 
+    @pytest.mark.parametrize("call", [
+        lambda a: sturmian_power_at(a, 5, 2, 0.5),
+        lambda a: sturmian_powers(a, [], 2, Fraction(1, 2)),
+        lambda a: sturmian_period_pair(a, 2, 0.5),
+    ], ids=["power_at", "powers", "period_pair"])
+    def test_delta_must_be_a_threshold(self, golden, call):
+        with pytest.raises(TypeError, match="AffineThreshold"):
+            call(golden)
+
     def test_rational_delta(self, golden):
         # delta = 1/3 < alpha fails (1/3 < 0.382 holds, so it is valid);
         # use it and check the defining inequality exactly on the result
@@ -1044,7 +1053,7 @@ class TestRLemmaChain:
         # i+kk and j+kk agree, the two length-(kk+1) factors starting at i
         # and j are Abelian equivalent; the hypothesis is decided exactly
         # via {i a} - {j a} = (i - j) a - (fi - fj)
-        from abelianwords.contfrac import affine_sign, floor_scaled
+        from abelianwords.contfrac import _sign, floor_scaled
 
         w = characteristic_prefix(golden, 3000)
         rng = random.Random(7)
@@ -1058,8 +1067,8 @@ class TestRLemmaChain:
             d = i - j
             f = floor_scaled(golden, i) - floor_scaled(golden, j)
             #  -alpha < d*alpha - f < alpha
-            if not (affine_sign(golden, d - 1, -f) < 0
-                    and affine_sign(golden, d + 1, -f) > 0):
+            if not (_sign(golden, d - 1, -f) < 0
+                    and _sign(golden, d + 1, -f) > 0):
                 continue
             if w.symbols[i + kk - 1] != w.symbols[j + kk - 1]:
                 continue

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_contfrac import oracle_floor_range
 
 from abelianwords import words
 from abelianwords.contfrac import (AffineThreshold, ContinuedFraction,
-                                   InsufficientPrecisionError, floor_range,
-                                   frac_less_than)
+                                   InsufficientPrecisionError, frac_less_than)
 from abelianwords.words import (CONSTANT3, DOUBLING, FIBONACCI, THUE_MORSE,
                                 TRIBONACCI, BudgetError, Champernowne,
                                 Characteristic, Explicit, FixedPoint, Hubert,
@@ -129,14 +129,14 @@ def fewest_reaching(images, letters, length):
 
 def floor_characteristic(cf, length):
     """Characteristic prefix from floor((j+2)*alpha) - floor((j+1)*alpha),
-    or "raises" where floor_range runs out of terms."""
+    or "raises" where oracle_floor_range runs out of terms."""
     if length == 0:
         return b""
     try:
-        floors = floor_range(cf, length + 1)
+        floors = oracle_floor_range(cf, length + 1)
     except InsufficientPrecisionError:
         return "raises"
-    return bytes(int(b - a) for a, b in zip(floors[1:], floors[2:]))
+    return bytes(b - a for a, b in zip(floors[1:], floors[2:]))
 
 
 def characteristic_or_raises(cf, length):
@@ -482,13 +482,31 @@ class TestCharacteristic:
         ContinuedFraction((2, 1, 7, 10**20), (2, 3)),
     ], ids=["huge-second-quotient", "huge-fourth-quotient"])
     def test_exact_big_integer_branch(self, cf):
-        # convergents this large leave int64, so floor_range is exact ints
+        # convergents this large leave int64; the letters still match
+        # the exact threshold tests
         length = 3000
-        assert floor_range(cf, length + 1).dtype == object
         w = characteristic_prefix(cf, length)
         t = AffineThreshold(1, -1)
         for n in range(1, length + 1):
             assert (w.symbols[n - 1] == 0) == frac_less_than(cf, n, t)
+
+    @pytest.mark.parametrize("terms", [((2,), (1,)), ((), (2,)),
+                                       ((1, 10**6), (2,)), ((3,), (1, 7))],
+                             ids=["golden", "sqrt2", "huge-quotient",
+                                  "mixed"])
+    def test_growth_holds_two_copies_at_most(self, terms):
+        # the word is filled in place in one buffer of its final length,
+        # then copied once into the cached bytes: no growth reallocation
+        # and no temporary prefix copies on top of those two
+        cf = ContinuedFraction(*terms)
+        cf.convergent(60)
+        tracemalloc.start()
+        try:
+            word = words._characteristic_word(cf, 1 << 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * len(word) + (1 << 16)
 
     @settings(max_examples=200, deadline=None)
     @given(slope_terms(), st.lists(st.integers(0, 5000), min_size=1,
