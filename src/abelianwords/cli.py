@@ -94,7 +94,7 @@ def _emit(text: str, out_path):
 def cmd_generate(args) -> int:
     recipe = _load_recipe(args.recipe)
     w = words.prefix_of(recipe, args.len)
-    _emit(w.digits() + "\n", args.out)
+    _emit(w.digits("\n"), args.out)
     return EXIT_OK
 
 

@@ -25,9 +25,9 @@ a weight sum between 1 and s times the largest weight, and M times the
 largest weight is below N, so no step s <= M closes a progression.  The
 scan holds the running sums mod N in the narrowest dtype (one byte per
 symbol up to N = 256), built block by block in a fixed int32 scratch
-(int64 for N past 2**31 / (block + 1)), plus two one-byte boolean
-buffers it compares into: three bytes per symbol up to N = 256,
-whatever the step.
+(int64 for N past 2**31 / (block + 1)), plus two boolean buffers of
+2^18 starts it compares into, one block of starts at a time: one byte
+per symbol up to N = 256, whatever the step.
 
 All three verify through one counting core, ``_common_parikh``: it
 counts all letters but the last in each block with ``bytes.count``,
@@ -199,6 +199,9 @@ def congo_weights(M: int, r: int) -> CongoWeights:
 # symbols per block of the running weight sums in ``_vdw_residues``: the
 # scratch is this long whatever the prefix length
 _RESIDUE_BLOCK = 1 << 16
+# starts per block of the progression scan: its two boolean buffers are
+# this long (256 KiB, which stays in cache) whatever the prefix length
+_SCAN_BLOCK = 1 << 18
 
 
 @lru_cache(maxsize=4)
@@ -267,8 +270,8 @@ def vdw_power_search(w: WordPrefix, k: int, weights: CongoWeights
     returns None before it builds the residues.
 
     Memory: the residues (one byte per symbol up to N = 256) and two
-    one-byte-per-symbol boolean buffers the scan compares into, so three
-    bytes per symbol in all for binary words at M <= 15.
+    boolean buffers of ``_SCAN_BLOCK`` starts the scan compares into, one
+    block of starts at a time.
 
     Returns None when no progression fits inside the prefix.  Each step
     s > M counts the L - k*s + 1 starts it compares, and the scan raises
@@ -283,26 +286,32 @@ def vdw_power_search(w: WordPrefix, k: int, weights: CongoWeights
     if L // k <= weights.M:  # no step s > M fits (see above)
         return None
     nu = _vdw_residues(w.symbols, weights)
-    hits = np.empty(L, dtype=bool)
-    equal = np.empty(L, dtype=bool)
+    hits = np.empty(min(L, _SCAN_BLOCK), dtype=bool)
+    equal = np.empty_like(hits)
     work = 0
     for s in range(weights.M + 1, L // k + 1):
         width = L - k * s + 1
         work = _charge(work, width, "progression search")
-        ok, eq, first = hits[:width], equal[:width], nu[:width]
-        np.equal(first, nu[s:s + width], out=ok)
-        for j in range(2, k + 1):
-            if not ok.any():
-                break
-            ok &= np.equal(nu[j * s:j * s + width], first, out=eq)
-        t0 = int(ok.argmax())  # the first True, or 0 when there is none
-        if ok[t0]:
-            block = _common_parikh(w.symbols, w.alphabet_size, t0, s, k)
-            if block is None:
-                raise WeightsTooSmallError(
-                    f"nu-progression at (t0={t0}, s={s}) has non-equivalent "
-                    f"blocks: M={weights.M} is below the word's balance constant")
-            return AbelianPowerOccurrence(t0, s, k, block)
+        # the starts one block at a time, in order: the first block with
+        # a hit holds the least t0 of this step
+        for lo in range(0, width, _SCAN_BLOCK):
+            n = min(_SCAN_BLOCK, width - lo)
+            ok, eq, first = hits[:n], equal[:n], nu[lo:lo + n]
+            np.equal(first, nu[lo + s:lo + s + n], out=ok)
+            for j in range(2, k + 1):
+                if not ok.any():
+                    break
+                ok &= np.equal(nu[lo + j * s:lo + j * s + n], first, out=eq)
+            hit = int(ok.argmax())  # the first True, or 0 when there is none
+            if ok[hit]:
+                t0 = lo + hit
+                block = _common_parikh(w.symbols, w.alphabet_size, t0, s, k)
+                if block is None:
+                    raise WeightsTooSmallError(
+                        f"nu-progression at (t0={t0}, s={s}) has "
+                        f"non-equivalent blocks: M={weights.M} is below the "
+                        f"word's balance constant")
+                return AbelianPowerOccurrence(t0, s, k, block)
     return None
 
 

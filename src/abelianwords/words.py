@@ -16,26 +16,33 @@ and wraps them in a ``WordPrefix``, and each public generator is
 ``prefix_of`` on its recipe.
 
 Generation does no per-symbol Python work: the two word families of the
-paper are built by copying whole blocks of bytes.
+paper are built by copying whole blocks of bytes, and each long prefix
+is joined once from pieces of about 1 KiB or more.
 
 * A fixed point u = m(u) is also the fixed point of a power M = m^J
-  whose images are tens to thousands of symbols long.  The images of M,
-  or post(M(b)) under a post-morphism, are built once per prefix by
-  concatenation; the prefix is the join of those images over the first
-  letters of u.  A join is one cut: the running sum of the image lengths
-  and one search in it find the fewest letters whose images reach the
-  length, and the last image is cut to fit.  u itself starts as M(seed)
-  and grows by M of its letters not yet mapped, while the images of its
-  letters fall short of the length.
+  whose images are 1024 symbols long or more, unless a letter grows
+  slowly or never (then the longest image has 4096 symbols).  The
+  images of M are built once per prefix by concatenation, and under a
+  post-morphism so is post(M(b)), by one gather of post's image table;
+  the prefix is the join of those images over the first letters of u.
+  A join is one cut: the running sum of the image lengths and one
+  search in it find the fewest letters whose images reach the length,
+  and the last image is cut to fit.  A run of letters whose images are
+  one symbol long (a letter that never grows) is one piece: the run
+  translated through a table.  u itself starts as M(seed) and grows by
+  M of its letters not yet mapped, while the images of its letters fall
+  short of the length.
 * A characteristic word is the limit of the standard words
   s_n = s_(n-1)^(a_n) s_(n-2), built by copying prefixes in place in
   one buffer of the grown length.  Each slope keeps one grow-only
   prefix of its characteristic word beside its grow-only convergent
-  cache (both on the ``ContinuedFraction``, grown under one lock), and
-  every characteristic prefix is a slice of it.
+  cache (both on the ``ContinuedFraction``, grown under one lock): the
+  filled buffer itself, never written once published.  Every
+  characteristic prefix is one copy out of it.
 
-The Hubert recoding and the other generators use whole-array operations;
-``Morphism.apply_raw`` gathers rows of the morphism's image table.
+The Hubert recoding, Champernowne's word and the other generators use
+whole-array operations; ``Morphism.apply_raw`` gathers rows of the
+morphism's image table.
 
 Where the recipe's word is uniformly recurrent with a known recurrence
 bound, a computable prefix already holds every factor of length <= n of
@@ -92,7 +99,6 @@ DEFAULT_SYMBOL_BUDGET = 1 << 26
 # symbols are bytes, so no alphabet holds more letters
 _MAX_ALPHABET = 256
 
-_TO_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 _FROM_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
@@ -139,10 +145,16 @@ def _check_alphabet(alphabet_size: int, symbols: bytes):
         raise ValueError("symbol out of alphabet range")
 
 
-def _format_digits(symbols: bytes) -> str:
+def _format_digits(symbols: bytes, end: str = "") -> str:
+    """``symbols`` as digits, then the ASCII text ``end``.  Both are
+    written into one fresh buffer, never zeroed first, decoded once."""
     if _max_letter(symbols) > 9:
         raise ValueError("digit serialization supports alphabets up to size 10")
-    return symbols.translate(_TO_DIGITS).decode("ascii")
+    n = len(symbols)
+    out = np.empty(n + len(end), dtype=np.uint8)
+    np.add(np.frombuffer(symbols, dtype=np.uint8), ord("0"), out=out[:n])
+    out[n:] = np.frombuffer(end.encode("ascii"), dtype=np.uint8)
+    return str(out.data, "ascii")
 
 
 @dataclass(frozen=True)
@@ -153,8 +165,9 @@ class Morphism:
     ``(p, longest image)`` table, zero-padded, with a mask of the cells
     that belong to an image (None when every image has the same length).
     Both are built once, are not dataclass fields and never change, so a
-    morphism is safe to share.  Fixed points do not use them: they join
-    the images of a power of the morphism as bytes.
+    morphism is safe to share.  A fixed point reads them only through
+    its post-morphism; it joins the images of a power of its morphism
+    as bytes.
     """
 
     images: tuple[bytes, ...]
@@ -339,8 +352,10 @@ class WordPrefix:
     def __getitem__(self, i):
         return self.symbols[i]
 
-    def digits(self) -> str:
-        return _format_digits(self.symbols)
+    def digits(self, end: str = "") -> str:
+        """The symbols as a digit string followed by ``end`` (ASCII); a
+        letter above 9 raises ValueError."""
+        return _format_digits(self.symbols, end)
 
     def as_array(self) -> np.ndarray:
         return np.frombuffer(self.symbols, dtype=np.uint8)
@@ -352,8 +367,14 @@ class WordPrefix:
         return WordPrefix(self.alphabet_size, self.symbols[j:])
 
     def __repr__(self) -> str:
-        head = self.digits() if len(self) <= 32 else self.digits()[:32] + "..."
-        return f"WordPrefix(p={self.alphabet_size}, len={len(self)}, {head!r})"
+        # the first 32 symbols only: as digits while every letter is one,
+        # as a list of letters on more than ten
+        head, more = self.symbols[:32], len(self) > 32
+        if self.alphabet_size <= 10:
+            shown = repr(_format_digits(head) + "..." * more)
+        else:
+            shown = "[" + ", ".join(map(str, head)) + ", ..." * more + "]"
+        return f"WordPrefix(p={self.alphabet_size}, len={len(self)}, {shown})"
 
 
 def fixed_point(m: Morphism, seed: int, length: int) -> WordPrefix:
@@ -421,7 +442,9 @@ def hubert_ternary(inner: ContinuedFraction, length: int) -> WordPrefix:
 # A fixed point is copied in images of a power of its morphism: the least
 # power whose shortest image has _BLOCK_MIN symbols, or whose longest
 # reaches _BLOCK_CAP (a letter that never grows keeps images of one symbol).
-_BLOCK_MIN, _BLOCK_CAP = 64, 4096
+# Joining costs a fixed time per piece: with 1 KiB pieces a 2^22-symbol
+# Thue-Morse prefix is one join of 4,096 of them.
+_BLOCK_MIN, _BLOCK_CAP = 1024, 4096
 
 
 def _fixed_point_row(r: FixedPoint, length: int) -> tuple[int, bytes]:
@@ -441,8 +464,7 @@ def _fixed_point_row(r: FixedPoint, length: int) -> tuple[int, bytes]:
         return m.alphabet_size, _fixed_point_join(powers, powers, r.seed,
                                                   length)
     powers = _power_images(m, -(-length // min(map(len, post.images))))
-    images = [b"".join(map(post.images.__getitem__, img))[:length]
-              for img in powers]
+    images = [post.apply_raw(img)[:length] for img in powers]
     return post.image_alphabet_size, _fixed_point_join(powers, images, r.seed,
                                                        length)
 
@@ -490,7 +512,8 @@ def _fixed_point_join(powers: list, images: list, seed: int,
                                    cap - len(u))
         u += piece
         src, reached = src + read, reached + _images_length(piece, lens)
-    return _join_images(images, lens, u, length)[0]
+    # a view again, so that slicing the letters copies none of them
+    return _join_images(images, lens, memoryview(u), length)[0]
 
 
 def _images_length(letters: bytes, lens: list) -> int:
@@ -506,28 +529,58 @@ def _join_images(images: list, lens: list, letters: bytes,
 
     One cut: the running sum of the image lengths, over no more letters
     than ceil(need / shortest image), and one search in it for the first
-    that reaches ``need``; the last image is cut to fit.
+    that reaches ``need``; the last piece is cut to fit.
     """
     letters = letters[:-(-need // min(lens))]
     ends = np.asarray(lens)[np.frombuffer(letters, dtype=np.uint8)]
     np.cumsum(ends, out=ends)
     read = min(int(np.searchsorted(ends, need)) + 1, len(letters))
     over = int(ends[read - 1]) - need if read else 0
-    pieces = list(map(images.__getitem__, letters[:read]))
+    pieces = _pieces(images, lens, letters[:read])
     if over > 0:
         pieces[-1] = pieces[-1][:-over]
     return b"".join(pieces), read
 
 
+def _pieces(images: list, lens: list, letters: bytes) -> list:
+    """The images of ``letters``, as the pieces of one join: one image per
+    letter, except that a run of letters whose images are one symbol long
+    is one piece, the run translated through a table from each such
+    letter to its image."""
+    if 1 not in lens or not letters:
+        return list(map(images.__getitem__, letters))
+    one = (np.asarray(lens) == 1)[np.frombuffer(letters, dtype=np.uint8)]
+    cuts = [0, *(np.flatnonzero(one[1:] != one[:-1]) + 1).tolist(),
+            len(letters)]
+    table = bytes(img[0] if n == 1 else 0
+                  for img, n in zip(images, lens)).ljust(256, b"\0")
+    pieces = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        if one[lo]:
+            pieces.append(bytes(letters[lo:hi]).translate(table))
+        else:
+            pieces.extend(map(images.__getitem__, letters[lo:hi]))
+    return pieces
+
+
 def _characteristic_symbols(alpha: ContinuedFraction, length: int) -> bytes:
-    """The first ``length`` symbols of the characteristic word of alpha."""
-    return _characteristic_word(alpha, length)[:length] if length else b""
+    """The first ``length`` symbols of the characteristic word of alpha,
+    copied once out of the slope's cache."""
+    if not length:
+        return b""
+    return bytes(memoryview(_characteristic_word(alpha, length))[:length])
 
 
-def _characteristic_word(alpha: ContinuedFraction, length: int) -> bytes:
+def _characteristic_word(alpha: ContinuedFraction,
+                         length: int) -> Union[bytes, bytearray]:
     """The slope's grow-only cache of its characteristic word, grown to
     more than ``length`` symbols first; it at least doubles whenever it
-    grows.  It holds only the letters 0 and 1."""
+    grows.  It holds only the letters 0 and 1.
+
+    The cache is the buffer ``_grow_characteristic`` filled, published
+    without a copy (b"" before the first growth).  Nothing writes to it
+    once it is published: growing fills a new buffer and publishes that,
+    and readers only count in it, slice it or view it."""
     need = length + 3  # some q_n > length + 2, the finite-expansion rule
     word = alpha._word[0]
     if len(word) < need:
@@ -541,8 +594,9 @@ def _characteristic_word(alpha: ContinuedFraction, length: int) -> bytes:
     return word
 
 
-def _grow_characteristic(alpha: ContinuedFraction, word: bytes,
-                         want: int) -> bytes:
+def _grow_characteristic(alpha: ContinuedFraction,
+                         word: Union[bytes, bytearray],
+                         want: int) -> bytearray:
     """Extend ``word``, a prefix of the characteristic word of ``alpha``,
     to at least ``want`` symbols.
 
@@ -558,6 +612,7 @@ def _grow_characteristic(alpha: ContinuedFraction, word: bytes,
     The pieces are planned on lengths, then copied into one zeroed buffer
     of the final length through a memoryview, a run of copies doubling,
     so growing makes no reallocation and no temporary copy of a prefix.
+    That buffer is returned as it is, to be published uncopied.
     """
     pieces = []  # (prefix length or literal letter, symbols it covers)
     n = len(word)
@@ -591,7 +646,7 @@ def _grow_characteristic(alpha: ContinuedFraction, word: bytes,
                     view[pos + run:pos + run + k] = view[pos:pos + k]
                     run += k
             pos += length
-    return bytes(out)
+    return out
 
 
 _HUBERT_BLOCK = 1 << 16
@@ -624,28 +679,24 @@ def _hubert_row(r: Hubert, length: int) -> tuple[int, bytes]:
 
 
 def _champernowne_symbols(length: int) -> bytes:
-    # one block per bit length b: the numbers 2^(b-1)..2^b-1 (and 0 for
-    # b = 1) written as rows of b bits, only as many as the prefix needs
+    """One block per bit length b: the numbers 2^(b-1)..2^b-1 (and 0 for
+    b = 1), only as many as the prefix needs, written as rows of b bits
+    by one unpackbits of their big-endian bytes, shifted so that the b
+    bits lead.  The symbol budget keeps b far below 32.  The last block
+    is cut to fit and the blocks are joined once."""
     blocks = []
-    total = 0
-    b = 1
+    total, b = 0, 1
     while total < length:
         lo = 0 if b == 1 else 1 << (b - 1)
         count = min((1 << b) - lo, -(-(length - total) // b))
-        blocks.append((lo, count, b))
+        nums = np.arange(lo, lo + count, dtype=np.uint32) << np.uint32(32 - b)
+        rows = nums.astype(">u4").view(np.uint8).reshape(count, 4)
+        blocks.append(np.unpackbits(rows, axis=1, count=b).reshape(-1))
         total += count * b
         b += 1
-    # filled one bit column at a time, so no temporary is wider than a
-    # column of one block
-    out = np.empty(total, dtype=np.uint8)
-    start = 0
-    for lo, count, b in blocks:
-        rows = out[start:start + count * b].reshape(count, b)
-        nums = np.arange(lo, lo + count, dtype=np.int64)
-        for j in range(b):
-            rows[:, j] = (nums >> (b - 1 - j)) & 1
-        start += count * b
-    return out[:length].tobytes()
+    if total > length:
+        blocks[-1] = blocks[-1][:length - total]
+    return b"".join(blocks)
 
 
 def _max_complexity_symbols(length: int) -> bytes:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,31 @@ class TestGenerate:
     def test_zero_length_is_empty_line(self, capsys):
         code, out, _ = run(capsys, "generate", "--recipe", "tm", "--len", "0")
         assert code == 0 and out == "\n"
+
+    @pytest.mark.parametrize("recipe", ["tm", "tribonacci"])
+    @pytest.mark.parametrize("length", [0, 1, (1 << 16) + 1])
+    def test_stdout_is_the_digits_and_a_newline(self, capsys, recipe, length):
+        code, out, err = run(capsys, "generate", "--recipe", recipe,
+                             "--len", str(length))
+        w = prefix_of(recipe_from_dict(RECIPE_PRESETS[recipe]), length)
+        assert (code, err) == (0, "")
+        assert out == w.digits() + "\n" == "".join(map(str, w)) + "\n"
+
+    def test_holds_two_copies_beyond_the_prefix(self, capsys, tmp_path):
+        # the digits and the newline are written into one buffer and
+        # decoded once: the prefix, that buffer and the text at most
+        n = 1 << 20
+        path = tmp_path / "word.txt"
+        main(["generate", "--recipe", "tm", "--len", "1", "--out", str(path)])
+        tracemalloc.start()
+        try:
+            code = main(["generate", "--recipe", "tm", "--len", str(n),
+                         "--out", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and path.stat().st_size == n + 1
+        assert peak <= 3 * n + (1 << 16)
 
     def test_inline_json_recipe(self, capsys):
         recipe = '{"kind": "periodic", "pattern": "01"}'

@@ -365,8 +365,9 @@ class TestVdwSearch:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_scan_holds_three_bytes_per_symbol(self, k):
-        # residues (uint8 at N = 9) and two boolean scan buffers; the
-        # int64 block scratch is freed before the scan starts
+        # residues (uint8 at N = 9) and two boolean scan buffers of
+        # _SCAN_BLOCK starts, so under two bytes per symbol at 2^20; the
+        # block scratch is freed before the scan starts
         L = 1 << 20
         w = fixed_point(THUE_MORSE, 0, L)
         powers._vdw_residues.cache_clear()
@@ -378,7 +379,7 @@ class TestVdwSearch:
             tracemalloc.stop()
             powers._vdw_residues.cache_clear()
         assert (occ.start, occ.period) == {2: (3, 5), 3: (0, 18)}[k]
-        assert peak <= 4 * L, peak / L
+        assert peak <= 2 * L, peak / L
 
     def test_alphabet_mismatch(self, tm4096):
         with pytest.raises(ValueError, match="letters"):
@@ -435,8 +436,9 @@ def progression_found(w, k, weights):
 
 
 class TestResidueBlocks:
-    """The running sums are taken a block at a time; a tiny block puts
-    block edges inside short words, compared with the whole-word scans."""
+    """The running sums are taken a block at a time, and the scan reads a
+    block of starts at a time; tiny blocks put block edges inside short
+    words, compared with the whole-word scans."""
 
     B = 5
 
@@ -444,6 +446,7 @@ class TestResidueBlocks:
     def tiny_blocks(self, monkeypatch):
         # cached residues were built with the real block size
         monkeypatch.setattr(powers, "_RESIDUE_BLOCK", self.B)
+        monkeypatch.setattr(powers, "_SCAN_BLOCK", self.B - 2)
         powers._vdw_residues.cache_clear()
         yield
         powers._vdw_residues.cache_clear()
@@ -465,14 +468,15 @@ class TestResidueBlocks:
 
     @settings(max_examples=150, deadline=None)
     @given(p=st.integers(2, 3), data=st.data(),
-           block=st.integers(1, 8), M=st.sampled_from([1, 16, 256]),
-           k=st.integers(1, 4))
-    def test_random_words(self, p, data, block, M, k):
+           block=st.integers(1, 8), scan=st.integers(1, 8),
+           M=st.sampled_from([1, 16, 256]), k=st.integers(1, 4))
+    def test_random_words(self, p, data, block, scan, M, k):
         symbols = bytes(data.draw(st.lists(st.integers(0, p - 1),
                                            max_size=40)))
         w = WordPrefix(p, symbols)
         weights = congo_weights(M, p)
-        with mock.patch.object(powers, "_RESIDUE_BLOCK", block):
+        with mock.patch.object(powers, "_RESIDUE_BLOCK", block), \
+                mock.patch.object(powers, "_SCAN_BLOCK", scan):
             powers._vdw_residues.cache_clear()
             try:
                 nu = powers._vdw_residues(symbols, weights)

@@ -410,6 +410,57 @@ class TestPowerImages:
         assert prefix_of(FixedPoint(m, 0), 1 << 20).symbols == \
             b"\0" + b"\1" * ((1 << 20) - 1)
 
+    @pytest.mark.parametrize("m", [THUE_MORSE, FIBONACCI, TRIBONACCI],
+                             ids=["thue-morse", "fibonacci", "tribonacci"])
+    def test_last_join_reads_kib_images(self, monkeypatch, m):
+        # joining costs a fixed time per piece: the word is joined from
+        # images of at least 1024 symbols, so its last join reads no more
+        # than one letter per 1024 symbols
+        length = 1 << 22
+        _, _, read = post_read_letters(monkeypatch, FixedPoint(m, 0), length)
+        assert read <= -(-length // 1024)
+
+    @pytest.mark.parametrize("post", [None, {"0": "0", "1": "2"}],
+                             ids=["no-post", "post"])
+    def test_one_symbol_images_join_as_runs(self, monkeypatch, post):
+        # M(1) = 1 at every power: the 1s are copied as one translated
+        # slice per join, never one piece per symbol
+        m = Morphism.from_strings({"0": "01", "1": "1"})
+        r = FixedPoint(m, 0, post and Morphism.from_strings(post))
+        counts = []
+        pieces = words._pieces
+
+        def counting(*args):
+            result = pieces(*args)
+            counts.append(len(result))
+            return result
+
+        monkeypatch.setattr(words, "_pieces", counting)
+        length = 1 << 20
+        last = 2 if post else 1
+        assert prefix_of(r, length).symbols == \
+            b"\0" + bytes([last]) * (length - 1)
+        assert counts and max(counts) <= 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.binary(min_size=1, max_size=3), min_size=1,
+                    max_size=4).flatmap(lambda images: st.tuples(
+                        st.just(images),
+                        st.binary(max_size=80).map(lambda raw: bytes(
+                            b % len(images) for b in raw)))))
+    def test_pieces_copy_runs_of_one_symbol_images(self, case):
+        # one piece per letter with a longer image and one per run of
+        # letters whose images are one symbol long
+        images, letters = case
+        lens = [len(img) for img in images]
+        pieces = words._pieces(images, lens, letters)
+        assert b"".join(pieces) == join_images(Morphism(tuple(images)),
+                                               letters)
+        one = [lens[a] == 1 for a in letters]
+        runs = sum(1 for i, x in enumerate(one) if x and (i == 0
+                                                          or not one[i - 1]))
+        assert len(pieces) == one.count(False) + runs
+
     def test_seed_one_and_doubling(self):
         for m in (THUE_MORSE, DOUBLING):
             for length in (0, 1, 63, 64, 65, 4097, 99991):
@@ -496,8 +547,8 @@ class TestCharacteristic:
                                   "mixed"])
     def test_growth_holds_two_copies_at_most(self, terms):
         # the word is filled in place in one buffer of its final length,
-        # then copied once into the cached bytes: no growth reallocation
-        # and no temporary prefix copies on top of those two
+        # which is cached as it is: no growth reallocation, no temporary
+        # prefix copy and no copy into the cache, so one copy at most
         cf = ContinuedFraction(*terms)
         cf.convergent(60)
         tracemalloc.start()
@@ -506,7 +557,7 @@ class TestCharacteristic:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * len(word) + (1 << 16)
+        assert peak <= len(word) + (1 << 16)
 
     @settings(max_examples=200, deadline=None)
     @given(slope_terms(), st.lists(st.integers(0, 5000), min_size=1,
@@ -580,6 +631,18 @@ class TestChampernowne:
         expected = bin_champernowne(2100)
         for length in range(2101):
             assert champernowne_prefix(length).symbols == expected[:length]
+
+    def test_matches_bin_join_around_every_block_end(self):
+        # the block of b-bit numbers ends after 2 + 2*2 + 4*3 + ... + 2^(b-1)*b
+        # symbols; the last block a prefix needs is cut to fit
+        top = 1 << 20
+        expected = bin_champernowne(top)
+        end, b = 2, 2
+        while end <= top:
+            for length in (end - 1, end, min(end + 1, top)):
+                assert champernowne_prefix(length).symbols == \
+                    expected[:length], length
+            end, b = end + (b << (b - 1)), b + 1
 
 
 class TestMaxComplexity:
@@ -1021,3 +1084,28 @@ class TestWordPrefix:
     def test_digits_guard(self):
         with pytest.raises(ValueError, match="size 10"):
             WordPrefix(11, bytes([10])).digits()
+
+    @pytest.mark.parametrize("p, symbols, shown", [
+        (11, bytes([10]), "[10]"),
+        (11, bytes(), "[]"),
+        (256, bytes([255, 0, 17]), "[255, 0, 17]"),
+        (256, bytes(range(40)),
+         "[" + ", ".join(map(str, range(32))) + ", ...]"),
+    ], ids=["p11", "p11-empty", "p256", "p256-long"])
+    def test_repr_beyond_ten_letters(self, p, symbols, shown):
+        assert repr(WordPrefix(p, symbols)) == \
+            f"WordPrefix(p={p}, len={len(symbols)}, {shown})"
+
+    def test_repr_formats_only_the_head(self):
+        w = prefix_of(FixedPoint(THUE_MORSE, 0), 1 << 22)
+        tracemalloc.start()
+        try:
+            shown = repr(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert shown == ("WordPrefix(p=2, len=4194304, "
+                         "'01101001100101101001011001101001...')")
+        assert peak < 1 << 12
+        assert repr(WordPrefix(2, bytes([0, 1]))) == \
+            "WordPrefix(p=2, len=2, '01')"
