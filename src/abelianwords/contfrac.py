@@ -118,6 +118,11 @@ class ContinuedFraction:
             if a < 1:
                 raise ValueError(f"partial quotients must be >= 1, got {a}")
 
+    def __getstate__(self):
+        # the word cache is a read-only memoryview, which does not pickle;
+        # a pickle or a deep copy carries its symbols as bytes
+        return {**self.__dict__, "_word": [bytes(self._word[0])]}
+
     @property
     def is_unbounded(self) -> bool:
         return bool(self.period)

@@ -471,7 +471,10 @@ def _certify(alpha: ContinuedFraction, positions: tuple, k: int,
     symbols = _characteristic_word(alpha, end)
     out = []
     for i, ell in zip(positions, periods):
-        block = _common_parikh(symbols, 2, i - 1, ell, k)
+        # the cache is a read-only view; its k blocks are copied out to
+        # count in them
+        block = _common_parikh(bytes(symbols[i - 1:i - 1 + k * ell]), 2, 0,
+                               ell, k)
         if block is None:
             raise AssertionError(
                 f"constructed occurrence failed verification at i={i}, k={k}, "

@@ -36,8 +36,8 @@ is joined once from pieces of about 1 KiB or more.
   s_n = s_(n-1)^(a_n) s_(n-2), built by copying prefixes in place in
   one buffer of the grown length.  Each slope keeps one grow-only
   prefix of its characteristic word beside its grow-only convergent
-  cache (both on the ``ContinuedFraction``, grown under one lock): the
-  filled buffer itself, never written once published.  Every
+  cache (both on the ``ContinuedFraction``, grown under one lock): a
+  read-only view of the filled buffer, never copied.  Every
   characteristic prefix is one copy out of it.
 
 The Hubert recoding, Champernowne's word and the other generators use
@@ -547,8 +547,8 @@ def _pieces(images: list, lens: list, letters: bytes) -> list:
     letter, except that a run of letters whose images are one symbol long
     is one piece, the run translated through a table from each such
     letter to its image."""
-    if 1 not in lens or not letters:
-        return list(map(images.__getitem__, letters))
+    if not letters:
+        return []
     one = (np.asarray(lens) == 1)[np.frombuffer(letters, dtype=np.uint8)]
     cuts = [0, *(np.flatnonzero(one[1:] != one[:-1]) + 1).tolist(),
             len(letters)]
@@ -568,19 +568,19 @@ def _characteristic_symbols(alpha: ContinuedFraction, length: int) -> bytes:
     copied once out of the slope's cache."""
     if not length:
         return b""
-    return bytes(memoryview(_characteristic_word(alpha, length))[:length])
+    return bytes(_characteristic_word(alpha, length)[:length])
 
 
 def _characteristic_word(alpha: ContinuedFraction,
-                         length: int) -> Union[bytes, bytearray]:
+                         length: int) -> Union[bytes, memoryview]:
     """The slope's grow-only cache of its characteristic word, grown to
     more than ``length`` symbols first; it at least doubles whenever it
     grows.  It holds only the letters 0 and 1.
 
-    The cache is the buffer ``_grow_characteristic`` filled, published
-    without a copy (b"" before the first growth).  Nothing writes to it
-    once it is published: growing fills a new buffer and publishes that,
-    and readers only count in it, slice it or view it."""
+    The cache is a read-only view of the buffer ``_grow_characteristic``
+    filled, published without a copy (b"" before the first growth), so
+    no reader can write to it: growing fills a new buffer and publishes
+    a view of that."""
     need = length + 3  # some q_n > length + 2, the finite-expansion rule
     word = alpha._word[0]
     if len(word) < need:
@@ -590,12 +590,13 @@ def _characteristic_word(alpha: ContinuedFraction,
                 # a finite expansion grows no further than asked, so it
                 # asks for no term the length does not need
                 want = max(need, 2 * len(word)) if alpha.is_unbounded else need
-                word = alpha._word[0] = _grow_characteristic(alpha, word, want)
+                word = alpha._word[0] = memoryview(
+                    _grow_characteristic(alpha, word, want)).toreadonly()
     return word
 
 
 def _grow_characteristic(alpha: ContinuedFraction,
-                         word: Union[bytes, bytearray],
+                         word: Union[bytes, memoryview],
                          want: int) -> bytearray:
     """Extend ``word``, a prefix of the characteristic word of ``alpha``,
     to at least ``want`` symbols.
@@ -612,7 +613,8 @@ def _grow_characteristic(alpha: ContinuedFraction,
     The pieces are planned on lengths, then copied into one zeroed buffer
     of the final length through a memoryview, a run of copies doubling,
     so growing makes no reallocation and no temporary copy of a prefix.
-    That buffer is returned as it is, to be published uncopied.
+    That buffer is returned as it is, to be published uncopied behind a
+    read-only view.
     """
     pieces = []  # (prefix length or literal letter, symbols it covers)
     n = len(word)
@@ -674,8 +676,7 @@ def _hubert_row(r: Hubert, length: int) -> tuple[int, bytes]:
     # never copied
     if not length:
         return 3, b""
-    word = memoryview(_characteristic_word(r.slope, length))
-    return 3, _hubert_symbols(word[:length])
+    return 3, _hubert_symbols(_characteristic_word(r.slope, length)[:length])
 
 
 def _champernowne_symbols(length: int) -> bytes:

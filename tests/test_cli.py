@@ -49,8 +49,10 @@ class TestGenerate:
         assert out == w.digits() + "\n" == "".join(map(str, w)) + "\n"
 
     def test_holds_two_copies_beyond_the_prefix(self, capsys, tmp_path):
-        # the digits and the newline are written into one buffer and
-        # decoded once: the prefix, that buffer and the text at most
+        # the prefix, the digits and the text at most: a bound on peak
+        # memory only. Writing the digits and the newline into one buffer
+        # decoded once saves a word-sized allocation, not peak memory, so
+        # this also holds where they were translated, decoded and joined
         n = 1 << 20
         path = tmp_path / "word.txt"
         main(["generate", "--recipe", "tm", "--len", "1", "--out", str(path)])

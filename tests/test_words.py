@@ -1,3 +1,4 @@
+import copy
 import json
 import pickle
 import random
@@ -558,6 +559,30 @@ class TestCharacteristic:
         finally:
             tracemalloc.stop()
         assert peak <= len(word) + (1 << 16)
+
+    def test_cache_is_read_only(self):
+        # the cache is published uncopied, so no reader may write to it:
+        # neither through the view itself nor through an array over it
+        cf = ContinuedFraction((2,), (1,))
+        word = words._characteristic_word(cf, 1000)
+        assert word is cf._word[0] and word.readonly
+        with pytest.raises(TypeError):
+            word[0] = 1
+        assert not np.frombuffer(word, dtype=np.uint8).flags.writeable
+        assert bytes(word[:1000]) == floor_characteristic(
+            ContinuedFraction((2,), (1,)), 1000)
+
+    def test_slope_with_a_grown_cache_pickles(self):
+        # the read-only view does not pickle; the slope carries its
+        # symbols as bytes, and a copy keeps growing from them
+        cf = ContinuedFraction((2,), (1,))
+        characteristic_prefix(cf, 1000)
+        grown = bytes(cf._word[0])
+        copies = pickle.loads(pickle.dumps(cf)), copy.deepcopy(cf)
+        for other in copies:
+            assert other == cf and other._word[0] == grown
+            assert characteristic_prefix(other, 5000) == \
+                characteristic_prefix(cf, 5000)
 
     @settings(max_examples=200, deadline=None)
     @given(slope_terms(), st.lists(st.integers(0, 5000), min_size=1,
