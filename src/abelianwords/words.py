@@ -33,8 +33,10 @@ is joined once from pieces of about 1 KiB or more.
   M of its letters not yet mapped, while the images of its letters fall
   short of the length.
 * A characteristic word is the limit of the standard words
-  s_n = s_(n-1)^(a_n) s_(n-2), built by copying prefixes in place in
-  one buffer of the grown length.  Each slope keeps one grow-only
+  s_n = s_(n-1)^(a_n) s_(n-2).  Below its last symbol s_(n+1) repeats
+  s_n with period q_n, so a prefix grows by periodic extension: runs
+  copied from the largest multiple of q_n behind them, doubling, into
+  one buffer of exactly the grown length.  Each slope keeps one grow-only
   prefix of its characteristic word beside its grow-only convergent
   cache (both on the ``ContinuedFraction``, grown under one lock): a
   read-only view of the filled buffer, never copied.  Every
@@ -573,9 +575,10 @@ def _characteristic_symbols(alpha: ContinuedFraction, length: int) -> bytes:
 
 def _characteristic_word(alpha: ContinuedFraction,
                          length: int) -> Union[bytes, memoryview]:
-    """The slope's grow-only cache of its characteristic word, grown to
-    more than ``length`` symbols first; it at least doubles whenever it
-    grows.  It holds only the letters 0 and 1.
+    """The slope's grow-only cache of its characteristic word, grown
+    first to at least ``length`` + 3 symbols.  Growth makes it exactly
+    ``length`` + 3 symbols long, or twice its old length when that is more
+    and the expansion is unbounded.  It holds only the letters 0 and 1.
 
     The cache is a read-only view of the buffer ``_grow_characteristic``
     filled, published without a copy (b"" before the first growth), so
@@ -599,55 +602,41 @@ def _grow_characteristic(alpha: ContinuedFraction,
                          word: Union[bytes, memoryview],
                          want: int) -> bytearray:
     """Extend ``word``, a prefix of the characteristic word of ``alpha``,
-    to at least ``want`` symbols.
+    to exactly ``want`` symbols.
 
     With s_(-1) = 1, s_0 = 0, s_1 = s_0^(a_1 - 1) s_(-1) and
     s_(i+1) = s_i^(a_(i+1)) s_(i-1), the word begins with every s_i
-    (i >= 1), which has length q_i.  ``word`` always ends on a whole copy
-    of some s_i inside s_(i+1), so its length is a multiple of q_i below
-    q_(i+1), which finds i.  For i >= 1, s_i is the length-q_i prefix of
-    ``word``, and so is s_(i-1) for i >= 2; s_0 and s_(-1) are literals.
-    A repeat count is capped at what ``want`` still needs, so a huge
-    partial quotient costs nothing.
+    (i >= 1), which has length q_i.  Below its last symbol s_(i+1)
+    repeats s_i with period q_i, as s_(i-1) is a prefix of s_i for
+    i >= 2 and a single symbol for i <= 1.  s_(i+1) ends as s_(i-1)
+    does: in 1 when i + 1 is odd, in 0 when it is even.
 
-    The pieces are planned on lengths, then copied into one zeroed buffer
-    of the final length through a memoryview, a run of copies doubling,
-    so growing makes no reallocation and no temporary copy of a prefix.
-    That buffer is returned as it is, to be published uncopied behind a
+    So from any length n with q_i <= n < q_(i+1), symbol j < q_(i+1) - 1
+    is symbol j - d for every multiple d of q_i up to j.  Each run copies
+    the largest such d symbols behind it, so runs double, into one zeroed
+    buffer of ``want`` symbols (s_1 below its last symbol is all 0 and
+    needs no copy); then symbol q_(i+1) - 1 is written.  Nothing past
+    ``want`` is made, so a huge partial quotient costs nothing, and
+    growing makes no reallocation and no temporary copy of a prefix.
+    The buffer is returned as it is, to be published uncopied behind a
     read-only view.
     """
-    pieces = []  # (prefix length or literal letter, symbols it covers)
-    n = len(word)
-    while n < want:
-        i = 0
-        while n and _pq_at(alpha, i + 1)[1] <= n:
-            i += 1
-        if i == 0:
-            unit, reps, tail = b"\0", alpha.term(1) - 1, b"\1"
-        else:
-            unit, reps = _pq_at(alpha, i)[1], alpha.term(i + 1)
-            tail = _pq_at(alpha, i - 1)[1] if i > 1 else b"\0"
-        size = unit if isinstance(unit, int) else 1
-        upto = min(reps, -(-want // size))
-        pieces.append((unit, size * (upto - n // size)))
-        if upto == reps:
-            pieces.append((tail, tail if isinstance(tail, int) else 1))
-        n = len(word) + sum(length for _, length in pieces)
-    out = bytearray(n)  # all 0, so a literal 0 needs no write
-    out[:len(word)] = word
-    pos = len(word)
+    out = bytearray(want)  # all 0, so a 0 needs no write
+    n, i = len(word), 0
     with memoryview(out) as view:
-        for unit, length in pieces:
-            if unit == b"\1":
-                view[pos] = 1
-            elif isinstance(unit, int) and length:
-                view[pos:pos + unit] = view[:unit]
-                run = unit  # the copied run copies itself, doubling
-                while run < length:
-                    k = min(run, length - run)
-                    view[pos + run:pos + run + k] = view[pos:pos + k]
-                    run += k
-            pos += length
+        view[:n] = word  # a bytearray slice would copy word first
+        while n < want:
+            while _pq_at(alpha, i + 1)[1] <= n:
+                i += 1
+            q, last = _pq_at(alpha, i)[1], _pq_at(alpha, i + 1)[1] - 1
+            end = min(last, want)
+            while i and n < end:
+                k = min(n - n % q, end - n)
+                view[n:n + k] = view[n % q:n % q + k]
+                n += k
+            if last < want:
+                view[last] = (i + 1) % 2
+            n = last + 1
     return out
 
 

@@ -547,9 +547,10 @@ class TestCharacteristic:
                              ids=["golden", "sqrt2", "huge-quotient",
                                   "mixed"])
     def test_growth_holds_two_copies_at_most(self, terms):
-        # the word is filled in place in one buffer of its final length,
-        # which is cached as it is: no growth reallocation, no temporary
-        # prefix copy and no copy into the cache, so one copy at most
+        # the word is filled in place in one buffer of exactly the asked
+        # length + 3, which is cached as it is: no growth reallocation, no
+        # temporary prefix copy and no copy into the cache, so one copy
+        # of the asked length at most
         cf = ContinuedFraction(*terms)
         cf.convergent(60)
         tracemalloc.start()
@@ -559,6 +560,78 @@ class TestCharacteristic:
         finally:
             tracemalloc.stop()
         assert peak <= len(word) + (1 << 16)
+
+    @pytest.mark.parametrize("terms", [((2,), (1,)), ((), (2,)),
+                                       ((1, 10**6), (2,)), ((3,), (1, 7))],
+                             ids=["golden", "sqrt2", "huge-quotient",
+                                  "mixed"])
+    def test_resumed_growth_holds_old_and_new_cache_at_most(self, terms):
+        # growing from a cache of n symbols holds that cache and the new
+        # buffer of want symbols, and no temporary beside them
+        cf = ContinuedFraction(*terms)
+        cf.convergent(60)
+        tracemalloc.start()
+        try:
+            n = len(words._characteristic_word(cf, 1 << 19))
+            tracemalloc.reset_peak()
+            want = len(words._characteristic_word(cf, 1 << 20))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= n + want + (1 << 16)
+
+    @pytest.mark.parametrize("terms", [((2,), (1,)), ((), (2,)),
+                                       ((1, 10**6), (2,)), ((1, 3), (1, 2))],
+                             ids=["golden", "sqrt2", "huge-quotient",
+                                  "above-half"])
+    def test_cache_is_exactly_as_long_as_asked(self, terms):
+        # a first request makes length + 3 symbols; a longer one makes
+        # that many or twice the old cache, whichever is more
+        cf = ContinuedFraction(*terms)
+        characteristic_prefix(cf, 1000)
+        assert len(cf._word[0]) == 1003
+        for length in (1500, 1000, 5000, 9000):
+            old = len(cf._word[0])
+            characteristic_prefix(cf, length)
+            expect = old if length + 3 <= old else max(length + 3, 2 * old)
+            assert len(cf._word[0]) == expect
+        assert bytes(cf._word[0]) == \
+            floor_characteristic(ContinuedFraction(*terms), len(cf._word[0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(slope_terms(), st.integers(1, 5000), st.data())
+    def test_grows_from_any_prefix_length(self, terms, want, data):
+        # the cache may end anywhere, not only on a standard word
+        n = data.draw(st.integers(0, want - 1), label="n")
+        cf = ContinuedFraction(*terms)
+        grown = words._grow_characteristic(cf, floor_characteristic(cf, n),
+                                           want)
+        assert bytes(grown) == floor_characteristic(cf, want)
+
+    @pytest.mark.parametrize("terms", [
+        ((1, 3), (2,)), ((2, 3), (1,)), ((10**18,), (1,)),
+        ((1, 10**18), (1,)), ((3, 10**18), (1,))],
+        ids=["a1=1", "a1=2", "huge-a1", "a1=1-huge-a2", "a1=3-huge-a2"])
+    def test_symbols_around_the_first_standard_words(self, terms):
+        # lengths q_1 - 1..q_1 + 1 and q_2 - 1..q_2 + 1, where the last
+        # symbol of s_1 or s_2 is written alone, grown from every shorter
+        # length among them; lengths past 5000 are left out. a1=1-huge-a2
+        # pins length 1 of s_2 = 1^(10^18) 0, whose first symbol is the
+        # last of s_1 = 1, written before any run can copy it
+        ref = ContinuedFraction(*terms)
+        edges = {0, 1, 2}
+        for i in (1, 2):
+            q = ref.convergent(i).q
+            edges.update(j for j in (q - 1, q, q + 1) if j <= 5000)
+        edges = sorted(edges)
+        for want in edges[1:]:
+            expect = floor_characteristic(ref, want)
+            for n in edges[:edges.index(want)]:
+                cf = ContinuedFraction(*terms)
+                grown = words._grow_characteristic(cf, expect[:n], want)
+                assert bytes(grown) == expect, (n, want)
+            assert characteristic_prefix(ContinuedFraction(*terms),
+                                         want).symbols == expect
 
     def test_cache_is_read_only(self):
         # the cache is published uncopied, so no reader may write to it:
