@@ -505,6 +505,11 @@ class TestApplyMorphism:
             m._table[0, 0] = 1
 
 
+GROWTH_SLOPES = pytest.mark.parametrize(
+    "terms", [((2,), (1,)), ((), (2,)), ((1, 10**6), (2,)), ((3,), (1, 7))],
+    ids=["golden", "sqrt2", "huge-quotient", "mixed"])
+
+
 class TestCharacteristic:
     def test_golden_is_fibonacci_word(self, golden):
         assert characteristic_prefix(golden, 8).digits() == "01001010"
@@ -542,10 +547,7 @@ class TestCharacteristic:
         for n in range(1, length + 1):
             assert (w.symbols[n - 1] == 0) == frac_less_than(cf, n, t)
 
-    @pytest.mark.parametrize("terms", [((2,), (1,)), ((), (2,)),
-                                       ((1, 10**6), (2,)), ((3,), (1, 7))],
-                             ids=["golden", "sqrt2", "huge-quotient",
-                                  "mixed"])
+    @GROWTH_SLOPES
     def test_growth_holds_two_copies_at_most(self, terms):
         # the word is filled in place in one buffer of exactly the asked
         # length + 3, which is cached as it is: no growth reallocation, no
@@ -561,10 +563,7 @@ class TestCharacteristic:
             tracemalloc.stop()
         assert peak <= len(word) + (1 << 16)
 
-    @pytest.mark.parametrize("terms", [((2,), (1,)), ((), (2,)),
-                                       ((1, 10**6), (2,)), ((3,), (1, 7))],
-                             ids=["golden", "sqrt2", "huge-quotient",
-                                  "mixed"])
+    @GROWTH_SLOPES
     def test_resumed_growth_holds_old_and_new_cache_at_most(self, terms):
         # growing from a cache of n symbols holds that cache and the new
         # buffer of want symbols, and no temporary beside them
