@@ -23,7 +23,8 @@ from .words import (CONSTANT3, DOUBLING, FIBONACCI, THUE_MORSE, TRIBONACCI,
                     MaxComplexity, Morphism, Periodic, WordPrefix, WordRecipe,
                     apply_morphism, champernowne_prefix, characteristic_prefix,
                     complete_prefix_length, fixed_point, hubert_ternary,
-                    hubert_transform, max_complexity_prefix, prefix_of,
-                    recipe_from_dict, recipe_from_json, recipe_to_dict)
+                    hubert_transform, max_complexity_prefix, morphic_form,
+                    prefix_of, recipe_from_dict, recipe_from_json,
+                    recipe_to_dict)
 
 __version__ = "0.1.0"

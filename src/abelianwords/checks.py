@@ -17,8 +17,12 @@ of :func:`abelianwords.words.complete_prefix_length`, where the recipe
 has one.  A factor-complete prefix holds every factor of length <= n_max of
 the infinite word, so a statement about its factors of those lengths (a
 profile, a balance bound) is one about the word, and reads the same on
-any longer prefix.  Recipes without a known bound (Hubert, explicit,
-Champernowne, max-complexity) inspect ``DEFAULT_MARGIN * n_max`` symbols.
+any longer prefix.  A Hubert recipe has a bound through its morphic form
+(:func:`abelianwords.words.morphic_form`), the fixed point of a lifted
+morphism, where its slope is eventually periodic and the lift primitive.
+Recipes without a known bound (explicit, Champernowne, max-complexity, a
+Hubert word of a finite expansion) inspect ``DEFAULT_MARGIN * n_max``
+symbols.
 """
 
 from dataclasses import dataclass

@@ -8,12 +8,12 @@ positions are shifted internally, so public position j holds the letter
 the classical definition assigns to j+1.
 
 Each recipe kind is one row of the table ``_KINDS``: its wire name,
-serializer, parser, generator and factor-complete bound.  A row's
-generator produces the alphabet size and symbols; ``prefix_of`` checks
-the length against the fixed symbol budget (``_check_length``, which the
-Sturmian certificates also call before they read a slope's cached word)
-and wraps them in a ``WordPrefix``, and each public generator is
-``prefix_of`` on its recipe.
+serializer, parser, generator, factor-complete bound and morphic form.
+A row's generator produces the alphabet size and symbols; ``prefix_of``
+checks the length against the fixed symbol budget (``_check_length``,
+which the Sturmian certificates also call before they read a slope's
+cached word) and wraps them in a ``WordPrefix``, and each public
+generator is ``prefix_of`` on its recipe.
 
 Generation does no per-symbol Python work: the two word families of the
 paper are built by copying whole blocks of bytes, and each long prefix
@@ -29,9 +29,10 @@ is joined once from pieces of about 1 KiB or more.
   search in it find the fewest letters whose images reach the length,
   and the last image is cut to fit.  A run of letters whose images are
   one symbol long (a letter that never grows) is one piece: the run
-  translated through a table.  u itself starts as M(seed) and grows by
-  M of its letters not yet mapped, while the images of its letters fall
-  short of the length.
+  translated through a table; so is a run of one letter whose image is
+  shorter than 1024 symbols: its image repeated.  u itself starts as
+  M(seed) and grows by M of its letters not yet mapped, while the images
+  of its letters fall short of the length.
 * A characteristic word is the limit of the standard words
   s_n = s_(n-1)^(a_n) s_(n-2).  Below its last symbol s_(n+1) repeats
   s_n with period q_n, so a prefix grows by periodic extension: runs
@@ -42,9 +43,14 @@ is joined once from pieces of about 1 KiB or more.
   read-only view of the filled buffer, never copied.  Every
   characteristic prefix is one copy out of it.
 
-The Hubert recoding, Champernowne's word and the other generators use
-whole-array operations; ``Morphism.apply_raw`` gathers rows of the
-morphism's image table.
+A Hubert word is a fixed point too: ``morphic_form`` writes the
+characteristic word of an eventually periodic slope as the image of a
+fixed point of composed episturmian morphisms, and the Hubert recoding
+of that word as the fixed point of its lift to letters that carry the
+parity of the letters before them.  Where a slope has no such form the
+recoding runs over the characteristic word.  The recoding, Champernowne's
+word and the other generators use whole-array operations;
+``Morphism.apply_raw`` gathers rows of the morphism's image table.
 
 Where the recipe's word is uniformly recurrent with a known recurrence
 bound, a computable prefix already holds every factor of length <= n of
@@ -85,6 +91,7 @@ __all__ = [
     "hubert_ternary",
     "hubert_transform",
     "max_complexity_prefix",
+    "morphic_form",
     "prefix_of",
     "recipe_from_dict",
     "recipe_from_json",
@@ -545,23 +552,31 @@ def _join_images(images: list, lens: list, letters: bytes,
 
 
 def _pieces(images: list, lens: list, letters: bytes) -> list:
-    """The images of ``letters``, as the pieces of one join: one image per
-    letter, except that a run of letters whose images are one symbol long
-    is one piece, the run translated through a table from each such
-    letter to its image."""
+    """The images of ``letters``, as the pieces of one join: a run of one
+    repeated letter whose image is shorter than _BLOCK_MIN symbols is one
+    piece, its image times the run length, and a run of letters whose
+    images are one symbol long is one piece, the run translated through a
+    table from each such letter to its image.  A longer image is a piece
+    of its own, never copied before the join.
+
+    Each run starts as the image of its first letter, in one pass of
+    ``map``; only the runs of two letters or more are then replaced."""
     if not letters:
         return []
-    one = (np.asarray(lens) == 1)[np.frombuffer(letters, dtype=np.uint8)]
-    cuts = [0, *(np.flatnonzero(one[1:] != one[:-1]) + 1).tolist(),
-            len(letters)]
-    table = bytes(img[0] if n == 1 else 0
-                  for img, n in zip(images, lens)).ljust(256, b"\0")
-    pieces = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        if one[lo]:
-            pieces.append(bytes(letters[lo:hi]).translate(table))
-        else:
-            pieces.extend(map(images.__getitem__, letters[lo:hi]))
+    arr, sizes = np.frombuffer(letters, dtype=np.uint8), np.asarray(lens)
+    one, own = (sizes == 1)[arr], (sizes >= _BLOCK_MIN)[arr[1:]]
+    cut = np.ones(len(arr) + 1, dtype=bool)
+    cut[1:-1] = (own | (arr[1:] != arr[:-1])) & ~(one[1:] & one[:-1])
+    cuts = np.flatnonzero(cut)
+    pieces = list(map(images.__getitem__, arr[cuts[:-1]].tolist()))
+    longer = np.flatnonzero(np.diff(cuts) > 1).tolist()
+    if longer:
+        table = bytes(img[0] if n == 1 else 0
+                      for img, n in zip(images, lens)).ljust(256, b"\0")
+        for i in longer:
+            lo, hi = cuts[i:i + 2].tolist()
+            pieces[i] = (bytes(letters[lo:hi]).translate(table) if one[lo]
+                         else pieces[i] * (hi - lo))
     return pieces
 
 
@@ -641,6 +656,7 @@ def _grow_characteristic(alpha: ContinuedFraction,
 
 
 _HUBERT_BLOCK = 1 << 16
+_SWAP_01 = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 def _hubert_symbols(symbols) -> bytes:
@@ -661,11 +677,153 @@ def _hubert_symbols(symbols) -> bytes:
 
 
 def _hubert_row(r: Hubert, length: int) -> tuple[int, bytes]:
-    # reads a view of the slope's cached word, so the inner prefix is
-    # never copied
+    """The fixed point of the slope's parity lift where it has one (see
+    ``morphic_form``); otherwise the recoding of a view of the slope's
+    cached word, so the inner prefix is never copied."""
+    form = _hubert_form(r)
+    if form is not None:
+        return _fixed_point_row(form, length)
     if not length:
         return 3, b""
     return 3, _hubert_symbols(_characteristic_word(r.slope, length)[:length])
+
+
+# ---------------------------------------------------------------------------
+# morphic forms.  L_a is the episturmian morphism a -> a, b -> ab (b != a).
+# The characteristic word of slope [0; a1, a2, ...] is the standard
+# episturmian word of directive 0^(a1-1) 1^(a2) 0^(a3) ... (Justin &
+# Pirillo, TCS 276, 2002): the limit of L_d1 L_d2 ... L_dk(0).  For a
+# directive with preperiod P and period Q it is Psi(u), u the fixed point
+# of Phi, Phi and Psi the compositions of the L_a over Q and over P.
+
+def _directive(alpha: ContinuedFraction):
+    """The preperiod and the period of the directive of alpha's
+    characteristic word as runs [letter, count], or None for a finite
+    expansion.
+
+    The directive is 0^(a1) 1^(a2) 0^(a3) ... without its first letter.
+    An odd period is doubled, so that the letters of the period repeat.
+    While the preperiod ends with the letter the period ends with, that
+    letter moves from the end of both to the front of the period: P c^s
+    (Q c^r)^w is P c^(s-t) (c^t Q c^(r-t))^w for t = min(s, r), a whole
+    run at a time, so a huge term costs one step."""
+    if not alpha.is_unbounded:
+        return None
+    pre = alpha.preperiod
+    period = alpha.period * (1 + len(alpha.period) % 2)
+    runs = [[j % 2, a] for j, a in enumerate(pre + period)]
+    # with no preperiod the first letter is dropped from a copy of Q
+    head = runs[:len(pre)] or [run.copy() for run in runs]
+    tail = runs[len(pre):]
+    head[0][1] -= 1
+    head = [run for run in head if run[1]]
+    while head and head[-1][0] == tail[-1][0]:
+        c, t = head[-1][0], min(head[-1][1], tail[-1][1])
+        head[-1][1] -= t
+        tail[-1][1] -= t
+        head = [run for run in head if run[1]]
+        tail = [[c, t]] + [run for run in tail if run[1]]
+    return head, tail
+
+
+def _composed(runs: list) -> Union[list, None]:
+    """The two images of L_c1^t1 L_c2^t2 ... over ``runs`` [c, t], or None
+    when one would be longer than _BLOCK_CAP symbols.
+
+    L_c^t sends c to c and the other letter d to c^t d.  The images'
+    Parikh vectors are counted first, in Python ints, so nothing is built
+    past the cap; then each run is applied to the images joined, by one
+    ``Morphism.apply_raw``."""
+    parikh = [[1, 0], [0, 1]]
+    for c, t in reversed(runs):
+        for v in parikh:
+            v[c] += t * v[1 - c]
+    if max(map(sum, parikh)) > _BLOCK_CAP:
+        return None
+    images = [b"\0", b"\1"]
+    for c, t in reversed(runs):
+        step = Morphism(tuple(bytes([c]) * (t * (d != c)) + bytes([d])
+                              for d in (0, 1)))
+        cut = len(images[0]) + t * images[0].count(1 - c)
+        joined = step.apply_raw(images[0] + images[1])
+        images = [joined[:cut], joined[cut:]]
+    return images
+
+
+def _slope_form(alpha: ContinuedFraction) -> Union[FixedPoint, None]:
+    """FixedPoint(Phi, first letter of Q, post=Psi) for the directive's
+    preperiod P and period Q (no post when P is empty), or None for a
+    finite expansion and where an image of Phi or Psi would be longer than
+    _BLOCK_CAP symbols.  Phi is prolongable on Q's first letter: every
+    image of L_c starts with c, and Q holds both letters."""
+    directive = _directive(alpha)
+    if directive is None:
+        return None
+    head, tail = directive
+    psi, phi = map(_composed, directive)
+    if phi is None or psi is None:
+        return None
+    return FixedPoint(Morphism(tuple(phi)), tail[0][0],
+                      Morphism(tuple(psi)) if head else None)
+
+
+def _parity_lift(form: FixedPoint) -> FixedPoint:
+    """The Hubert recoding of the binary word c = Psi(u) that ``form``
+    gives (Psi = ``form.post``, or none), as a fixed point with a post.
+
+    The recoding of a letter of c depends only on the parity of the 0s
+    before it (Hubert, TCS 242, 2000), and that parity, for the letters of
+    Psi(u_i), only on the Parikh vector mod 2 of u[:i].  So the lifted
+    letters are the pairs (b, v) of a letter of u and the parity vector v
+    of the prefix before it, coded 4b + 2v_0 + v_1, and Phi lifts to the
+    morphism (b, v) -> the letters of Phi(b), each paired with v M + the
+    parity vector of the part of Phi(b) before it, where M maps a parity
+    vector of u[:i] to that of Phi(u[:i]).  The post sends (b, v) to
+    Psi(b) recoded from the parity of the 0s of Psi(u[:i]).  Only the
+    letters reachable from (seed, 0) are kept, numbered in code order."""
+    phi = form.morphism.images
+    psi = form.post.images if form.post else (b"\0", b"\1")
+
+    def start(images, code):  # the parity vector of images[b] over v_b
+        v = (code >> 1 & 1, code & 1)
+        return [(v[0] * images[0].count(a) + v[1] * images[1].count(a)) & 1
+                for a in (0, 1)]
+
+    def coded(img):  # 4b + 2 (0s before b) + (1s before b), both mod 2
+        arr = np.frombuffer(img, dtype=np.uint8)
+        zeros = np.cumsum(arr == 0) - (arr == 0)
+        ones = np.arange(len(arr)) - zeros
+        return (4 * arr + 2 * (zeros & 1) + (ones & 1)).astype(np.uint8)
+
+    # a start flips the parity bits of every letter of the image, and the
+    # phase of the Hubert letters
+    coded_phi = list(map(coded, phi))
+    recoded_psi = list(map(_hubert_symbols, psi))
+
+    def lifted(code):
+        v = start(phi, code)
+        return (coded_phi[code >> 2] ^ np.uint8(2 * v[0] + v[1])).tobytes()
+
+    def recoded(code):
+        img = recoded_psi[code >> 2]
+        return img.translate(_SWAP_01) if start(psi, code)[0] else img
+
+    seed = 4 * form.seed
+    images, todo = {}, {seed}
+    while todo:
+        new = {code: lifted(code) for code in todo}
+        images.update(new)
+        todo = set(b"".join(new.values())) - images.keys()
+    letters = sorted(images)
+    number = bytes.maketrans(bytes(letters), bytes(range(len(letters))))
+    return FixedPoint(
+        Morphism(tuple(images[code].translate(number) for code in letters)),
+        letters.index(seed), Morphism(tuple(map(recoded, letters))))
+
+
+def _hubert_form(r: Hubert) -> Union[FixedPoint, None]:
+    form = _slope_form(r.slope)
+    return None if form is None else _parity_lift(form)
 
 
 def _champernowne_symbols(length: int) -> bytes:
@@ -850,18 +1008,30 @@ def _prepend_complete(r: LiteralPrepend, n: int):
                           {"head": head, "inner": found.witness})
 
 
+def _hubert_complete(r: Hubert, n: int):
+    """The bound of the parity lift's fixed point, where the slope has a
+    morphic form (see ``_fixed_point_complete``)."""
+    form = _hubert_form(r)
+    return None if form is None else _fixed_point_complete(form, n)
+
+
 def _no_bound(r, n):
+    return None
+
+
+def _no_form(r):
     return None
 
 
 # One row per kind: its class, its wire name, ``dump`` (the wire fields
 # after ``kind``, in wire order, an absent optional field as None),
 # ``parse`` (from a wire dict), ``generate`` ((recipe, length) to
-# (alphabet size, symbols), for a length prefix_of has checked) and
-# ``complete`` (recipe, n).  ``dump`` and ``parse`` handle one level: a
-# literal-prepend's ``inner`` is dumped and parsed by recipe_to_dict and
-# recipe_from_dict, which loop over the nested levels.
-_Kind = namedtuple("_Kind", "cls name dump parse generate complete")
+# (alphabet size, symbols), for a length prefix_of has checked),
+# ``complete`` (recipe, n) and ``form`` (recipe, to its morphic form or
+# None).  ``dump`` and ``parse`` handle one level: a literal-prepend's
+# ``inner`` is dumped and parsed by recipe_to_dict and recipe_from_dict,
+# which loop over the nested levels.
+_Kind = namedtuple("_Kind", "cls name dump parse generate complete form")
 _KINDS = (
     _Kind(FixedPoint, "fixed-point",
           lambda r: {"morphism": r.morphism.to_strings(), "seed": str(r.seed),
@@ -869,36 +1039,38 @@ _KINDS = (
           lambda d: FixedPoint(
               Morphism.from_strings(d["morphism"]), _parse_letter(d["seed"]),
               Morphism.from_strings(d["post"]) if "post" in d else None),
-          _fixed_point_row, _fixed_point_complete),
+          _fixed_point_row, _fixed_point_complete, lambda r: r),
     _Kind(Characteristic, "characteristic",
           lambda r: {"slope": r.slope.to_dict()},
           lambda d: Characteristic(ContinuedFraction.from_dict(d["slope"])),
           lambda r, n: (2, _characteristic_symbols(r.slope, n)),
-          _characteristic_complete),
+          _characteristic_complete, lambda r: _slope_form(r.slope)),
     _Kind(Periodic, "periodic", lambda r: {"pattern": _format_digits(r.pattern)},
           lambda d: Periodic(_parse_digits(d["pattern"])), _periodic_row,
           lambda r, n: CompletePrefix(len(r.pattern) + n - 1,
-                                      {"period": len(r.pattern)})),
+                                      {"period": len(r.pattern)}),
+          _no_form),
     _Kind(Explicit, "explicit",
           lambda r: {"symbols": _format_digits(r.symbols),
                      "alphabet_size": r.alphabet_size},
           lambda d: Explicit(_parse_digits(d["symbols"]),
                              _wire_alphabet_size(d)
                              if "alphabet_size" in d else None),
-          _explicit_row, _no_bound),
+          _explicit_row, _no_bound, _no_form),
     _Kind(Champernowne, "champernowne",
           lambda r: {}, lambda d: Champernowne(),
-          lambda r, n: (2, _champernowne_symbols(n)), _no_bound),
+          lambda r, n: (2, _champernowne_symbols(n)), _no_bound, _no_form),
     _Kind(MaxComplexity, "max-complexity",
           lambda r: {}, lambda d: MaxComplexity(),
-          lambda r, n: (2, _max_complexity_symbols(n)), _no_bound),
+          lambda r, n: (2, _max_complexity_symbols(n)), _no_bound,
+          _no_form),
     _Kind(Hubert, "hubert", lambda r: {"slope": r.slope.to_dict()},
           lambda d: Hubert(ContinuedFraction.from_dict(d["slope"])),
-          _hubert_row, _no_bound),
+          _hubert_row, _hubert_complete, _hubert_form),
     _Kind(LiteralPrepend, "literal-prepend",
           lambda r: {"prefix": _format_digits(r.prefix), "inner": r.inner},
           lambda d: LiteralPrepend(_parse_digits(d["prefix"]), d["inner"]),
-          _prepend_row, _prepend_complete),
+          _prepend_row, _prepend_complete, _no_form),
 )
 _BY_CLASS = {k.cls: k for k in _KINDS}
 _BY_NAME = {k.name: k for k in _KINDS}
@@ -934,17 +1106,37 @@ def complete_prefix_length(recipe: WordRecipe,
                            n: int) -> Union[CompletePrefix, None]:
     """A prefix length holding every factor of length <= n of the infinite
     word ``recipe`` describes, with its witness; None where no bound is
-    known (Hubert, explicit, Champernowne and max-complexity recipes,
-    morphisms that are not primitive or not prolongable, rational slopes).
+    known (explicit, Champernowne and max-complexity recipes, morphisms
+    that are not primitive or not prolongable, rational slopes, and Hubert
+    recipes without a morphic form or whose lift is not primitive).
 
     Fixed points of primitive morphisms use their linear recurrence
-    (Durand, ETDS 2000), characteristic words the Sturmian recurrence
-    function (Morse & Hedlund 1940), periodic words |pattern| + n - 1.
-    For n < 1 the empty prefix holds the one factor, the empty word.
+    (Durand, ETDS 2000), and Hubert recipes that of their morphic form,
+    the parity lift (see ``morphic_form``); characteristic words use the
+    Sturmian recurrence function (Morse & Hedlund 1940), periodic words
+    |pattern| + n - 1.  For n < 1 the empty prefix holds the one factor,
+    the empty word.
     """
     if n < 1:
         return CompletePrefix(0, {})
     return _kind_of(recipe).complete(recipe, n)
+
+
+def morphic_form(recipe: WordRecipe) -> Union[FixedPoint, None]:
+    """The word of ``recipe`` as a fixed point with a post-morphism, or
+    None where none is built.
+
+    A fixed point is its own form.  The characteristic word of an
+    eventually periodic slope is Psi(fixed point of Phi), Phi and Psi the
+    compositions of the episturmian morphisms L_a over the period and the
+    preperiod of its directive (no post when the preperiod is empty), and
+    a Hubert word is the fixed point of that form's parity lift, whose
+    post writes the Hubert letters.  None for every other kind, for a
+    finite expansion, and where an image of Phi or Psi would be longer
+    than the power images of a fixed point grow (4096 symbols): that is
+    decided from the lengths alone, before anything is built.
+    """
+    return _kind_of(recipe).form(recipe)
 
 
 def _dump(recipe: WordRecipe) -> dict:

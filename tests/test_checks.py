@@ -57,7 +57,12 @@ class TestInspectedLength:
         assert inspected_length(FixedPoint(THUE_MORSE, 0), 1024) == 8192
 
     def test_margin_without_a_bound(self, golden):
-        assert inspected_length(Hubert(golden), 512) == DEFAULT_MARGIN * 512
+        # a Hubert word of an eventually periodic slope is bounded through
+        # its morphic form, the parity lift; a finite expansion has no form
+        # and keeps the margin
+        assert inspected_length(Hubert(golden), 512) == 17711
+        finite = Hubert(ContinuedFraction((2, 3)))
+        assert inspected_length(finite, 512) == DEFAULT_MARGIN * 512
 
     def test_margin_caps_a_longer_bound(self):
         # q_1 = 1000, so the Sturmian bound at n = 2 is 2 + 1000 + 1 - 1

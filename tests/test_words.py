@@ -25,8 +25,8 @@ from abelianwords.words import (CONSTANT3, DOUBLING, FIBONACCI, THUE_MORSE,
                                 apply_morphism, champernowne_prefix,
                                 characteristic_prefix, complete_prefix_length,
                                 fixed_point, hubert_ternary, hubert_transform,
-                                max_complexity_prefix, prefix_of,
-                                recipe_from_dict, recipe_from_json,
+                                max_complexity_prefix, morphic_form,
+                                prefix_of, recipe_from_dict, recipe_from_json,
                                 recipe_to_dict)
 
 TRIPLE_RUNS = Morphism.from_strings({"0": "012", "1": "111", "2": "222"})
@@ -421,11 +421,13 @@ class TestPowerImages:
         _, _, read = post_read_letters(monkeypatch, FixedPoint(m, 0), length)
         assert read <= -(-length // 1024)
 
-    @pytest.mark.parametrize("post", [None, {"0": "0", "1": "2"}],
-                             ids=["no-post", "post"])
+    @pytest.mark.parametrize("post", [None, {"0": "0", "1": "2"},
+                                      {"0": "012", "1": "021"}],
+                             ids=["no-post", "post", "longer-post"])
     def test_one_symbol_images_join_as_runs(self, monkeypatch, post):
         # M(1) = 1 at every power: the 1s are copied as one translated
-        # slice per join, never one piece per symbol
+        # slice per join, never one piece per symbol; under a post whose
+        # images are longer, as one piece, post(1) repeated
         m = Morphism.from_strings({"0": "01", "1": "1"})
         r = FixedPoint(m, 0, post and Morphism.from_strings(post))
         counts = []
@@ -438,9 +440,9 @@ class TestPowerImages:
 
         monkeypatch.setattr(words, "_pieces", counting)
         length = 1 << 20
-        last = 2 if post else 1
+        images = r.post.images if post else (b"\0", b"\1")
         assert prefix_of(r, length).symbols == \
-            b"\0" + bytes([last]) * (length - 1)
+            (images[0] + images[1] * length)[:length]
         assert counts and max(counts) <= 2
 
     @settings(max_examples=300, deadline=None)
@@ -450,17 +452,18 @@ class TestPowerImages:
                         st.binary(max_size=80).map(lambda raw: bytes(
                             b % len(images) for b in raw)))))
     def test_pieces_copy_runs_of_one_symbol_images(self, case):
-        # one piece per letter with a longer image and one per run of
-        # letters whose images are one symbol long
+        # one piece per run of one repeated letter whose (short) image is
+        # longer than one symbol, and one per run of letters whose images
+        # are one symbol long
         images, letters = case
         lens = [len(img) for img in images]
         pieces = words._pieces(images, lens, letters)
         assert b"".join(pieces) == join_images(Morphism(tuple(images)),
                                                letters)
         one = [lens[a] == 1 for a in letters]
-        runs = sum(1 for i, x in enumerate(one) if x and (i == 0
-                                                          or not one[i - 1]))
-        assert len(pieces) == one.count(False) + runs
+        runs = sum(1 for i, a in enumerate(letters)
+                   if i == 0 or a != letters[i - 1] and not one[i] & one[i - 1])
+        assert len(pieces) == runs
 
     def test_seed_one_and_doubling(self):
         for m in (THUE_MORSE, DOUBLING):
@@ -803,6 +806,85 @@ class TestHubert:
             assert balance_bound(hubert_ternary(cf, 4096), 64) == 1
 
 
+@st.composite
+def periodic_slopes(draw):
+    """Eventually periodic slopes: a preperiod of up to 3 terms and a
+    period of 1 to 3, terms 1..5."""
+    term = st.integers(1, 5)
+    return ContinuedFraction(tuple(draw(st.lists(term, max_size=3))),
+                             tuple(draw(st.lists(term, min_size=1,
+                                                 max_size=3))))
+
+
+class TestMorphicForm:
+    def test_presets_need_no_post(self, golden, sqrt2m1):
+        # directives (01)^w and (0110)^w: Phi = L_0 L_1 and L_0 L_1^2 L_0
+        assert morphic_form(Characteristic(golden)) == FixedPoint(
+            Morphism.from_strings({"0": "010", "1": "01"}), 0)
+        assert morphic_form(Characteristic(sqrt2m1)) == FixedPoint(
+            Morphism.from_strings({"0": "01010", "1": "0101001"}), 0)
+
+    def test_form_of_every_kind(self, golden):
+        r = FixedPoint(THUE_MORSE, 0)
+        assert morphic_form(r) is r
+        lift = morphic_form(Hubert(golden))
+        assert (lift.morphism.alphabet_size, lift.post.alphabet_size) == (8, 8)
+        for r in (Periodic(bytes([0, 1])), Explicit(bytes([0, 1])),
+                  Champernowne(), MaxComplexity(),
+                  LiteralPrepend(bytes([1]), Characteristic(golden)),
+                  Characteristic(ContinuedFraction((2, 3))),
+                  Hubert(ContinuedFraction((2, 3)))):
+            assert morphic_form(r) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(periodic_slopes(), st.integers(0, 5000))
+    def test_characteristic_form_is_the_word(self, slope, n):
+        form = morphic_form(Characteristic(slope))
+        assume(form is not None)  # None only past the image cap
+        assert prefix_of(form, n) == prefix_of(Characteristic(slope), n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(periodic_slopes(), st.integers(0, 5000))
+    def test_hubert_word_is_the_recoding(self, slope, n):
+        assert prefix_of(Hubert(slope), n) == hubert_transform(
+            characteristic_prefix(slope, n))
+
+    @pytest.mark.parametrize("cf_fix", ["golden", "sqrt2m1"])
+    def test_presets_at_2_20(self, cf_fix, request):
+        slope, n = request.getfixturevalue(cf_fix), 1 << 20
+        inner = characteristic_prefix(slope, n)
+        assert prefix_of(morphic_form(Characteristic(slope)), n) == inner
+        assert prefix_of(Hubert(slope), n) == hubert_transform(inner)
+
+    @settings(max_examples=60, deadline=None)
+    @given(periodic_slopes(), st.integers(1, 64))
+    def test_bound_only_for_a_primitive_lift(self, slope, n):
+        # every lift drawn so far is primitive; one that is not gets None,
+        # never a bound
+        lift = morphic_form(Hubert(slope))
+        assume(lift is not None)
+        found = complete_prefix_length(Hubert(slope), n)
+        assert (found is not None) == words._is_primitive(lift.morphism)
+
+    def test_golden_hubert_bound_shows_every_factor(self, golden):
+        recipe = Hubert(golden)
+        found = complete_prefix_length(recipe, 64)
+        assert not new_factors(recipe, found.length, 64)
+
+    @pytest.mark.parametrize("slope, n, longest", [
+        (ContinuedFraction((), (4, 3, 4)), 20000, 4072),
+        (ContinuedFraction((), (4, 4, 4)), 20000, None),  # 6765 symbols
+        (ContinuedFraction((10**18,), (1,)), 20000, None),
+        (ContinuedFraction((2, 3, 5, 7)), 200, None),  # finite expansion
+    ], ids=["inside-cap", "past-cap", "huge-term", "finite"])
+    def test_around_the_image_cap(self, slope, n, longest):
+        form = morphic_form(Characteristic(slope))
+        assert (form and max(map(len, form.morphism.images))) == longest
+        assert (morphic_form(Hubert(slope)) is None) == (form is None)
+        assert prefix_of(Hubert(slope), n) == hubert_transform(
+            characteristic_prefix(slope, n))
+
+
 class TestPrefixOf:
     def test_literal_prepend(self, golden):
         r = LiteralPrepend(bytes([2]), Characteristic(golden))
@@ -971,8 +1053,8 @@ class TestCompletePrefixLength:
         Explicit(bytes([0, 1]) * 50),
         Champernowne(),
         MaxComplexity(),
-        Hubert(GOLDEN),
-        LiteralPrepend(bytes([1]), Hubert(GOLDEN)),
+        Hubert(ContinuedFraction((2, 3))),  # rational slope: no form
+        LiteralPrepend(bytes([1]), Hubert(ContinuedFraction((2, 3)))),
     ])
     def test_no_known_bound_gives_none(self, recipe):
         assert complete_prefix_length(recipe, 16) is None
