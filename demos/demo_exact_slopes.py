@@ -4,7 +4,8 @@
 A slope is a continued fraction [0; a1, a2, ...]; everything else is
 integer arithmetic against its convergents p_n/q_n.  No floats are
 involved anywhere, so comparisons of {i*alpha} against thresholds like
-alpha - delta are decided, never estimated.
+alpha/2, alpha and 1 - alpha/2, the three the Sturmian power locator
+makes, are decided, never estimated.
 """
 
 from fractions import Fraction

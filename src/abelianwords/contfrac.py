@@ -217,8 +217,7 @@ class AffineThreshold:
     float, ``Decimal`` or ``str`` raises ``TypeError``), kept as Fractions
     of Python ints.  ``form`` holds the same number once over integers,
     (U, V, D) with u + v*alpha = (U + V*alpha)/D and D > 0; every exact
-    test reads it, and so does the hash, so a cache keyed on a threshold
-    hashes no ``Fraction``.
+    test reads it.
     """
 
     u: Fraction
@@ -232,10 +231,6 @@ class AffineThreshold:
         object.__setattr__(self, "form", (u.numerator * v.denominator,
                                           v.numerator * u.denominator,
                                           u.denominator * v.denominator))
-
-    def __hash__(self):
-        # equal thresholds have equal reduced u and v, hence equal forms
-        return hash(self.form)
 
 
 def convergents(cf: ContinuedFraction, count: int) -> list[Convergent]:
@@ -321,14 +316,6 @@ def _frac_sign(cf: ContinuedFraction, i: int, f: int,
     return _sign(cf, D * i - V, -(D * f + U))
 
 
-def _form(t: AffineThreshold) -> tuple:
-    """The integer form (U, V, D) of t, which must be an AffineThreshold."""
-    if not isinstance(t, AffineThreshold):
-        raise TypeError(
-            f"threshold must be an AffineThreshold, got {type(t).__name__}")
-    return t.form
-
-
 def frac_less_than(cf: ContinuedFraction, i: int, t: AffineThreshold) -> bool:
     """Exact test of {i*alpha} < u + v*alpha.
 
@@ -337,11 +324,13 @@ def frac_less_than(cf: ContinuedFraction, i: int, t: AffineThreshold) -> bool:
     nothing to refine towards, so that identity case is rejected; the
     caller must exclude it.
     """
-    form = _form(t)
+    if not isinstance(t, AffineThreshold):
+        raise TypeError(
+            f"threshold must be an AffineThreshold, got {type(t).__name__}")
     i = index(i)
     if i < 1:
         raise ValueError("i must be >= 1")
-    sign = _frac_sign(cf, i, floor_scaled(cf, i), *form)
+    sign = _frac_sign(cf, i, floor_scaled(cf, i), *t.form)
     if sign == 0:
         raise ValueError(
             "comparison is an exact identity ({i*alpha} = u + v*alpha); "

@@ -34,25 +34,24 @@ counts all letters but the last in each block with ``bytes.count``,
 stops at the first block that differs, and returns the shared Parikh
 vector, which becomes the certificate's ``block_parikh``.
 
-The locator works on integers only: delta = u + v*alpha is read as
-(U + V*alpha)/D (``AffineThreshold.form``), and every threshold test is
-the sign of {i*alpha} minus such a form.  What depends on (slope, k,
-delta) alone is one memoized locator, which holds the working slope (the
-slope itself below 1/2, its complement above), the working slope's
-period pair, and one convergent p/q deep enough that at every position
-the symbol budget admits, floor(i*alpha) = (i*p)//q and each threshold
-test is the sign of one integer product.  A warm certificate then costs
-one multiplication, one division and three comparisons, plus one
-verification on the requested slope's cached characteristic word; only
-a product of 0 (an algebraic identity, or a rare multiple of q) or a
-position past the convergent's reach walks the sandwich
-(``contfrac._frac_sign``).
+The paper's construction works for any threshold 0 < delta < alpha;
+the locator fixes it at delta = alpha/2 and works on integers only:
+every threshold test is the sign of {i*alpha} minus alpha/2, alpha or
+1 - alpha/2.  What depends on (slope, k) alone is one memoized locator,
+which holds the working slope (the slope itself below 1/2, its
+complement above), the working slope's period pair, and one convergent
+p/q deep enough that at every position the symbol budget admits,
+floor(i*alpha) = (i*p)//q and each threshold test is the sign of one
+integer product.  A warm certificate then costs one multiplication, one
+division and three comparisons, plus one verification on the requested
+slope's cached characteristic word; only a product of 0 (the identity
+{1*alpha} = alpha, or a rare multiple of q) or a position past the
+convergent's reach walks the sandwich (``contfrac._frac_sign``).
 ``sturmian_powers`` certifies many positions with one locator and one
 growth of that word; ``sturmian_power_at`` is its one-position case.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import index
@@ -62,8 +61,8 @@ import numpy as np
 
 from . import complexity, words
 from .complexity import ParikhVector
-from .contfrac import (AffineThreshold, ContinuedFraction, _form,
-                       _frac_sign, _pq_at, _sign, floor_scaled)
+from .contfrac import (ContinuedFraction, _frac_sign, _pq_at, _sign,
+                       floor_scaled)
 from .words import (_MAX_ALPHABET, BudgetError, WordPrefix,
                     _characteristic_word, _check_length)
 
@@ -80,8 +79,6 @@ __all__ = [
     "vdw_power_search",
     "verify_abelian_power",
 ]
-
-DEFAULT_DELTA = AffineThreshold(0, Fraction(1, 2))  # delta = alpha/2
 
 
 class WeightsTooSmallError(ValueError):
@@ -164,9 +161,8 @@ def verify_abelian_power(w: WordPrefix, start: int, ell: int, k: int) -> bool:
     return _common_parikh(w.symbols, w.alphabet_size, start, ell, k) is not None
 
 
-def min_abelian_period(w: WordPrefix, start: int, k: int,
-                       ell_max: Union[int, None] = None) -> Union[int, None]:
-    """Smallest ell <= ell_max making an Abelian k-power at ``start``.
+def min_abelian_period(w: WordPrefix, start: int, k: int) -> Union[int, None]:
+    """Smallest ell making an Abelian k-power at ``start``.
 
     Brute-force oracle: scans ell = 1, 2, ...; None when no candidate fits
     inside the prefix.  Each candidate counts k * ell steps, and the scan
@@ -174,11 +170,8 @@ def min_abelian_period(w: WordPrefix, start: int, k: int,
     """
     if start < 0 or k < 1:
         raise ValueError("need start >= 0 and k >= 1")
-    cap = (len(w) - start) // k
-    if ell_max is None:
-        ell_max = cap
     work = 0
-    for ell in range(1, min(ell_max, cap) + 1):
+    for ell in range(1, (len(w) - start) // k + 1):
         work = _charge(work, k * ell, "brute-force period search")
         if verify_abelian_power(w, start, ell, k):
             return ell
@@ -330,25 +323,24 @@ def _above_half(alpha: ContinuedFraction) -> bool:
     return _sign(alpha, 2, -1) >= 0
 
 
-def sturmian_period_pair(alpha: ContinuedFraction, k: int,
-                         delta: AffineThreshold = DEFAULT_DELTA) -> PeriodPair:
-    """Smallest even n with q_{n+1} * min(delta, alpha - delta) > k, and the
-    period pair (q_n, q_{n+1}) it yields.
+def sturmian_period_pair(alpha: ContinuedFraction, k: int) -> PeriodPair:
+    """Smallest even n with q_{n+1} * alpha/2 > k, and the period pair
+    (q_n, q_{n+1}) it yields.
 
     Requires 0 < alpha < 1/2; complement the slope first otherwise.  The
-    threshold ``delta`` denotes u + v*alpha and must satisfy
-    0 < delta < alpha, so all decisions stay exact.  The result is
-    memoized per (alpha, k, delta); all three are immutable values.
+    threshold is delta = alpha/2, so min(delta, alpha - delta) = alpha/2
+    and the defining inequality is decided exactly.  The result is
+    memoized per (alpha, k); both are immutable values.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if _above_half(alpha):
         raise ValueError("slope must be < 1/2; complement it first")
-    return _locator(alpha, k, delta).pair
+    return _locator(alpha, k).pair
 
 
 class _Locator(NamedTuple):
-    """What a certificate at (slope, k, delta) needs besides its position.
+    """What a certificate at (slope, k) needs besides its position.
 
     Every period is decided on the working slope: the slope itself below
     1/2, its complement above, built once per locator.  The complement's
@@ -361,19 +353,22 @@ class _Locator(NamedTuple):
     holds).  At every position i <= reach, q > i, so floor(i*alpha) =
     (i*p)//q with remainder r = i*p - f*q >= 1: gcd(p, q) = 1 and
     0 < i < q give 1 <= r <= q - 1, and i*alpha is within i/(q*q_{m+1})
-    < 1/q of i*p/q = f + r/q.  Each threshold test,
-    D*({i*alpha} - (U' + V'*alpha)/D), is then c*alpha + e with
-    c = D*i - V' and e = -(D*f + U'), read at p/q as c*p + e*q: that is
-    D*r - ``below`` against alpha - delta, r - p against alpha, and
-    D*r - ``above`` against 1 - delta.  All three have
-    |c| <= D*i + |V| < q_{m+1}, so c*alpha + e and c*p/q + e differ by
-    less than |c|/(q*q_{m+1}) < 1/q, while a non-zero c*p + e*q is at
-    least 1/q away from 0 once divided by q: the product's sign is
-    exact.  It is also the sign the ``contfrac._sign`` walk returns,
-    reaching at most convergent m + 1, so a finite expansion runs out
-    nowhere the walk would not.  A product of 0 (an algebraic identity,
-    such as {1*alpha} against alpha, or c a multiple of q) decides
-    nothing and is left to ``_frac_sign``.
+    < 1/q of i*p/q = f + r/q.  Each threshold test is c*alpha + e for
+    integers c and e, read at p/q as the product c*p + e*q:
+
+    * 2*({i*alpha} - alpha/2) = (2i - 1)*alpha - 2f, read as 2r - p;
+    * {i*alpha} - alpha = (i - 1)*alpha - f, read as r - p;
+    * 2*({i*alpha} - (1 - alpha/2)) = (2i + 1)*alpha - 2f - 2, read as
+      2(r - q) + p.
+
+    All three have |c| <= 2i + 1 < q_{m+1}, so c*alpha + e and c*p/q + e
+    differ by less than |c|/(q*q_{m+1}) < 1/q, while a non-zero
+    c*p + e*q is at least 1/q away from 0 once divided by q: the
+    product's sign is exact.  It is also the sign the ``contfrac._sign``
+    walk returns, reaching at most convergent m + 1, so a finite
+    expansion runs out nowhere the walk would not.  A product of 0 (the
+    identity {1*alpha} = alpha, or c a multiple of q) decides nothing
+    and is left to ``_frac_sign``.
     """
 
     work: ContinuedFraction
@@ -381,29 +376,15 @@ class _Locator(NamedTuple):
     p: int
     q: int
     reach: int
-    below: int  # D*p - (U*q + V*p): D*q*(alpha - delta) read at p/q
-    above: int  # D*q - (U*q + V*p): D*q*(1 - delta) read at p/q
 
 
 @lru_cache(maxsize=1024)
-def _locator(alpha: ContinuedFraction, k: int,
-             delta: AffineThreshold) -> _Locator:
-    U, V, D = _form(delta)
+def _locator(alpha: ContinuedFraction, k: int) -> _Locator:
     work = alpha.complement() if _above_half(alpha) else alpha
-    # 0 < delta < alpha, with delta = (U + V*alpha)/D
-    if _sign(work, V, U) <= 0:
-        raise ValueError("delta must be positive")
-    if _sign(work, V - D, U) >= 0:
-        raise ValueError("delta must be < alpha")
-    # D * min(delta, alpha - delta) = mu + mv*alpha
-    if _sign(work, 2 * V - D, 2 * U) < 0:
-        mu, mv = U, V
-    else:
-        mu, mv = -U, D - V
     n = 0
     while True:
         q_next = _pq_at(work, n + 1)[1]
-        if _sign(work, q_next * mv, q_next * mu - k * D) > 0:
+        if _sign(work, q_next, -2 * k) > 0:  # q_{n+1} * alpha/2 > k
             break
         n += 2
     pair = PeriodPair(_pq_at(work, n)[1], q_next, n)
@@ -413,17 +394,16 @@ def _locator(alpha: ContinuedFraction, k: int,
     m = 0
     while True:
         p, q = _pq_at(work, m)
-        reach = min(q - 1, (_pq_at(work, m + 1)[1] - 1 - abs(V)) // D)
+        reach = min(q - 1, (_pq_at(work, m + 1)[1] - 2) // 2)
         if reach >= words.DEFAULT_SYMBOL_BUDGET or (
                 not work.is_unbounded and m + 3 > len(work.preperiod)):
             break
         m += 2
-    w = U * q + V * p
-    return _Locator(work, pair, p, q, reach, D * p - w, D * q - w)
+    return _Locator(work, pair, p, q, reach)
 
 
-def _certify(alpha: ContinuedFraction, positions: tuple, k: int,
-             delta: AffineThreshold) -> list[AbelianPowerOccurrence]:
+def _certify(alpha: ContinuedFraction, positions: tuple,
+             k: int) -> list[AbelianPowerOccurrence]:
     """The kernel behind ``sturmian_powers`` and ``sturmian_power_at``.
 
     One pass classifies every position and tracks the furthest block
@@ -438,27 +418,26 @@ def _certify(alpha: ContinuedFraction, positions: tuple, k: int,
     """
     if k < 1 or min(positions, default=1) < 1:
         raise ValueError("need i >= 1 and k >= 1")
-    work, pair, p, q, reach, below, above = _locator(alpha, k, delta)
+    work, pair, p, q, reach = _locator(alpha, k)
     if not positions:
         return []
-    U, V, D = delta.form
     ell1, ell2 = pair.ell1, pair.ell2
     periods = []
     end = 0
     for i in positions:
         if i <= reach:
             f, r = divmod(i * p, q)
-            s1, s2, s3 = D * r - below, r - p, D * r - above
+            s1, s2, s3 = 2 * r - p, r - p, 2 * (r - q) + p
         else:  # past the reach, every test walks
             f, s1, s2, s3 = floor_scaled(work, i), 0, 0, 0
-        # {i*alpha} against alpha - delta, alpha and 1 - delta: q_n away
+        # {i*alpha} against alpha/2, alpha and 1 - alpha/2: q_n away
         # from the critical points alpha and 1 (Case 1), q_{n+1} inside
-        # the width-delta windows below them (Case 2)
-        if (s1 or _frac_sign(work, i, f, -U, D - V, D)) < 0:
+        # the width-alpha/2 windows below them (Case 2)
+        if (s1 or _frac_sign(work, i, f, 0, 1, 2)) < 0:
             ell = ell1
-        elif (s2 or _frac_sign(work, i, f, 0, D, D)) < 0:
+        elif (s2 or _frac_sign(work, i, f, 0, 1, 1)) < 0:
             ell = ell2
-        elif (s3 or _frac_sign(work, i, f, D - U, -V, D)) < 0:
+        elif (s3 or _frac_sign(work, i, f, 2, -1, 2)) < 0:
             ell = ell1
         else:
             ell = ell2
@@ -483,29 +462,28 @@ def _certify(alpha: ContinuedFraction, positions: tuple, k: int,
     return out
 
 
-def sturmian_powers(alpha: ContinuedFraction, positions: Iterable[int], k: int,
-                    delta: AffineThreshold = DEFAULT_DELTA
-                    ) -> list[AbelianPowerOccurrence]:
+def sturmian_powers(alpha: ContinuedFraction, positions: Iterable[int],
+                    k: int) -> list[AbelianPowerOccurrence]:
     """Verified Abelian k-powers at the given 1-based positions of the
     characteristic word of slope alpha, in the order given.
 
-    Fetches the memoized locator of (alpha, k, delta) once, decides every
+    Fetches the memoized locator of (alpha, k) once, decides every
     period exactly off its convergent (see :func:`sturmian_power_at`),
     grows the slope's cached characteristic word once to the furthest
     block end, and verifies each certificate on it by counting.
     """
-    return _certify(alpha, tuple(map(index, positions)), k, delta)
+    return _certify(alpha, tuple(map(index, positions)), k)
 
 
-def sturmian_power_at(alpha: ContinuedFraction, i: int, k: int,
-                      delta: AffineThreshold = DEFAULT_DELTA
-                      ) -> AbelianPowerOccurrence:
+def sturmian_power_at(alpha: ContinuedFraction, i: int,
+                      k: int) -> AbelianPowerOccurrence:
     """Verified Abelian k-power at 1-based position i of the characteristic
     word of slope alpha (0-based start i-1 of the certificate).
 
-    Classifies {i*alpha} exactly: away from the critical points alpha and 1
-    (Case 1) the period is q_n, inside the width-delta windows below them
-    (Case 2) it is q_{n+1}, with n from :func:`sturmian_period_pair`.
+    Classifies {i*alpha} exactly against the threshold delta = alpha/2:
+    away from the critical points alpha and 1 (Case 1) the period is
+    q_n, inside the width-alpha/2 windows below them (Case 2) it is
+    q_{n+1}, with n from :func:`sturmian_period_pair`.
     Within the symbol budget, floor(i*alpha) and the three threshold
     signs are read off one cached convergent p/q as (i*p)//q and three
     integer products; a product of 0 (an algebraic identity, as at i = 1)
@@ -519,4 +497,4 @@ def sturmian_power_at(alpha: ContinuedFraction, i: int, k: int,
     counting before it is returned.
     This is the one-position case of :func:`sturmian_powers`.
     """
-    return _certify(alpha, (index(i),), k, delta)[0]
+    return _certify(alpha, (index(i),), k)[0]

@@ -143,7 +143,7 @@ def test_criterion_08_vdw_construction(tm_million):
         occ = vdw_power_search(tm_million, k, weights)
         assert occ is not None
         assert verify_abelian_power(tm_million, occ.start, occ.period, k)
-        oracle = min_abelian_period(tm_million, occ.start, k, occ.period)
+        oracle = min_abelian_period(tm_million, occ.start, k)
         assert oracle is not None and oracle <= occ.period
     report(8, t0, "Thue-Morse prefix 10^6, M = 2: progression search finds "
                   "verified k-powers for k = 2..5, brute-force confirmed")

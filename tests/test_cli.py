@@ -16,6 +16,8 @@ import abelianwords
 from abelianwords import checks
 from abelianwords.cli import RECIPE_PRESETS, main
 from abelianwords.complexity import abelian_profile
+from abelianwords.contfrac import ContinuedFraction
+from abelianwords.powers import sturmian_powers
 from abelianwords.words import prefix_of, recipe_from_dict, recipe_to_dict
 
 
@@ -220,6 +222,28 @@ def test_kernel_stdout_digest(capsys, command):
     code, out, err = run(capsys, *command.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == KERNEL_DIGESTS[command]
+
+
+# SHA-256 of `json.dumps(occ.to_dict())` lines for every occurrence of
+# `sturmian_powers(alpha, range(1, 4097), k)`, k = 1..8, over golden,
+# sqrt2, [0; 1, 3, (1, 2)] and golden's complement, frozen at commit
+# 1997022, where the locator still took its threshold as a parameter;
+# the certificates at delta = alpha/2 must stay byte for byte the same.
+CERTIFICATE_SLOPES = [ContinuedFraction((2,), (1,)),
+                      ContinuedFraction((), (2,)),
+                      ContinuedFraction((1, 3), (1, 2)),
+                      ContinuedFraction((1, 1), (1,))]
+CERTIFICATE_DIGEST = \
+    "75b9c4fe04f3fb276dfe9982bbbb3d729654d4b38c0f2df2be9d83fd8e1aef17"
+
+
+def test_certificate_digest():
+    digest = hashlib.sha256()
+    for alpha in CERTIFICATE_SLOPES:
+        for k in range(1, 9):
+            for occ in sturmian_powers(alpha, range(1, 4097), k):
+                digest.update((json.dumps(occ.to_dict()) + "\n").encode())
+    assert digest.hexdigest() == CERTIFICATE_DIGEST
 
 
 class TestProfile:

@@ -33,9 +33,11 @@ HALF_ALPHA = AffineThreshold(0, Fraction(1, 2))
 # -- Fraction oracle -------------------------------------------------------
 # The Sturmian locator as it was written before the integer kernel: every
 # threshold is an AffineThreshold of Fractions, decided by the Fraction
-# oracles of test_contfrac, and blocks are counted by slicing.
+# oracles of test_contfrac, and blocks are counted by slicing.  The
+# threshold delta is the library's, alpha/2.
 
-def oracle_period_pair(alpha, k, delta):
+def oracle_period_pair(alpha, k):
+    delta = HALF_ALPHA
     assert oracle_affine_sign(alpha, 1, Fraction(-1, 2)) < 0
     assert oracle_affine_sign(alpha, delta.v, delta.u) > 0
     assert oracle_affine_sign(alpha, delta.v - 1, delta.u) < 0
@@ -58,11 +60,11 @@ def oracle_frac_lt(alpha, i, u, v):
     return oracle_frac_less_than(alpha, i, AffineThreshold(u, v))
 
 
-def oracle_power_at(alpha, i, k, delta=HALF_ALPHA):
+def oracle_power_at(alpha, i, k):
     below_half = oracle_affine_sign(alpha, 1, Fraction(-1, 2)) < 0
     work = alpha if below_half else alpha.complement()
-    pair = oracle_period_pair(work, k, delta)
-    du, dv = delta.u, delta.v
+    pair = oracle_period_pair(work, k)
+    du, dv = HALF_ALPHA.u, HALF_ALPHA.v
     if oracle_frac_lt(work, i, -du, 1 - dv):
         case1 = True
     elif oracle_frac_lt(work, i, 0, 1):
@@ -92,13 +94,13 @@ def assert_block_ends_agree(alpha, occ):
     assert len(ends) == 1, (occ, ends)
 
 
-def walk_period(alpha, i, k, delta=HALF_ALPHA):
+def walk_period(alpha, i, k):
     """The period at 1-based position i as the locator decided it before
     it read positions off one convergent: ``floor_scaled``, then at most
     three ``_frac_sign`` walks on the working slope."""
-    loc = powers._locator(alpha, k, delta)
+    loc = powers._locator(alpha, k)
     work, pair = loc.work, loc.pair
-    U, V, D = delta.form
+    U, V, D = HALF_ALPHA.form
     f = contfrac.floor_scaled(work, i)
     if contfrac._frac_sign(work, i, f, -U, D - V, D) < 0:
         return pair.ell1
@@ -284,7 +286,7 @@ class TestVdwSearch:
         occ = vdw_power_search(w, 2, congo_weights(2, 2))
         assert (occ.start, occ.period) == (3, 5)  # frozen from a dev run
         assert verify_abelian_power(w, occ.start, occ.period, 2)
-        assert min_abelian_period(w, occ.start, 2, occ.period) is not None
+        assert min_abelian_period(w, occ.start, 2) is not None
 
     def test_fibonacci_cube(self, golden):
         w = characteristic_prefix(golden, 10**5)
@@ -405,7 +407,7 @@ class TestVdwSearch:
             occ = vdw_power_search(w, k, weights)
             assert occ is not None
             assert verify_abelian_power(w, occ.start, occ.period, k)
-            oracle = min_abelian_period(w, occ.start, k, occ.period)
+            oracle = min_abelian_period(w, occ.start, k)
             assert oracle is not None and oracle <= occ.period
 
     def test_too_small_m_raises_when_blocks_differ(self):
@@ -511,7 +513,7 @@ class TestSturmianPeriodPair:
         assert (pair.ell1, pair.ell2, pair.n_even) == (8, 13, 4)
 
     def test_golden_k1(self, golden):
-        # q_{n+1} > 1 / min(delta, alpha - delta) = 2/alpha ~ 5.24
+        # q_{n+1} > 1 / (alpha/2) = 2/alpha ~ 5.24
         pair = sturmian_period_pair(golden, 1)
         assert (pair.ell1, pair.ell2, pair.n_even) == (8, 13, 4)
 
@@ -525,36 +527,6 @@ class TestSturmianPeriodPair:
             assert pair.n_even % 2 == 0
             assert pair.ell1 == sqrt2m1.convergent(pair.n_even).q
             assert pair.ell2 == sqrt2m1.convergent(pair.n_even + 1).q
-
-    def test_delta_validation(self, golden):
-        with pytest.raises(ValueError, match="positive"):
-            sturmian_period_pair(golden, 2, AffineThreshold(0, 0))
-        with pytest.raises(ValueError, match="< alpha"):
-            sturmian_period_pair(golden, 2, AffineThreshold(0, 2))
-
-    @pytest.mark.parametrize("call", [
-        lambda a: sturmian_power_at(a, 5, 2, 0.5),
-        lambda a: sturmian_powers(a, [], 2, Fraction(1, 2)),
-        lambda a: sturmian_period_pair(a, 2, 0.5),
-    ], ids=["power_at", "powers", "period_pair"])
-    def test_delta_must_be_a_threshold(self, golden, call):
-        with pytest.raises(TypeError, match="AffineThreshold"):
-            call(golden)
-
-    def test_rational_delta(self, golden):
-        # delta = 1/3 < alpha fails (1/3 < 0.382 holds, so it is valid);
-        # use it and check the defining inequality exactly on the result
-        delta = AffineThreshold(Fraction(1, 3), 0)
-        pair = sturmian_period_pair(golden, 3, delta)
-        # min(1/3, alpha - 1/3) = alpha - 1/3 ~ 0.0486; need q > 3/0.0486
-        assert pair.ell2 == 89
-
-    def test_slope_error_comes_before_delta_error(self, golden):
-        # above 1/2 and with a delta out of range: the slope is refused
-        # first, whichever bound delta breaks
-        for delta in (AffineThreshold(0, 0), AffineThreshold(0, 2)):
-            with pytest.raises(ValueError, match="slope must be < 1/2"):
-                sturmian_period_pair(golden.complement(), 2, delta)
 
 
 class TestFracSign:
@@ -660,13 +632,13 @@ class TestSturmianPowerAt:
         for k in (2, 3, 5):
             sturmian_powers(alpha, range(1, 201), k)
             sturmian_power_at(alpha, 5, k)
-        work = powers._locator(alpha, 3, powers.DEFAULT_DELTA).work
+        work = powers._locator(alpha, 3).work
         assert work == alpha.complement() and work is not alpha
         assert work._word[0] == b"" and len(alpha._word[0]) > 0
         assert grown and all(a is alpha for a in grown)
 
     def test_complement_is_built_once_per_locator(self, monkeypatch):
-        # the memoized locator of (slope, k, delta) builds the complement
+        # the memoized locator of (slope, k) builds the complement
         # once; an equal slope finds its locators already built
         made = []
         complement = ContinuedFraction.complement
@@ -717,42 +689,38 @@ class TestSturmianAgainstFractionOracle:
               "sqrt2": ContinuedFraction((), (2,)),
               "golden-complement": ContinuedFraction((1, 1), (1,)),
               "sqrt2-complement": ContinuedFraction((1, 1), (2,))}
-    DELTAS = {"alpha/2": HALF_ALPHA,
-              "1/3": AffineThreshold(Fraction(1, 3), 0),
-              "3alpha/4-1/10": AffineThreshold(Fraction(-1, 10),
-                                               Fraction(3, 4))}
+    # each id names the slope and the locator's threshold
+    IDS = [f"{slope}-alpha/2" for slope in SLOPES]
     POSITIONS = sorted(set(range(1, 13)) | {4999, 5000} | set(
         random.Random(2016).sample(range(13, 5000), 40)))
 
-    @pytest.mark.parametrize("delta", DELTAS, ids=list(DELTAS))
-    @pytest.mark.parametrize("slope", SLOPES, ids=list(SLOPES))
-    def test_certificates_identical(self, slope, delta):
-        alpha, d = self.SLOPES[slope], self.DELTAS[delta]
+    @pytest.mark.parametrize("slope", SLOPES, ids=IDS)
+    def test_certificates_identical(self, slope):
+        alpha = self.SLOPES[slope]
         for k in range(1, 9):
             for i in self.POSITIONS:
-                occ = sturmian_power_at(alpha, i, k, d)
-                assert occ == oracle_power_at(alpha, i, k, d), (i, k)
+                occ = sturmian_power_at(alpha, i, k)
+                assert occ == oracle_power_at(alpha, i, k), (i, k)
                 assert_block_ends_agree(alpha, occ)
 
-    @pytest.mark.parametrize("delta", DELTAS, ids=list(DELTAS))
-    @pytest.mark.parametrize("slope", SLOPES, ids=list(SLOPES))
-    def test_batch_matches_positions_one_by_one(self, slope, delta):
+    @pytest.mark.parametrize("slope", SLOPES, ids=IDS)
+    def test_batch_matches_positions_one_by_one(self, slope):
         # the batch runs on an equal slope with cold caches, in an order
         # with repeats, so it grows the word itself and keeps the order
-        alpha, d = self.SLOPES[slope], self.DELTAS[delta]
+        alpha = self.SLOPES[slope]
         fresh = ContinuedFraction(alpha.preperiod, alpha.period)
         positions = self.POSITIONS[::-1] + self.POSITIONS[:5]
         for k in range(1, 9):
-            batch = sturmian_powers(fresh, positions, k, d)
-            assert batch == [sturmian_power_at(alpha, i, k, d)
+            batch = sturmian_powers(fresh, positions, k)
+            assert batch == [sturmian_power_at(alpha, i, k)
                              for i in positions], k
-            assert batch == [oracle_power_at(alpha, i, k, d)
+            assert batch == [oracle_power_at(alpha, i, k)
                              for i in positions], k
 
     def test_period_pair_is_computed_once_per_slope(self, golden):
         first = sturmian_period_pair(golden, 5)
         assert sturmian_period_pair(ContinuedFraction((2,), (1,)), 5) is first
-        assert first == oracle_period_pair(golden, 5, HALF_ALPHA)
+        assert first == oracle_period_pair(golden, 5)
 
 
 class TestPairClassifier:
@@ -766,29 +734,24 @@ class TestPairClassifier:
         yield
         powers._locator.cache_clear()
 
-    CASES = {"golden": (ContinuedFraction((2,), (1,)), HALF_ALPHA),
-             "golden-1/3": (ContinuedFraction((2,), (1,)),
-                            AffineThreshold(Fraction(1, 3), 0)),
-             "sqrt2-3alpha/4-1/10": (ContinuedFraction((), (2,)),
-                                     AffineThreshold(Fraction(-1, 10),
-                                                     Fraction(3, 4))),
-             "golden-complement": (ContinuedFraction((1, 1), (1,)), HALF_ALPHA),
-             "[0;1,3,(1,2)]": (ContinuedFraction((1, 3), (1, 2)), HALF_ALPHA)}
+    CASES = {"golden": ContinuedFraction((2,), (1,)),
+             "golden-complement": ContinuedFraction((1, 1), (1,)),
+             "[0;1,3,(1,2)]": ContinuedFraction((1, 3), (1, 2))}
 
     @pytest.mark.parametrize("budget", [100, 1000])
     @pytest.mark.parametrize("case", CASES, ids=list(CASES))
     def test_reach_boundary(self, fresh_locators, monkeypatch, case, budget):
-        alpha, delta = self.CASES[case]
-        U, V, D = delta.form
+        alpha = self.CASES[case]
         for k in (1, 3, 8):
             monkeypatch.setattr(words, "DEFAULT_SYMBOL_BUDGET", budget)
-            loc = powers._locator(alpha, k, delta)
-            # the bounds the pair's exactness rests on, at an even index
+            loc = powers._locator(alpha, k)
+            # the bounds the pair's exactness rests on, at an even index:
+            # the third test's |c| = 2i + 1 stays below q_{m+1}
             m = next(n for n in range(0, 200, 2)
                      if loc.work.convergent(n).q == loc.q)
             assert loc.work.convergent(m).p == loc.p
             assert budget <= loc.reach < loc.q
-            assert D * loc.reach + abs(V) < loc.work.convergent(m + 1).q
+            assert 2 * loc.reach + 1 < loc.work.convergent(m + 1).q
             # certificates past the small budget need the real one back;
             # the cached locator keeps its small reach
             monkeypatch.setattr(words, "DEFAULT_SYMBOL_BUDGET",
@@ -796,47 +759,41 @@ class TestPairClassifier:
             positions = range(loc.reach - 3, loc.reach + 4)
             walked = []
             count_calls(monkeypatch, powers, "floor_scaled", walked)
-            batch = sturmian_powers(alpha, positions, k, delta)
+            batch = sturmian_powers(alpha, positions, k)
             monkeypatch.undo()
             assert walked == [i for i in positions if i > loc.reach]
             assert [o.period for o in batch] == [
-                walk_period(alpha, i, k, delta) for i in positions]
-            assert batch == [oracle_power_at(alpha, i, k, delta)
+                walk_period(alpha, i, k) for i in positions]
+            assert batch == [oracle_power_at(alpha, i, k)
                              for i in positions]
 
     def test_identity_falls_back_to_the_walk(self, golden, monkeypatch):
-        # delta = 1 - 2*alpha: {3*alpha} = 3*alpha - 1 = alpha - delta, so
-        # the first test at i = 3 is an identity and its product is 0
-        delta = AffineThreshold(1, -2)
-        U, V, D = delta.form
+        # {1*alpha} = alpha: at i = 1 the remainder is r = p, so the
+        # second test's product r - p is 0 and the walk decides it
         walked = []
         count_calls(monkeypatch, powers, "_frac_sign", walked)
         for k in range(1, 9):
-            loc = powers._locator(golden, k, delta)
-            assert D * (3 * loc.p % loc.q) == loc.below
-            occ = sturmian_power_at(golden, 3, k, delta)
-            assert occ.period == walk_period(golden, 3, k, delta)
-            assert occ == oracle_power_at(golden, 3, k, delta)
-        # the identity walks and reads 0, the next test decides from its
-        # product: {3*alpha} < alpha
-        assert walked == [3] * 8
+            loc = powers._locator(golden, k)
+            assert divmod(1 * loc.p, loc.q) == (0, loc.p)
+            occ = sturmian_power_at(golden, 1, k)
+            assert occ.period == walk_period(golden, 1, k)
+            assert occ == oracle_power_at(golden, 1, k)
+        # the identity walks and reads 0, the third test decides from its
+        # product: {alpha} < 1 - alpha/2
+        assert walked == [1] * 8
 
     @settings(max_examples=80, deadline=None)
     @given(pre=st.lists(st.integers(1, 6), max_size=3),
            per=st.lists(st.integers(1, 6), min_size=1, max_size=3),
-           delta=st.sampled_from([HALF_ALPHA, AffineThreshold(0, Fraction(1, 3)),
-                                  AffineThreshold(Fraction(-1, 50),
-                                                  Fraction(3, 4))]),
            k=st.integers(1, 8),
            positions=st.lists(st.integers(1, 3000), max_size=5))
-    def test_eventually_periodic_slopes(self, pre, per, delta, k, positions):
-        # every working slope is above 1/8, so each delta lies in (0, alpha)
+    def test_eventually_periodic_slopes(self, pre, per, k, positions):
         alpha = ContinuedFraction(tuple(pre), tuple(per))
         positions = [1, 2] + positions
-        batch = sturmian_powers(alpha, positions, k, delta)
+        batch = sturmian_powers(alpha, positions, k)
         assert [o.period for o in batch] == [
-            walk_period(alpha, i, k, delta) for i in positions]
-        assert batch == [oracle_power_at(alpha, i, k, delta)
+            walk_period(alpha, i, k) for i in positions]
+        assert batch == [oracle_power_at(alpha, i, k)
                          for i in positions]
 
     # (terms, i, k, (start, period) or the InsufficientPrecisionError
@@ -872,27 +829,28 @@ class TestPairClassifier:
 
     def test_finite_reach(self):
         for terms in ((2, 3, 4), (2, 3, 4, 5)):
-            reach = powers._locator(ContinuedFraction(terms), 2,
-                                    HALF_ALPHA).reach
-            assert reach == 6  # min(q_2 - 1, (q_3 - 1 - |V|) // D), q = 7, 30
-        assert powers._locator(ContinuedFraction(self.FIFTY), 2,
-                               HALF_ALPHA).reach >= DEFAULT_SYMBOL_BUDGET
+            reach = powers._locator(ContinuedFraction(terms), 2).reach
+            assert reach == 6  # min(q_2 - 1, (q_3 - 2) // 2), q = 7, 30
+        assert powers._locator(ContinuedFraction(self.FIFTY),
+                               2).reach >= DEFAULT_SYMBOL_BUDGET
 
-    def test_bad_position_before_bad_delta(self, golden):
-        for bad in (AffineThreshold(0, 0), AffineThreshold(0, 2)):
-            with pytest.raises(ValueError, match="i >= 1 and k >= 1"):
-                sturmian_powers(golden, [3, 0], 2, bad)
-            with pytest.raises(ValueError, match="i >= 1 and k >= 1"):
-                sturmian_power_at(golden, 1, 0, bad)
+    def test_bad_position_before_short_expansion(self):
+        # (3,) has no convergent to build a locator from, and a bad
+        # position or k is refused before the locator is asked for
+        short = ContinuedFraction((3,))
         with pytest.raises(ValueError, match="i >= 1 and k >= 1"):
-            sturmian_power_at(ContinuedFraction((3,)), 0, 2)
+            sturmian_power_at(short, 0, 2)
+        with pytest.raises(ValueError, match="i >= 1 and k >= 1"):
+            sturmian_powers(short, [3, 0], 2)
+        with pytest.raises(ValueError, match="i >= 1 and k >= 1"):
+            sturmian_power_at(short, 1, 0)
 
     @pytest.mark.parametrize("alpha", [ContinuedFraction((2,), (1,)),
                                        ContinuedFraction((), (2,))],
                              ids=["golden", "sqrt2"])
     def test_no_walk_inside_the_reach(self, alpha, monkeypatch):
         for k in range(1, 9):
-            powers._locator(alpha, k, powers.DEFAULT_DELTA)
+            powers._locator(alpha, k)
         floors, fracs, signs = [], [], []
         count_calls(monkeypatch, powers, "floor_scaled", floors)
         count_calls(monkeypatch, powers, "_frac_sign", fracs)
@@ -929,10 +887,6 @@ class TestSturmianBatch:
     def test_bad_arguments(self, golden, positions, k):
         with pytest.raises(ValueError, match="i >= 1 and k >= 1"):
             sturmian_powers(golden, positions, k)
-
-    def test_bad_delta_even_when_empty(self, golden):
-        with pytest.raises(ValueError, match="< alpha"):
-            sturmian_powers(golden, [], 2, AffineThreshold(0, 2))
 
     def test_past_the_symbol_budget(self, golden):
         # the certificate's last block would end past the budget: refused
