@@ -7,22 +7,25 @@ aperiodicity and other infinite-word hypotheses cannot be decided from a
 prefix, so a pass means "consistent with the claim on this prefix",
 never more.  For a verdict about the infinite word, give a checker a
 factor-complete prefix: ``inspected_prefix`` returns one wherever the
-recipe has a known bound within ``DEFAULT_MARGIN * n_max``.
+recipe has a known bound within its cap (below).
 
 ``inspected_prefix`` gives the prefix a claim on a recipe inspects, and
 refuses a window range the window pass would refuse before it builds
-that prefix.  Its length is given, or by default ``inspected_length``:
-the shorter of ``DEFAULT_MARGIN * n_max`` and the factor-complete length
-of :func:`abelianwords.words.complete_prefix_length`, where the recipe
-has one.  A factor-complete prefix holds every factor of length <= n_max of
-the infinite word, so a statement about its factors of those lengths (a
-profile, a balance bound) is one about the word, and reads the same on
-any longer prefix.  A Hubert recipe has a bound through its morphic form
+that prefix.  Its length is ``inspected_length``: the factor-complete
+length of :func:`abelianwords.words.complete_prefix_length`, where the
+recipe has one, capped at a given ``prefix_len`` or by default at
+``DEFAULT_MARGIN * n_max``.  A factor-complete prefix holds every factor
+of length <= n_max of the infinite word, so a statement about its
+factors of those lengths (a profile, a balance bound) is one about the
+word, and reads the same on any longer prefix.  So a given
+``prefix_len`` past the bound is read off its factor-complete head; it
+is refused as the whole prefix would be, by the window range and the
+symbol budget, before the head is measured or built.  A Hubert recipe
+has a bound through its morphic form
 (:func:`abelianwords.words.morphic_form`), the fixed point of a lifted
 morphism, where its slope is eventually periodic and the lift primitive.
 Recipes without a known bound (explicit, Champernowne, max-complexity, a
-Hubert word of a finite expansion) inspect ``DEFAULT_MARGIN * n_max``
-symbols.
+Hubert word of a finite expansion) inspect the whole cap.
 """
 
 from dataclasses import dataclass
@@ -31,7 +34,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .complexity import _require_range, abelian_profile, parikh
-from .words import WordPrefix, WordRecipe, complete_prefix_length, prefix_of
+from .words import (WordPrefix, WordRecipe, _check_length,
+                    complete_prefix_length, prefix_of)
 
 __all__ = [
     "CheckReport",
@@ -48,26 +52,32 @@ __all__ = [
 DEFAULT_MARGIN = 64
 
 
-def inspected_length(recipe: WordRecipe, n_max: int) -> int:
+def inspected_length(recipe: WordRecipe, n_max: int,
+                     prefix_len: Union[int, None] = None) -> int:
     """The prefix length to inspect for claims on lengths <= n_max: the
     factor-complete length where the recipe has one, capped at
-    ``DEFAULT_MARGIN * n_max``."""
+    ``prefix_len`` when given and at ``DEFAULT_MARGIN * n_max``
+    otherwise."""
+    cap = DEFAULT_MARGIN * n_max if prefix_len is None else prefix_len
     complete = complete_prefix_length(recipe, n_max)
-    if complete is None:
-        return DEFAULT_MARGIN * n_max
-    return min(complete.length, DEFAULT_MARGIN * n_max)
+    return cap if complete is None else min(complete.length, cap)
 
 
 def inspected_prefix(recipe: WordRecipe, n_max: int,
                      prefix_len: Union[int, None] = None) -> WordPrefix:
-    """The prefix to inspect for claims on lengths 1..n_max: of
-    ``prefix_len`` symbols, by default of ``inspected_length(recipe,
-    n_max)``.  A window range the window pass would refuse is refused
-    before the prefix is built."""
-    if prefix_len is None:
-        prefix_len = inspected_length(recipe, n_max)
-    _require_range(n_max, prefix_len)
-    return prefix_of(recipe, prefix_len)
+    """The prefix to inspect for claims on lengths 1..n_max, of
+    ``inspected_length(recipe, n_max, prefix_len)`` symbols: a given
+    ``prefix_len`` is cut to its factor-complete head, which has the
+    same factors of those lengths.  A window range the window pass would
+    refuse is refused before the prefix is built, and a given
+    ``prefix_len`` is checked as asked, against the window range and the
+    symbol budget, before the head is measured."""
+    if prefix_len is not None:
+        _require_range(n_max, prefix_len)
+        _check_length(prefix_len)
+    length = inspected_length(recipe, n_max, prefix_len)
+    _require_range(n_max, length)
+    return prefix_of(recipe, length)
 
 
 @dataclass(frozen=True)

@@ -213,9 +213,11 @@ def build_parser():
     p.add_argument("--recipe", required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--prefix-len", type=int, dest="prefix_len",
-                   help="symbols to inspect (default: a prefix holding every "
-                        "factor of length <= nmax where the recipe has a "
-                        "known bound, capped at 64 * nmax)")
+                   help="length of the prefix to profile, on which "
+                        "refusals are decided; where the recipe has a "
+                        "known bound only its head holding every factor "
+                        "of length <= nmax is read (default: that head, "
+                        "capped at 64 * nmax)")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted and ignored (the profile is one pass)")
     p.add_argument("--out")

@@ -61,6 +61,7 @@ witness that can be checked again, or None.
 import json
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -822,7 +823,16 @@ def _parity_lift(form: FixedPoint) -> FixedPoint:
 
 
 def _hubert_form(r: Hubert) -> Union[FixedPoint, None]:
-    form = _slope_form(r.slope)
+    """The parity lift of the slope's form, built once per slope: equal
+    slopes share one form, which is immutable (its morphisms' tables are
+    read-only).  The memo is keyed on the slope's terms, so it keeps no
+    slope, and none of the words they cache, alive."""
+    return _lifted_form(r.slope.preperiod, r.slope.period)
+
+
+@lru_cache(maxsize=64)
+def _lifted_form(preperiod: tuple, period: tuple) -> Union[FixedPoint, None]:
+    form = _slope_form(ContinuedFraction(preperiod, period))
     return None if form is None else _parity_lift(form)
 
 

@@ -1,7 +1,9 @@
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from test_words import fixed_points_maybe_post
 
+from abelianwords import checks
 from abelianwords.checks import (DEFAULT_MARGIN, CheckReport,
                                  MuDecomposition, inspected_length,
                                  inspected_prefix,
@@ -9,11 +11,12 @@ from abelianwords.checks import (DEFAULT_MARGIN, CheckReport,
                                  periodicity_via_parikh,
                                  rauzy_constant3_check,
                                  special_factor_witnesses, tm_profile_check)
-from abelianwords.complexity import abelian_profile, parikh_classes
+from abelianwords.complexity import abelian_profile, parikh_classes, profile
 from abelianwords.contfrac import ContinuedFraction
-from abelianwords.words import (CONSTANT3, FIBONACCI, THUE_MORSE,
-                                Characteristic, FixedPoint, Hubert, Periodic,
-                                WordPrefix, apply_morphism, champernowne_prefix,
+from abelianwords.words import (CONSTANT3, FIBONACCI, THUE_MORSE, BudgetError,
+                                Champernowne, Characteristic, FixedPoint,
+                                Hubert, LiteralPrepend, Periodic, WordPrefix,
+                                apply_morphism, champernowne_prefix,
                                 complete_prefix_length, fixed_point,
                                 max_complexity_prefix, prefix_of)
 
@@ -85,6 +88,66 @@ class TestInspectedLength:
         assert inspected_prefix(rauzy, 200, 300) == prefix_of(rauzy, 300)
         with pytest.raises(ValueError, match="1 <= 1 <= 200 <= 100"):
             inspected_prefix(rauzy, 200, 100)
+
+    def test_prefix_len_caps_the_factor_complete_length(self):
+        rauzy = FixedPoint(FIBONACCI, 0, post=CONSTANT3)
+        assert complete_prefix_length(rauzy, 200).length == 1830
+        assert inspected_length(rauzy, 200, 5000) == 1830
+        assert inspected_length(rauzy, 200, 300) == 300
+        # without a bound the whole given length is read
+        assert inspected_length(Champernowne(), 200, 5000) == 5000
+
+    def test_prefix_len_is_cut_to_its_head(self, monkeypatch):
+        # prefix_of is asked for min(L, C), C the factor-complete length
+        rauzy = FixedPoint(FIBONACCI, 0, post=CONSTANT3)
+        asked = []
+
+        def spy(recipe, length):
+            asked.append(length)
+            return prefix_of(recipe, length)
+        monkeypatch.setattr(checks, "prefix_of", spy)
+        assert inspected_prefix(rauzy, 200, 5000) == prefix_of(rauzy, 1830)
+        assert inspected_prefix(rauzy, 200, 1831) == prefix_of(rauzy, 1830)
+        assert inspected_prefix(rauzy, 200, 300) == prefix_of(rauzy, 300)
+        assert asked == [1830, 1830, 300]
+
+    @pytest.mark.parametrize("n_max, prefix_len, error, message", [
+        (1, 70000000, BudgetError, "requested 70000000 symbols, budget is"),
+        (1000, 67000000, BudgetError, "window steps"),
+        (5, -1, ValueError, "1 <= 1 <= 5 <= -1"),
+        (5, 3, ValueError, "1 <= 1 <= 5 <= 3"),
+    ], ids=["budget", "window-steps", "negative", "shorter-than-n"])
+    def test_prefix_len_is_refused_as_given(self, monkeypatch, n_max,
+                                            prefix_len, error, message):
+        # the Thue-Morse head is 8 symbols at n_max = 1: the refusal is
+        # decided on the given length, before the head is measured
+        def refuse(*args):
+            raise AssertionError("head measured")
+        monkeypatch.setattr(checks, "complete_prefix_length", refuse)
+        with pytest.raises(error, match=message):
+            inspected_prefix(FixedPoint(THUE_MORSE, 0), n_max, prefix_len)
+
+    @settings(max_examples=80, deadline=None)
+    @given(fixed_points_maybe_post(),
+           st.one_of(st.none(),
+                     st.lists(st.integers(0, 3), min_size=1,
+                              max_size=6).map(bytes)),
+           st.integers(1, 40), st.integers(0, 500))
+    def test_head_profiles_as_the_whole_prefix(self, recipe, head, n,
+                                               extra):
+        # differential: the profile of the head read for a prefix_len of
+        # C + extra is that of every one of its symbols, which also checks
+        # C, the factor-complete length, on primitive fixed points
+        if head is not None:
+            recipe = LiteralPrepend(head, recipe)
+        found = complete_prefix_length(recipe, n)
+        assume(found is not None and found.length <= 1 << 14)
+        length = found.length + extra
+        got = profile(inspected_prefix(recipe, n, length), n)
+        want = profile(prefix_of(recipe, length), n)
+        assert got.prefix_len == found.length
+        assert (got.rho_ab, got.rho, got.balance_running) == \
+            (want.rho_ab, want.rho, want.balance_running), (recipe, n, length)
 
     def test_rauzy_check_reads_the_same_on_both(self):
         # the check reads the factor-complete prefix; the margin's longer

@@ -15,16 +15,24 @@ GOLDEN_JSON = '{"preperiod": [2], "period": [1]}'
 import abelianwords
 from abelianwords import checks
 from abelianwords.cli import RECIPE_PRESETS, main
-from abelianwords.complexity import abelian_profile
+from abelianwords.complexity import abelian_profile, profile
 from abelianwords.contfrac import ContinuedFraction
 from abelianwords.powers import sturmian_powers
-from abelianwords.words import prefix_of, recipe_from_dict, recipe_to_dict
+from abelianwords.words import (complete_prefix_length, prefix_of,
+                                recipe_from_dict, recipe_to_dict)
 
 
 def run(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def profile_csv(prof):
+    rows = zip(prof.rho_ab, prof.rho, prof.balance_running)
+    return "n,rho_ab,rho,balance_running\n" + "".join(
+        f"{n},{rho_ab},{rho},{running}\n"
+        for n, (rho_ab, rho, running) in enumerate(rows, 1))
 
 
 class TestGenerate:
@@ -299,6 +307,24 @@ class TestProfile:
         code, out, _ = run(capsys, *args)
         _, margin, _ = run(capsys, *args, "--prefix-len", str(64 * nmax))
         assert code == 0 and out == margin
+
+    @pytest.mark.parametrize("preset", sorted(
+        name for name, d in RECIPE_PRESETS.items()
+        if complete_prefix_length(recipe_from_dict(d), 1) is not None))
+    @pytest.mark.parametrize("nmax", [1, 6, 37, 256])
+    def test_prefix_len_reads_as_the_whole_prefix(self, capsys, preset,
+                                                  nmax):
+        # only the factor-complete head of C symbols is read; the oracle
+        # profiles every symbol of the prefix asked for. Every length here
+        # is within the window range (C >= nmax, 3C + 7 < 2^16)
+        recipe = recipe_from_dict(RECIPE_PRESETS[preset])
+        c = complete_prefix_length(recipe, nmax).length
+        for length in (c, c + 1, 3 * c + 7, 1 << 16):
+            code, out, err = run(capsys, "profile", "--recipe", preset,
+                                 "--nmax", str(nmax),
+                                 "--prefix-len", str(length))
+            assert (code, err) == (0, "")
+            assert out == profile_csv(profile(prefix_of(recipe, length), nmax))
 
     def test_explicit_prefix_len(self, capsys):
         code, out, _ = run(capsys, "profile", "--recipe", "tm", "--nmax", "2",
@@ -580,13 +606,17 @@ class TestExitCodes:
          "window steps"),
         (["profile", "--recipe", "tm", "--nmax", "1000",
           "--prefix-len", "67000000"], 3, "window steps"),
+        # past the symbol budget, although the head read would be 8 symbols
+        (["profile", "--recipe", "tm", "--nmax", "1",
+          "--prefix-len", "70000000"], 3,
+         "requested 70000000 symbols, budget is 67108864"),
         (["profile", "--recipe", "tm", "--nmax", "-3"], 2,
          "window lengths must satisfy"),
         (["profile", "--recipe", "tm", "--nmax", "5", "--prefix-len", "-1"],
          2, "window lengths must satisfy"),
     ], ids=["rauzy-hubert", "rauzy-morphism", "thue-morse",
             "rauzy-negative", "thue-morse-negative", "profile-hubert",
-            "profile-prefix-len", "profile-negative",
+            "profile-prefix-len", "profile-over-budget", "profile-negative",
             "profile-negative-prefix-len"])
     def test_verify_refuses_before_building(self, capsys, monkeypatch,
                                             argv, code, message):

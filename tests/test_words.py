@@ -866,6 +866,21 @@ class TestMorphicForm:
         found = complete_prefix_length(Hubert(slope), n)
         assert (found is not None) == words._is_primitive(lift.morphism)
 
+    def test_equal_slopes_share_one_lift(self):
+        # built once per slope and shared, which is safe: a form is
+        # immutable and its morphisms' tables are read-only
+        first = words._hubert_form(Hubert(ContinuedFraction((2,), (1,))))
+        again = words._hubert_form(Hubert(ContinuedFraction((2,), (1,))))
+        assert again is first is not None
+        assert not first.morphism._table.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(periodic_slopes())
+    def test_shared_lift_equals_a_fresh_one(self, slope):
+        form = words._slope_form(slope)
+        fresh = None if form is None else words._parity_lift(form)
+        assert words._hubert_form(Hubert(slope)) == fresh
+
     def test_golden_hubert_bound_shows_every_factor(self, golden):
         recipe = Hubert(golden)
         found = complete_prefix_length(recipe, 64)
